@@ -7,6 +7,7 @@ from .engine import (
     PartialState,
     RankingTrace,
     matching_for_order,
+    matching_sizes,
     partial_state,
     run_ranking,
     views_agree,
@@ -24,6 +25,7 @@ from .graphs import (
     Graph,
     PerfectPair,
     backup_counterexample_graph,
+    blossom_matching,
     designated_pairs,
     generate_family,
     make_graph,
@@ -60,4 +62,4 @@ from .ranks import (
 )
 from .simplex import LpSolution, SolverOptions, solve, verify_solution
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

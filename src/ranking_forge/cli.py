@@ -131,8 +131,7 @@ def _cmd_solve_lp(args) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
-    form = args.form if args.form != "compact" else "substituted"
-    model = build_lp(k, form=form)
+    model = build_lp(k, form=args.form)
     solution = simplex.solve(model)
     if solution.status != "optimal":
         print(f"solver status: {solution.status}", file=sys.stderr)
@@ -190,15 +189,19 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = generate_family(args.family, n=args.n, density=args.density, seed=args.seed)
-    if args.exact:
-        if g.n > 8:
-            print("resource limit: exact mode needs n <= 8", file=sys.stderr)
-            return EXIT_RESOURCE
-        ratio = experiments.exact_expected_ratio(g)
-        print(f"ratio={float(ratio):.5f} (exact, {g.n} vertices)")
-        return EXIT_OK
-    est = experiments.monte_carlo_ratio(g, args.trials, args.k, args.seed)
+    try:
+        g = generate_family(args.family, n=args.n, density=args.density, seed=args.seed)
+        if args.exact:
+            if g.n > 8:
+                print("resource limit: exact mode needs n <= 8", file=sys.stderr)
+                return EXIT_RESOURCE
+            ratio = experiments.exact_expected_ratio(g)
+            print(f"ratio={float(ratio):.5f} (exact, {g.n} vertices)")
+            return EXIT_OK
+        est = experiments.monte_carlo_ratio(g, args.trials, args.k, args.seed)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(
         f"ratio={est.mean:.5f} +- {est.half_width:.5f} "
         f"(trials={est.trials}, k={args.k}, seed={args.seed})"
@@ -217,7 +220,10 @@ def _cmd_reproduce(args) -> int:
     ok = True
     for row in rows:
         mark = ""
-        if row.within_tolerance is False:
+        if row.error is not None:
+            mark = f"  {row.status.upper()}: {row.error}"
+            ok = False
+        elif row.within_tolerance is False:
             mark = "  MISMATCH"
             ok = False
         exp = "" if row.expected is None else f" expected={row.expected:.5f}"

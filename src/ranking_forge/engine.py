@@ -8,7 +8,10 @@
   neighbors that already arrived.
 
 All three produce the same matching for the same order; ``views_agree``
-checks that on concrete instances.  Removing a vertex set S is realized by
+checks that on concrete instances.  ``matching_sizes`` is a fourth, batched
+implementation of the vertex-iterative view over numpy arrays, for sampling
+many orders at once; it returns sizes only and is checked against
+``matching_for_order``.  Removing a vertex set S is realized by
 marking it unavailable from the start (``frozen``), which keeps the probe
 timeline aligned with the full run -- the device the structural checks rely
 on.  Orders whose domain is a strict subset of the graph's vertices are
@@ -20,6 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .graphs import Edge, Graph, edge
 from .ranks import RankVector, induced_permutation
@@ -188,6 +193,56 @@ def matching_for_order(
     _check_domain(g, pos, frozen)
     matching, _ = _vertex_iterative(g, pos, frozen)
     return frozenset(matching)
+
+
+def matching_sizes(g: Graph, orders) -> np.ndarray:
+    """Matching size of the vertex-iterative run for every row of ``orders``.
+
+    ``orders`` is an int array of shape (B, n) whose rows list all of
+    ``g``'s vertices in processing order.  Step ``t`` advances all B runs
+    at once: each row whose ``t``-th vertex is still free gathers that
+    vertex's neighbor segment from the CSR view, masks matched neighbors,
+    and takes the earliest-positioned survivor with a segment minimum.
+    Working memory is O(B * n + |E|).
+    """
+    orders = np.asarray(orders, dtype=np.intp)
+    n = g.n
+    if orders.ndim != 2 or orders.shape[1] != n:
+        raise ValueError(f"orders must have shape (B, {n}), got {orders.shape}")
+    b = orders.shape[0]
+    if b and (orders.min() < 0 or orders.max() >= n):
+        raise ValueError("orders mention a vertex outside the graph")
+    indptr, indices = g.csr
+    degree = np.diff(indptr)
+    # Runs share one flat (B * n) array: row r's vertex v is cell r * n + v.
+    # It holds v's position in row r while v is free and n once v is matched,
+    # so one gather both masks matched neighbors and ranks the free ones.
+    row_base = np.arange(b, dtype=np.intp) * n
+    key = np.full(b * n, -1, dtype=np.intp)
+    key[(row_base[:, None] + orders).ravel()] = np.tile(np.arange(n), b)
+    if (key < 0).any():
+        raise ValueError("an order row repeats a vertex")
+    sizes = np.zeros(b, dtype=np.int64)
+    for t in range(n):
+        v = orders[:, t]
+        live = np.flatnonzero((key[row_base + v] < n) & (degree[v] > 0))
+        if not live.size:
+            continue
+        v = v[live]
+        deg = degree[v]
+        seg_start = np.cumsum(deg) - deg
+        # Flat index into ``indices`` for every gathered neighbor slot.
+        slot = np.arange(int(seg_start[-1] + deg[-1])) + np.repeat(
+            indptr[v] - seg_start, deg
+        )
+        cell = np.repeat(row_base[live], deg) + indices[slot]
+        first = np.minimum.reduceat(key[cell], seg_start)
+        hit = first < n
+        live, v, first = live[hit], v[hit], first[hit]
+        key[row_base[live] + v] = n
+        key[row_base[live] + orders[live, first]] = n
+        sizes[live] += 1
+    return sizes
 
 
 def partial_state(

@@ -8,6 +8,8 @@ aggregates violations; a correct engine produces none.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import simplex
-from .engine import matching_for_order, views_agree
+from .engine import matching_for_order, matching_sizes, views_agree
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
@@ -68,41 +70,35 @@ class RatioEstimate:
     exact: bool = False
 
 
+#: Vertex slots per Monte Carlo block: a block holds max(1, 2**16 // n) trials.
+MC_BLOCK_SLOTS = 2**16
+
+
 def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate:
     """Mean of |matching| / |maximum matching| over seeded bucketed draws.
 
-    95% half-width by the normal approximation on the sample variance.
+    Trials are drawn in blocks: per block, every vertex gets a uniform bucket
+    in 0..k-1, then a uniform tie-break, and each row is ordered by bucket
+    first.  95% half-width by the normal approximation on the sample
+    variance.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if k < 1:
+        raise ValueError(f"bucket count k must be >= 1, got {k}")
     m_star = maximum_matching_size(g)
     if m_star == 0:
         raise ValueError("graph has no edges; the ratio is undefined")
     n = g.n
-    adj = [list(g.neighbors(v)) for v in range(n)]
+    block = max(1, MC_BLOCK_SLOTS // n)
     rng = np.random.default_rng(seed)
     sizes = np.empty(trials)
-    pos = [0] * n
-    for trial in range(trials):
-        buckets = rng.integers(0, k, n)
-        ties = rng.random(n)
-        order = np.lexsort((ties, buckets)).tolist()
-        for idx, v in enumerate(order):
-            pos[v] = idx
-        matched = bytearray(n)
-        size = 0
-        for v in order:
-            if matched[v]:
-                continue
-            best = -1
-            best_pos = n
-            for u in adj[v]:
-                if not matched[u] and pos[u] < best_pos:
-                    best_pos = pos[u]
-                    best = u
-            if best >= 0:
-                matched[v] = 1
-                matched[best] = 1
-                size += 1
-        sizes[trial] = size
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        buckets = rng.integers(0, k, (rows, n))
+        ties = rng.random((rows, n))
+        orders = np.lexsort((ties, buckets), axis=-1)
+        sizes[start:start + rows] = matching_sizes(g, orders)
     ratios = sizes / m_star
     mean = float(ratios.mean())
     hw = 0.0
@@ -135,6 +131,10 @@ class LpTableRow:
     elapsed: float
     iterations: int
     expected: Optional[float]
+    #: Solver status ('optimal', 'limit', 'infeasible') or 'error' when the
+    #: solver raised; ``error`` says what went wrong for anything but optimal.
+    status: str = "optimal"
+    error: Optional[str] = None
 
     @property
     def within_tolerance(self) -> Optional[bool]:
@@ -146,31 +146,45 @@ class LpTableRow:
 def reproduce_lp_table(
     k_list: Iterable[int], options: Optional[simplex.SolverOptions] = None
 ) -> list[LpTableRow]:
-    """Solve the factor-revealing LP for each k; failures are recorded as
-    rows with NaN and the run continues."""
+    """Solve the factor-revealing LP for each k.
+
+    A solve that stops short of optimal, or stalls numerically, is recorded
+    as a row with NaN alpha, its status and the reason, and the run goes on
+    with the next k.  Any other exception propagates.
+    """
     rows = []
     for k in k_list:
         start = time.perf_counter()
         try:
             solution = simplex.solve(build_lp(k), options)
-            alpha = solution.alpha if solution.status == "optimal" else float("nan")
-            iters = solution.iterations
-        except Exception:
-            alpha, iters = float("nan"), 0
+        except simplex.SimplexStall as exc:
+            alpha, iters, status, error = float("nan"), 0, "error", f"stall: {exc}"
+        else:
+            iters, status = solution.iterations, solution.status
+            alpha, error = solution.alpha, None
+            if status != "optimal":
+                alpha = float("nan")
+                error = f"solver stopped with status {status!r} after {iters} iterations"
         rows.append(
             LpTableRow(
-                k, alpha, time.perf_counter() - start, iters, KNOWN_OPTIMA.get(k)
+                k, alpha, time.perf_counter() - start, iters, KNOWN_OPTIMA.get(k),
+                status, error,
             )
         )
     return rows
 
 
 def lp_table_to_csv(rows: list[LpTableRow]) -> str:
-    lines = ["k,alpha,expected,elapsed_s,iterations"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["k", "alpha", "expected", "elapsed_s", "iterations", "status", "error"])
     for r in rows:
         exp = "" if r.expected is None else f"{r.expected:.5f}"
-        lines.append(f"{r.k},{r.alpha:.5f},{exp},{r.elapsed:.3f},{r.iterations}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([
+            r.k, f"{r.alpha:.5f}", exp, f"{r.elapsed:.3f}", r.iterations,
+            r.status, r.error or "",
+        ])
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Undirected graphs, exact maximum-matching oracles, and test-instance families.
+"""Undirected graphs, maximum matchings, and test-instance families.
 
 Graphs are immutable after construction and safe to share across workers.
 Edges are canonicalized as ``(min, max)`` pairs so that set semantics match
@@ -8,6 +8,7 @@ the undirected reading.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -17,7 +18,7 @@ import numpy as np
 
 Edge = tuple[int, int]
 
-#: Default cap for the exact (exponential-time) matching search.
+#: Default cap for the exhaustive (exponential-time) matching search.
 EXHAUSTIVE_LIMIT = 24
 
 FAMILIES = (
@@ -31,7 +32,7 @@ FAMILIES = (
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a graph exceeds the exact-oracle size limit."""
+    """Raised when a graph exceeds the exhaustive-search size limit."""
 
 
 def edge(u: int, v: int) -> Edge:
@@ -53,6 +54,9 @@ class Graph:
     m_star: Optional[frozenset[Edge]] = None
     _adj: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, hash=False, default=()
+    )
+    _csr: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
     )
 
     def __post_init__(self) -> None:
@@ -81,6 +85,19 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``: the neighbors of ``v`` are
+        ``indices[indptr[v]:indptr[v + 1]]``, ascending.  Built on first use."""
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum([len(a) for a in self._adj], out=indptr[1:])
+            indices = np.fromiter(
+                (u for a in self._adj for u in a), dtype=np.intp, count=int(indptr[-1])
+            )
+            object.__setattr__(self, "_csr", (indptr, indices))
+        return self._csr
 
     @property
     def vertices(self) -> range:
@@ -153,9 +170,11 @@ def matched_partner(matching: Iterable[Edge], v: int) -> Optional[int]:
 
 
 def maximum_matching(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> frozenset[Edge]:
-    """An exact maximum matching, by memoized search over vertex subsets.
+    """A maximum matching, by memoized search over vertex subsets.
 
-    Exponential in the vertex count; guarded by ``limit``.
+    Exponential in the vertex count; guarded by ``limit``.  Deterministic in
+    which maximum matching it returns, so it picks the designated matching of
+    the sweep corpus; it is also the test oracle for :func:`blossom_matching`.
     """
     if g.n > limit:
         raise SizeLimitError(
@@ -202,16 +221,102 @@ def maximum_matching(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> frozenset[Edge]
     return result
 
 
-def maximum_matching_size(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> int:
-    """Exact size of a maximum matching (see :func:`maximum_matching`)."""
-    return len(maximum_matching(g, limit=limit))
+def blossom_matching(g: Graph) -> frozenset[Edge]:
+    """A maximum matching by Edmonds' blossom algorithm, O(V^3).
+
+    A greedy pass seeds the matching; then each free vertex roots one
+    breadth-first search for an augmenting path, with odd cycles (blossoms)
+    contracted by relabelling their vertices to a common base.  A vertex that
+    roots no augmenting path never roots one later (Edmonds 1965), so one
+    search per vertex suffices.
+    """
+    adj = g._adj
+    n = g.n
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] < 0:
+            for u in adj[v]:
+                if mate[u] < 0:
+                    mate[u], mate[v] = v, u
+                    break
+    for root in range(n):
+        if mate[root] < 0 and adj[root]:
+            v, parent = _augmenting_path_end(adj, mate, root)
+            while v >= 0:
+                pv = parent[v]
+                nxt = mate[pv]
+                mate[v], mate[pv] = pv, v
+                v = nxt
+    return frozenset(edge(v, u) for v, u in enumerate(mate) if v < u)
+
+
+def _augmenting_path_end(adj, mate: list[int], root: int) -> tuple[int, list[int]]:
+    """BFS for an augmenting path from ``root``; returns its free end (or -1)
+    and the parent links that trace it back to ``root``."""
+    n = len(mate)
+    parent = [-1] * n
+    base = list(range(n))
+    in_tree = [False] * n  # even (outer) vertices, queued at most once
+    in_tree[root] = True
+    queue = deque([root])
+
+    def lowest_common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
+                # ``to`` is even too: the edge closes a blossom.
+                b = lowest_common_base(v, to)
+                blossom = [False] * n
+                mark_path(v, b, to, blossom)
+                mark_path(to, b, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = b
+                        if not in_tree[i]:
+                            in_tree[i] = True
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if mate[to] < 0:
+                    return to, parent
+                in_tree[mate[to]] = True
+                queue.append(mate[to])
+    return -1, parent
+
+
+def maximum_matching_size(g: Graph) -> int:
+    """Size of a maximum matching (see :func:`blossom_matching`)."""
+    return len(blossom_matching(g))
 
 
 def matching_size_bruteforce(g: Graph, max_edges: int = 18) -> int:
     """Independent oracle: try every subset of edges, keep the largest matching.
 
-    Only usable for small edge counts; meant to cross-check the memoized
-    search, not for production use.
+    Only usable for small edge counts; meant to cross-check the other
+    searches, not for production use.
     """
     edges = sorted(g.edges)
     if len(edges) > max_edges:

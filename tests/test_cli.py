@@ -12,6 +12,11 @@ def test_solve_lp_small(capsys):
     assert "alpha=0.50347" in out
 
 
+def test_solve_lp_compact_form(capsys):
+    assert run_cli(["solve-lp", "--k", "4", "--form", "compact"]) == 0
+    assert "alpha=0.51052" in capsys.readouterr().out
+
+
 def test_solve_lp_export_still_solves(tmp_path, capsys):
     path = tmp_path / "k2.mps"
     assert run_cli(["solve-lp", "--k", "2", "--export", str(path)]) == 0
@@ -79,6 +84,19 @@ def test_simulate_exact_and_sampled(capsys):
     assert capsys.readouterr().out == first  # deterministic given the seed
 
 
+def test_simulate_rejects_bad_inputs(capsys):
+    assert run_cli(["simulate", "--family", "path", "--n", "4", "--trials", "0"]) == 2
+    assert "trials" in capsys.readouterr().err
+    assert run_cli(["simulate", "--family", "path", "--n", "4", "--k", "0"]) == 2
+    assert "bucket count" in capsys.readouterr().err
+
+
+def test_simulate_beyond_exhaustive_limit(capsys):
+    assert run_cli(["simulate", "--family", "random_with_perfect_matching",
+                    "--n", "40", "--trials", "200"]) == 0
+    assert "trials=200" in capsys.readouterr().out
+
+
 def test_simulate_exact_resource_limit():
     assert run_cli(["simulate", "--family", "path", "--n", "10", "--exact"]) == 3
 
@@ -90,6 +108,19 @@ def test_reproduce_small(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k=  3 alpha=0.50347" in out
     assert csv_path.read_text().count("\n") == 4
+
+
+def test_reproduce_reports_solver_failure(monkeypatch, capsys):
+    from ranking_forge import experiments, simplex
+
+    real = experiments.reproduce_lp_table
+    monkeypatch.setattr(
+        experiments, "reproduce_lp_table",
+        lambda ks: real(ks, simplex.SolverOptions(max_iterations=5)),
+    )
+    assert run_cli(["reproduce", "--table1", "--k-max", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "k=  4 alpha=nan" in out and "LIMIT: solver stopped" in out
 
 
 def test_reproduce_resource_limit():

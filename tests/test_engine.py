@@ -2,11 +2,15 @@ import json
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranking_forge.engine import (
     VIEWS,
     matching_for_order,
+    matching_sizes,
     partial_state,
     run_ranking,
     trace_to_json,
@@ -147,3 +151,51 @@ def test_trace_json(p4):
     assert payload["view"] == "vertex_iterative"
     assert payload["matching"] == [[0, 1], [2, 3]]
     assert all(set(ev) == {"time", "edge", "accepted"} for ev in payload["probe_log"])
+
+
+@st.composite
+def graphs_and_orders(draw):
+    # Graphs on up to 10 vertices, often with isolated vertices, and 1..6
+    # orders each.
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
+    rows = draw(st.integers(1, 6))
+    orders = [draw(st.permutations(range(n))) for _ in range(rows)]
+    return g, np.array(orders, dtype=np.int64).reshape(rows, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_orders())
+def test_matching_sizes_match_vertex_iterative_rows(case):
+    g, orders = case
+    sizes = matching_sizes(g, orders)
+    assert sizes.shape == (len(orders),)
+    assert sizes.tolist() == [len(matching_for_order(g, row.tolist())) for row in orders]
+    # B = 1 takes the same path as every row of a larger batch.
+    assert matching_sizes(g, orders[:1]).tolist() == sizes[:1].tolist()
+
+
+def test_matching_sizes_on_wide_graphs():
+    # A star and a complete bipartite graph with thousands of vertices: no
+    # n x max-degree matrix is ever built.
+    star = make_graph(3000, [(0, v) for v in range(1, 3000)])
+    rng = np.random.default_rng(0)
+    orders = np.array([rng.permutation(3000) for _ in range(8)])
+    assert matching_sizes(star, orders).tolist() == [1] * 8
+    kab = generate_family("complete_bipartite", n=2000)
+    orders = np.array([rng.permutation(2000) for _ in range(4)])
+    assert matching_sizes(kab, orders).tolist() == [1000] * 4
+
+
+def test_matching_sizes_rejects_bad_orders(p4):
+    with pytest.raises(ValueError, match="shape"):
+        matching_sizes(p4, [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="shape"):
+        matching_sizes(p4, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="outside"):
+        matching_sizes(p4, [[0, 1, 2, 4]])
+    with pytest.raises(ValueError, match="repeats"):
+        matching_sizes(p4, [[0, 1, 2, 3], [0, 1, 1, 3]])
+    assert matching_sizes(p4, np.empty((0, 4), dtype=int)).tolist() == []

@@ -1,10 +1,13 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ranking_forge import simplex
 from ranking_forge.experiments import (
     KNOWN_OPTIMA,
+    MC_BLOCK_SLOTS,
     SweepConfig,
     connected_graphs_upto,
     default_corpus,
@@ -64,6 +67,31 @@ def test_monte_carlo_determinism():
     assert a.mean == b.mean and a.half_width == b.half_width
 
 
+def test_monte_carlo_determinism_across_partial_blocks():
+    g = generate_family("random_with_perfect_matching", n=8, density=0.3, seed=2)
+    trials = MC_BLOCK_SLOTS // g.n + 7  # one full block and a partial one
+    a = monte_carlo_ratio(g, trials, 10, seed=5)
+    b = monte_carlo_ratio(g, trials, 10, seed=5)
+    assert a == b and a.trials == trials
+    assert monte_carlo_ratio(g, trials, 10, seed=6) != a
+
+
+@pytest.mark.parametrize("trials, k", [(0, 10), (-3, 10), (100, 0)])
+def test_monte_carlo_rejects_bad_inputs(trials, k):
+    with pytest.raises(ValueError, match=">= 1"):
+        monte_carlo_ratio(generate_family("path", n=4), trials, k, seed=0)
+
+
+def test_reproduce_records_solver_failures():
+    rows = reproduce_lp_table([1, 4], simplex.SolverOptions(max_iterations=5))
+    failed = rows[-1]
+    assert failed.k == 4 and failed.status == "limit"
+    assert math.isnan(failed.alpha)
+    assert "limit" in failed.error
+    last = lp_table_to_csv(rows).splitlines()[-1].split(",")
+    assert last[-2:] == ["limit", failed.error]
+
+
 def test_reproduce_small_lp_table():
     rows = reproduce_lp_table([1, 2, 3])
     assert [r.k for r in rows] == [1, 2, 3]
@@ -71,8 +99,9 @@ def test_reproduce_small_lp_table():
     assert rows[1].alpha == pytest.approx(0.5, abs=1e-6)
     assert rows[2].alpha == pytest.approx(0.50347, abs=1e-4)
     assert all(r.within_tolerance for r in rows)
+    assert all(r.status == "optimal" and r.error is None for r in rows)
     csv = lp_table_to_csv(rows)
-    assert csv.splitlines()[0] == "k,alpha,expected,elapsed_s,iterations"
+    assert csv.splitlines()[0] == "k,alpha,expected,elapsed_s,iterations,status,error"
     assert len(csv.splitlines()) == 4
 
 

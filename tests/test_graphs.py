@@ -1,8 +1,14 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranking_forge.graphs import (
     SizeLimitError,
     backup_counterexample_graph,
+    blossom_matching,
     generate_family,
     graph_from_json,
     graph_from_text,
@@ -89,10 +95,84 @@ def test_designated_pairs():
 
 
 def test_size_limit_error():
+    # The exhaustive search keeps its limit; the blossom-backed size has none.
     g = generate_family("path", n=30)
     with pytest.raises(SizeLimitError):
-        maximum_matching_size(g)
-    assert maximum_matching_size(g, limit=30) == 15
+        maximum_matching(g)
+    assert maximum_matching_size(g) == 15
+
+
+def test_blossom_agrees_with_exhaustive_on_every_connected_graph_upto_6():
+    # Every labelled connected graph, so every isomorphism class, on <= 6
+    # vertices.
+    from ranking_forge.experiments import _connected
+
+    checked = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            if not _connected(n, edges):
+                continue
+            g = make_graph(n, edges)
+            m = blossom_matching(g)
+            assert is_matching(g, m)
+            assert len(m) == len(maximum_matching(g)), edges
+            checked += 1
+    assert checked == 1 + 1 + 4 + 38 + 728 + 26704
+
+
+@st.composite
+def random_graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_blossom_agrees_with_exhaustive_on_random_graphs(g):
+    m = blossom_matching(g)
+    assert is_matching(g, m)
+    assert len(m) == len(maximum_matching(g))
+
+
+def test_blossom_on_odd_cycle_structures():
+    # Petersen graph: every vertex lies on 5-cycles; it has a perfect matching.
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    assert maximum_matching_size(make_graph(10, outer + spokes + inner)) == 5
+    # Two triangles joined by a path through a blossom stem.
+    g = make_graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 5)])
+    assert maximum_matching_size(g) == len(maximum_matching(g)) == 4
+
+
+def _bipartite_oracle(a, b, edges):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    rows = [u for u, _ in edges]
+    cols = [v - a for _, v in edges]
+    biadj = csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(a, b))
+    return int((maximum_bipartite_matching(biadj, perm_type="column") >= 0).sum())
+
+
+def test_blossom_agrees_with_scipy_on_bipartite_graphs():
+    for n in (2, 3, 7, 40, 200):
+        g = generate_family("complete_bipartite", n=n)
+        a = n // 2
+        assert maximum_matching_size(g) == _bipartite_oracle(a, n - a, sorted(g.edges)) == a
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        a, b = (int(x) for x in rng.integers(1, 101, size=2))
+        density = float(rng.choice([0.01, 0.03, 0.1, 0.3]))
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < density]
+        g = make_graph(a + b, edges)
+        m = blossom_matching(g)
+        assert is_matching(g, m)
+        assert len(m) == _bipartite_oracle(a, b, edges)
 
 
 def test_generate_family_determinism_and_planted_matching():
