@@ -9,6 +9,7 @@ from .engine import (
     matching_for_order,
     matching_sizes,
     partial_state,
+    partial_states,
     run_ranking,
     views_agree,
 )

@@ -148,8 +148,14 @@ def _cmd_solve_lp(args) -> int:
 
 
 def _cmd_validate_f(args) -> int:
-    with open(args.file) as fh:
-        table = PriceTable.from_json(fh.read())
+    try:
+        with open(args.file) as fh:
+            table = PriceTable.from_json(fh.read())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError and a table of the wrong shape or range are
+        # ValueErrors; a missing key or a non-object payload is a Key/TypeError.
+        print(f"invalid input: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = evaluate_price_table(table)
     except ValueError as exc:
@@ -210,6 +216,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.k_max < 1:
+        print("k-max must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.k_max > IN_PROCESS_K_LIMIT:
         print(
             f"resource limit: k-max {args.k_max} beyond in-process budget",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -245,6 +245,36 @@ def matching_sizes(g: Graph, orders) -> np.ndarray:
     return sizes
 
 
+def partial_states(
+    g: Graph,
+    order: OrderLike,
+    times: Iterable[Time],
+    frozen: frozenset[int] | set[int] = frozenset(),
+) -> Iterator[PartialState]:
+    """Replay the probe log once, yielding the state before each of ``times``
+    (matching and availability after all probes at times < t).  ``times``
+    must strictly ascend; ``ValueError`` otherwise.
+    """
+    pos = position_map(order)
+    frozen = frozenset(frozen)
+    _check_domain(g, pos, frozen)
+    events = iter(greedy_probe_events(g, pos, frozen))
+    pending = next(events, None)
+    matching: set[Edge] = set()
+    available = set(pos) - frozen
+    previous = None
+    for t in times:
+        if previous is not None and t <= previous:
+            raise ValueError(f"times must ascend: {t} follows {previous}")
+        previous = t
+        while pending is not None and pending.time < t:
+            if pending.accepted:
+                matching.add(pending.edge)
+                available.difference_update(pending.edge)
+            pending = next(events, None)
+        yield PartialState(t, frozenset(matching), frozenset(available))
+
+
 def partial_state(
     g: Graph,
     order: OrderLike,
@@ -252,19 +282,7 @@ def partial_state(
     frozen: frozenset[int] | set[int] = frozenset(),
 ) -> PartialState:
     """Matching and availability after all probes at times < ``t``."""
-    pos = position_map(order)
-    frozen = frozenset(frozen)
-    _check_domain(g, pos, frozen)
-    matching: set[Edge] = set()
-    covered: set[int] = set()
-    for ev in greedy_probe_events(g, pos, frozen):
-        if ev.time >= t:
-            break
-        if ev.accepted:
-            matching.add(ev.edge)
-            covered.update(ev.edge)
-    available = frozenset(set(pos) - frozen - covered)
-    return PartialState(t, frozenset(matching), available)
+    return next(partial_states(g, order, [t], frozen))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import simplex
-from .engine import matching_for_order, matching_sizes, views_agree
+from .engine import matching_for_order, matching_sizes, position_map, views_agree
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
@@ -328,8 +328,6 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
 
 def _corrupted_matching(g: Graph, order) -> frozenset:
     """Deliberately wrong greedy: picks the last available neighbor."""
-    from .engine import position_map
-
     pos = position_map(order)
     matched: set[int] = set()
     out = set()

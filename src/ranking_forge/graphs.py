@@ -374,10 +374,15 @@ def generate_family(
         rng = np.random.default_rng(seed)
         perm = [int(x) for x in rng.permutation(n)]
         planted = [edge(perm[2 * i], perm[2 * i + 1]) for i in range(n // 2)]
+        partner = np.empty(n, dtype=np.intp)
+        partner[perm[0::2]], partner[perm[1::2]] = perm[1::2], perm[0::2]
         edges = set(planted)
-        for u, v in combinations(range(n), 2):
-            if edge(u, v) not in edges and rng.random() < density:
-                edges.add(edge(u, v))
+        # One draw per non-planted pair in (u, v) lexicographic order, a row
+        # at a time: the same PCG64 stream as one rng.random() per pair.
+        for u in range(n - 1):
+            rest = np.arange(u + 1, n)
+            rest = rest[rest != partner[u]]
+            edges.update((u, int(v)) for v in rest[rng.random(rest.size) < density])
         return make_graph(n, edges, m_star=planted)
     if family in ("appendix_counterexample", "backup_counterexample"):
         return backup_counterexample_graph()

@@ -809,7 +809,7 @@ def compact_mps_chunks(k: int) -> Iterator[str]:
     yield "ENDATA\n"
 
 
-def write_compact_mps(k: int, destination, progress: bool = False) -> dict:
+def write_compact_mps(k: int, destination) -> dict:
     """Stream the compact-form model for ``k`` buckets to ``destination``.
 
     Returns basic statistics (bytes and lines written, elapsed seconds).

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .engine import (
@@ -29,6 +30,7 @@ from .engine import (
     greedy_probe_events,
     matching_for_order,
     partial_state,
+    partial_states,
     position_map,
 )
 from .graphs import Edge, Graph, edge, matched_partner
@@ -239,40 +241,14 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     state); raises on the first violation.
     """
     pos = position_map(order)
-    domain = set(pos)
-    events_full = greedy_probe_events(g, pos, frozenset())
-    events_minus = greedy_probe_events(g, pos, frozenset({u_star}))
-    n_checks = 0
-    match_full: set[Edge] = set()
-    match_minus: set[Edge] = set()
-    cov_full: set[int] = set()
-    cov_minus: set[int] = {u_star}
-
-    def states(t: Time) -> tuple[PartialState, PartialState]:
-        return (
-            PartialState(t, frozenset(match_full), frozenset(domain - cov_full)),
-            PartialState(
-                t, frozenset(match_minus), frozenset(domain - {u_star} - cov_minus)
-            ),
-        )
-
+    times = [ev.time for ev in greedy_probe_events(g, pos, frozenset())]
+    times.append((len(pos) + 1, len(pos) + 1))  # the final state
     context = {"graph": sorted(g.edges), "u_star": u_star, "order": pos}
-    # Both runs probe the identical edge sequence: only availability differs.
-    for ev_f, ev_m in zip(events_full, events_minus):
-        t = ev_f.time
-        full, minus = states(t)
-        _verify_path_properties(pos, u_star, full, minus, {**context, "t": t})
-        n_checks += 1
-        if ev_f.accepted:
-            match_full.add(ev_f.edge)
-            cov_full.update(ev_f.edge)
-        if ev_m.accepted:
-            match_minus.add(ev_m.edge)
-            cov_minus.update(ev_m.edge)
-    sentinel = (len(domain) + 1, len(domain) + 1)
-    full, minus = states(sentinel)
-    _verify_path_properties(pos, u_star, full, minus, {**context, "t": sentinel})
-    return n_checks + 1
+    for full, minus in zip(
+        partial_states(g, pos, times), partial_states(g, pos, times, {u_star})
+    ):
+        _verify_path_properties(pos, u_star, full, minus, {**context, "t": full.t})
+    return len(times)
 
 
 # ---------------------------------------------------------------------------
@@ -575,37 +551,38 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     pos = position_map(order)
     n = len(pos)
     report = ClaimReport()
-    by_rank = {p: w for w, p in pos.items()}
-    has_plus = pos[v] < n
-    if has_plus:
+    boundaries = [(t, 1) for t in range(1, n + 2)]
+    demoted = repeat(None)
+    if pos[v] < n:
         swapped = dict(pos)
-        w = by_rank[pos[v] + 1]
+        w = next(u for u, p in pos.items() if p == pos[v] + 1)
         swapped[v], swapped[w] = swapped[w], swapped[v]
-    for t in range(1, n + 2):
-        boundary = (t, 1)
-        st = partial_state(g, order, boundary)
+        demoted = partial_states(g, swapped, boundaries)
+    for st, st_minus, st_plus in zip(
+        partial_states(g, pos, boundaries),
+        partial_states(g, pos, boundaries, {v}),
+        demoted,
+    ):
         if v not in st.available:
             break
-        st_minus = partial_state(g, order, boundary, frozen={v})
         ok = (
             st.partial_matching == st_minus.partial_matching
             and st.available - {v} == st_minus.available
         )
         report.add(
             "prefix-agreement-removed", "pass" if ok else "fail",
-            v=v, t=boundary, order=pos,
+            v=v, t=st.t, order=pos,
             full=sorted(st.partial_matching),
             minus=sorted(st_minus.partial_matching),
         )
-        if has_plus and t <= pos[v]:
-            st_plus = partial_state(g, swapped, boundary)
+        if st_plus is not None and st.t[0] <= pos[v]:
             ok = (
                 st.partial_matching == st_plus.partial_matching
                 and st.available - {v} == st_plus.available - {v}
             )
             report.add(
                 "prefix-agreement-demoted", "pass" if ok else "fail",
-                v=v, t=boundary, order=pos,
+                v=v, t=st.t, order=pos,
                 full=sorted(st.partial_matching),
                 demoted=sorted(st_plus.partial_matching),
             )

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -32,7 +33,7 @@ class RankVector:
     operations return new vectors.
     """
 
-    __slots__ = ("k", "_map", "_key")
+    __slots__ = ("k", "_map", "_key", "_order")
 
     def __init__(self, k: int, ranks: Mapping[int, Slot]):
         if k < 1:
@@ -50,7 +51,10 @@ class RankVector:
                 )
         self.k = k
         self._map = m
-        self._key = (k, tuple(sorted(m.items())))
+        # Slots are injective, so sorting by slot is canonical and gives the order.
+        by_slot = tuple(sorted(m.items(), key=itemgetter(1)))
+        self._key = (k, by_slot)
+        self._order = tuple(v for v, _ in by_slot)
 
     def rank(self, v: int) -> Slot:
         return self._map[v]
@@ -108,7 +112,7 @@ def sample_ranks(vertices: Iterable[int], k: int, seed: int) -> RankVector:
 
 def order_of(r: RankVector) -> tuple[int, ...]:
     """Vertices in increasing lexicographic (bucket, position) order."""
-    return tuple(v for v, _ in sorted(r.items(), key=lambda kv: kv[1]))
+    return r._order
 
 
 def induced_permutation(r: RankVector) -> dict[int, int]:

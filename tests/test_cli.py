@@ -52,6 +52,22 @@ def test_validate_f_rejects_non_monotone(tmp_path):
     assert run_cli(["validate-f", "--file", str(path)]) == 1
 
 
+@pytest.mark.parametrize("name, text", [
+    ("missing.json", None),
+    ("not_json.json", "{not json"),
+    ("wrong_shape.json", json.dumps({"k": 3, "values": [[0.5, 0.5]]})),
+    ("out_of_range.json", json.dumps({"k": 2, "values": [[1.5, 1.0], [0.0, 1.0]]})),
+    ("missing_key.json", json.dumps({"values": [[0.5]]})),
+    ("not_an_object.json", "[1, 2]"),
+])
+def test_validate_f_rejects_bad_input_files(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["validate-f", "--file", str(path)]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_verify_lemmas_clean(tmp_path, capsys):
     report_path = tmp_path / "sweep.json"
     code = run_cli([
@@ -121,6 +137,12 @@ def test_reproduce_reports_solver_failure(monkeypatch, capsys):
     assert run_cli(["reproduce", "--table1", "--k-max", "4"]) == 1
     out = capsys.readouterr().out
     assert "k=  4 alpha=nan" in out and "LIMIT: solver stopped" in out
+
+
+def test_reproduce_rejects_k_max_below_one(capsys):
+    for k_max in ("0", "-3"):
+        assert run_cli(["reproduce", "--table1", "--k-max", k_max]) == 2
+        assert "k-max must be >= 1" in capsys.readouterr().err
 
 
 def test_reproduce_resource_limit():

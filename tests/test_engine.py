@@ -12,6 +12,7 @@ from ranking_forge.engine import (
     matching_for_order,
     matching_sizes,
     partial_state,
+    partial_states,
     run_ranking,
     trace_to_json,
     views_agree,
@@ -133,6 +134,43 @@ def test_partial_state_boundaries(p4, k2):
 def test_partial_state_respects_frozen(p4):
     st = partial_state(p4, [0, 1, 2, 3], (1, 1), frozen={0})
     assert st.available == frozenset({1, 2, 3})
+
+
+@st.composite
+def replay_cases(draw):
+    # A graph on up to 8 vertices, an order over some of its vertices, and a
+    # frozen subset of that order.
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
+    order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    frozen = draw(st.sets(st.sampled_from(order)))
+    return g, list(order), frozenset(frozen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases())
+def test_partial_states_are_prefixes_of_the_final_matching(case):
+    # Before (t, 1) exactly the final matching's edges whose earlier endpoint
+    # sits before t have been taken.
+    g, order, frozen = case
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    final = matching_for_order(g, order, frozen)
+    boundaries = [(t, 1) for t in range(1, len(order) + 2)]
+    states = list(partial_states(g, order, boundaries, frozen))
+    assert [state.t for state in states] == boundaries
+    for state in states:
+        prefix = {e for e in final if min(pos[e[0]], pos[e[1]]) < state.t[0]}
+        assert state.partial_matching == prefix
+        covered = {v for e in prefix for v in e}
+        assert state.available == set(order) - frozen - covered
+
+
+def test_partial_states_rejects_times_that_do_not_ascend(p4):
+    for times in ([(2, 1), (1, 1)], [(1, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="ascend"):
+            list(partial_states(p4, [0, 1, 2, 3], times))
 
 
 def test_domain_errors(p4):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -210,3 +211,14 @@ def test_json_serialization_round_trip(cex):
 def test_graphs_are_immutable(p4):
     with pytest.raises(Exception):
         p4.n = 7
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (8, 7, "23f3d56fef1f3b3b21b7fd0cf771a3e19ffa42b7ff594aa483b73bd8bb51cdcf"),
+    (200, 3, "a47b300f5ef7d422d6f0217a9fd833f04500e6d22e25085c0172bb848d638550"),
+])
+def test_random_with_perfect_matching_is_pinned(n, seed, digest):
+    # Digests from the pair-at-a-time generator: drawing a row at a time
+    # reads the same PCG64 stream, so seeded graphs do not change.
+    g = generate_family("random_with_perfect_matching", n=n, density=0.3, seed=seed)
+    assert hashlib.sha256(graph_to_text(g).encode()).hexdigest() == digest

@@ -3,7 +3,8 @@ from itertools import permutations
 
 import pytest
 
-from ranking_forge.engine import matching_for_order
+from ranking_forge import oracles
+from ranking_forge.engine import PartialState, matching_for_order, position_map
 from ranking_forge.graphs import make_graph
 from ranking_forge.oracles import (
     BUYER,
@@ -232,3 +233,30 @@ def test_violation_payload_is_json(cex):
     err = ClaimViolation("demo", {"graph": "cex", "witness": [1, 2]})
     payload = json.loads(err.to_json())
     assert payload["claim"] == "demo" and payload["witness"] == [1, 2]
+
+
+def test_checkers_catch_a_faulty_removed_vertex_timeline(monkeypatch, cex):
+    # The run with a vertex removed forgets the last edge it accepted: both
+    # checkers, which read every timeline through ``partial_states``, must
+    # notice.
+    real = oracles.partial_states
+    natural = list(range(cex.n))
+
+    def faulty(g, order, times, frozen=frozenset()):
+        pos = position_map(order)
+        for state in real(g, order, times, frozen):
+            if frozen and state.partial_matching:
+                last = max(state.partial_matching, key=lambda e: sorted(map(pos.get, e)))
+                state = PartialState(
+                    state.t, state.partial_matching - {last}, state.available | set(last)
+                )
+            yield state
+
+    for v in range(cex.n):
+        alternating_path_sweep(cex, natural, v)
+        assert check_prefix_agreement(cex, natural, v).ok
+    monkeypatch.setattr(oracles, "partial_states", faulty)
+    for v in range(cex.n):
+        with pytest.raises(ClaimViolation):
+            alternating_path_sweep(cex, natural, v)
+    assert any(check_prefix_agreement(cex, natural, v).failures for v in range(cex.n))
