@@ -63,4 +63,4 @@ from .ranks import (
 )
 from .simplex import LpSolution, SolverOptions, solve, verify_solution
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

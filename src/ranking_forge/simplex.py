@@ -2,10 +2,14 @@
 
 Bounded-variable primal simplex on the slack-augmented standard form, with
 a sparse LU factorization of the basis (refreshed periodically) and
-product-form eta updates in between.  Dantzig pricing by default, falling
-back to Bland's rule after a run of degenerate pivots so termination is
-guaranteed.  Deterministic: identical inputs give identical pivot sequences
-and iteration counts.
+product-form eta updates in between.  Devex pricing (Harris 1973) by
+default, falling back to Bland's rule after a run of degenerate pivots so
+termination is guaranteed.  Each basis change computes the pivot row
+e_r^T B^-1 A once and uses it to update both the devex reference weights
+and the reduced costs in place; reduced costs are recomputed from the basis
+only after a refactorization and before optimality is declared.
+Deterministic: identical inputs give identical pivot sequences and
+iteration counts.
 """
 
 from __future__ import annotations
@@ -35,15 +39,21 @@ class SolverOptions:
     feasibility_tol: float = 1e-9
     optimality_tol: float = 1e-9
     max_iterations: int = 200_000
-    pivot_rule: str = "dantzig"  # 'dantzig' (with Bland fallback) or 'bland'
-    stall_limit: int = 1000  # degenerate pivots before the Bland fallback
+    #: 'devex': largest d_j^2 / w_j over devex reference weights, with the
+    #: Bland fallback below; 'bland': Bland's rule from the first iteration.
+    pivot_rule: str = "devex"
+    #: Consecutive degenerate pivots before Bland's rule takes over for the
+    #: rest of the phase.
+    stall_limit: int = 1000
+    #: Basis changes between LU refactorizations (each also recomputes the
+    #: basic values and the reduced costs from scratch).
     refactor_every: int = 64
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.pivot_rule not in ("dantzig", "bland"):
-            raise ValueError("pivot_rule must be 'dantzig' or 'bland'")
+        if self.pivot_rule not in ("devex", "bland"):
+            raise ValueError("pivot_rule must be 'devex' or 'bland'")
 
 
 @dataclass
@@ -55,6 +65,12 @@ class LpSolution:
     iterations: int
     elapsed: float
     values: dict[str, float] = field(repr=False, default_factory=dict)
+    #: How the solve went: ``standardize_s``/``solve_s`` seconds, counts of
+    #: ``refactorizations``, ``bound_flips`` and ``degenerate_pivots``, and
+    #: ``bland_fallback`` (Bland's rule was in use, chosen by ``pivot_rule``
+    #: or taken over after a degenerate stall).
+    #: Empty for an externally produced solution.
+    stats: dict[str, float | int | bool] = field(repr=False, default_factory=dict)
 
     @property
     def objective(self) -> float:
@@ -69,12 +85,14 @@ class _Basis:
         self.m = A.shape[0]
         self.basis = basis
         self.etas: list[tuple[int, np.ndarray]] = []
+        self.factorizations = 0
         self.refactor()
 
     def refactor(self) -> None:
         B = self.A[:, self.basis].tocsc()
         self.lu = spla.splu(B)
         self.etas.clear()
+        self.factorizations += 1
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         z = self.lu.solve(v)
@@ -141,7 +159,7 @@ def _standard_form(model: LpModel) -> _StandardForm:
 
 
 class _Core:
-    """One simplex run (used for both phases)."""
+    """One basis carried through both phases; ``run`` is one phase."""
 
     def __init__(self, sf: _StandardForm, opts: SolverOptions):
         self.sf = sf
@@ -159,8 +177,9 @@ class _Core:
         self.AT = sf.A.T.tocsr()
         self.recompute_basics()
         self.iterations = 0
-        self.degenerate_run = 0
-        self.forced_bland = False
+        self.bound_flips = 0
+        self.degenerate_pivots = 0
+        self.bland_fallback = opts.pivot_rule == "bland"
 
     def recompute_basics(self) -> None:
         rhs = self.sf.b - self.sf.A @ np.where(self.in_basis, 0.0, self.x)
@@ -172,39 +191,58 @@ class _Core:
         up = self.sf.up[self.B.basis]
         return bool(np.all(xb >= lo - tol) and np.all(xb <= up + tol))
 
+    def price(self) -> None:
+        """Reduced costs from scratch: d = c - A^T B^-T c_B."""
+        y = self.B.btran(self.c[self.B.basis])
+        self.d = self.c - self.AT @ y
+        self.fresh = True
+
     def run(self, c: np.ndarray, max_iterations: int) -> str:
+        """Maximize ``c @ x`` from the current basis.
+
+        Devex pricing picks the entering variable by the largest d_j^2 / w_j
+        over the reference weights w, which restart at 1 here with the
+        nonbasic variables as the reference framework.  Bland's rule takes
+        over for the rest of the run after ``stall_limit`` degenerate pivots
+        in a row.  "optimal" is only returned on reduced costs recomputed
+        from the basis, never on the in-place updated ones.
+        """
         opts = self.opts
         tol = opts.optimality_tol
+        # Nonbasic fixed variables (lo == up) can never improve anything.
+        movable = self.sf.lo != self.sf.up
+        self.c = c
+        self.weights = np.ones(self.total)
+        self.reference = np.where(self.in_basis, 0.0, 1.0)
+        self.degenerate_run = 0
+        self.bland = opts.pivot_rule == "bland"
+        self.price()
         while True:
             if self.iterations >= max_iterations:
                 return "limit"
-            y = self.B.btran(c[self.B.basis])
-            d = c - self.AT @ y
-            eligible = ~self.in_basis & (
-                (~self.at_upper & (d > tol)) | (self.at_upper & (d < -tol))
-            )
-            # Nonbasic fixed variables (lo == up) can never improve anything.
-            eligible &= self.sf.lo != self.sf.up
-            idx = np.nonzero(eligible)[0]
+            d = self.d
+            eligible = ~self.in_basis & movable & np.where(self.at_upper, d < -tol, d > tol)
+            idx = np.flatnonzero(eligible)
             if idx.size == 0:
-                return "optimal"
-            use_bland = opts.pivot_rule == "bland" or self.forced_bland
-            if use_bland:
+                if self.fresh:
+                    return "optimal"
+                self.price()
+                continue
+            if self.bland:
                 e = int(idx[0])
             else:
-                e = int(idx[np.argmax(np.abs(d[idx]))])
+                e = int(idx[np.argmax(d[idx] ** 2 / self.weights[idx])])
             self._step(e)
             self.iterations += 1
-            if (
-                not use_bland
-                and self.degenerate_run > opts.stall_limit
-            ):
-                self.forced_bland = True
+            if not self.bland and self.degenerate_run > opts.stall_limit:
+                self.bland = self.bland_fallback = True
 
     def _step(self, e: int) -> None:
         sf = self.sf
         sign = -1.0 if self.at_upper[e] else 1.0
-        col = np.asarray(sf.A[:, e].todense()).ravel()
+        lo_e, hi_e = sf.A.indptr[e], sf.A.indptr[e + 1]
+        col = np.zeros(self.m)
+        col[sf.A.indices[lo_e:hi_e]] = sf.A.data[lo_e:hi_e]
         w = self.B.ftran(col)
         basis = self.B.basis
         xb = self.x[basis]
@@ -212,24 +250,20 @@ class _Core:
         feas = self.opts.feasibility_tol
         pivot_tol = 1e-10
 
-        # Blocking ratios from basic variables.
+        # Blocking ratios from basic variables: a basic variable moving down
+        # (step_dir > 0) meets its lower bound, one moving up its upper bound
+        # (an infinite one gives an infinite ratio).  Whole-array np.where:
+        # boolean-mask gathers over rows cost several times more.
         limit = INF
         leave_row = -1
-        dec = step_dir > pivot_tol
-        inc = step_dir < -pivot_tol
-        ratios = np.full(self.m, INF)
-        lo_b = sf.lo[basis]
-        up_b = sf.up[basis]
-        ratios[dec] = (xb[dec] - lo_b[dec]) / step_dir[dec]
-        with np.errstate(invalid="ignore"):
-            ratios[inc] = np.where(
-                np.isfinite(up_b[inc]), (xb[inc] - up_b[inc]) / step_dir[inc], INF
-            )
+        bound = np.where(step_dir > 0, sf.lo[basis], sf.up[basis])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(np.abs(step_dir) > pivot_tol, (xb - bound) / step_dir, INF)
         ratios = np.maximum(ratios, 0.0)
         if np.any(np.isfinite(ratios)):
             limit = float(ratios.min())
             blockers = np.nonzero(ratios <= limit + feas)[0]
-            if self.forced_bland or self.opts.pivot_rule == "bland":
+            if self.bland:
                 # Smallest variable index among the blockers (Bland).
                 leave_row = int(blockers[np.argmin(basis[blockers])])
             else:
@@ -244,12 +278,14 @@ class _Core:
             self.x[basis] = xb - step_dir * span
             self.x[e] = sf.lo[e] if self.at_upper[e] else sf.up[e]
             self.at_upper[e] = ~self.at_upper[e]
+            self.bound_flips += 1
             self.degenerate_run = 0 if span > feas else self.degenerate_run + 1
             return
         if leave_row < 0:
             raise SimplexStall("no blocking variable; model must be bounded")
         t = limit
         leaving = int(basis[leave_row])
+        self._update_duals(e, leaving, leave_row, w)
         self.x[basis] = xb - step_dir * t
         self.x[e] = (sf.up[e] - t) if self.at_upper[e] else (sf.lo[e] + t)
         # Leaving variable settles on the bound it hit.
@@ -260,10 +296,37 @@ class _Core:
         self.in_basis[e] = True
         self.at_upper[e] = False
         self.B.replace(leave_row, e, w)
-        self.degenerate_run = 0 if t > feas else self.degenerate_run + 1
+        if t > feas:
+            self.degenerate_run = 0
+        else:
+            self.degenerate_run += 1
+            self.degenerate_pivots += 1
         if len(self.B.etas) >= self.opts.refactor_every:
             self.B.refactor()
             self.recompute_basics()
+            self.price()
+
+    def _update_duals(self, e: int, leaving: int, r: int, w: np.ndarray) -> None:
+        """Update reduced costs and devex weights for the pivot on (r, e).
+
+        Both come from the pivot row alpha_r = (e_r^T B^-1) A of the basis
+        before the exchange; ``w`` is the entering column B^-1 a_e.
+        """
+        unit = np.zeros(self.m)
+        unit[r] = 1.0
+        ratio = self.AT @ self.B.btran(unit) / w[r]
+        de = self.d[e]
+        self.d -= de * ratio
+        self.d[e] = 0.0
+        self.d[leaving] = -de / w[r]
+        self.fresh = False
+        # Devex (Harris 1973): w_j approximates the squared norm of nonbasic
+        # j's edge direction restricted to the reference framework.  The
+        # entering column gives that norm exactly for e, which floors w_e.
+        exact = self.reference[e] + float((w * w) @ self.reference[self.B.basis])
+        we = max(self.weights[e], exact)
+        np.maximum(self.weights, ratio * ratio * we, out=self.weights)
+        self.weights[leaving] = max(we / w[r] ** 2, 1.0)
 
 
 def solve(model: LpModel, opts: SolverOptions | None = None) -> LpSolution:
@@ -275,20 +338,21 @@ def solve(model: LpModel, opts: SolverOptions | None = None) -> LpSolution:
     opts = opts or SolverOptions()
     start = time.perf_counter()
     sf = _standard_form(model)
+    standardized = time.perf_counter()
     core = _Core(sf, opts)
 
     if not core.primal_feasible(opts.feasibility_tol):
         status = _phase_one(core, opts)
         if status == "limit":
-            return _package(model, core, "limit", start)
+            return _package(model, core, "limit", start, standardized)
         if not core.primal_feasible(10 * opts.feasibility_tol):
-            return _package(model, core, "infeasible", start)
+            return _package(model, core, "infeasible", start, standardized)
 
     status = core.run(sf.c, opts.max_iterations)
     # One clean refactorization before reading the answer off.
     core.B.refactor()
     core.recompute_basics()
-    return _package(model, core, status, start)
+    return _package(model, core, status, start, standardized)
 
 
 def _phase_one(core: _Core, opts: SolverOptions) -> str:
@@ -338,7 +402,8 @@ def _phase_one(core: _Core, opts: SolverOptions) -> str:
     return status
 
 
-def _package(model, core, status, start) -> LpSolution:
+def _package(model, core, status, start, standardized) -> LpSolution:
+    solved = time.perf_counter()
     names = model.var_names
     values = {names[j]: float(core.x[j]) for j in range(len(names))}
     alpha = values.get("alpha", float(core.x[model.objective_var]))
@@ -353,6 +418,14 @@ def _package(model, core, status, start) -> LpSolution:
         iterations=core.iterations,
         elapsed=time.perf_counter() - start,
         values=values,
+        stats={
+            "standardize_s": standardized - start,
+            "solve_s": solved - standardized,
+            "refactorizations": core.B.factorizations,
+            "bound_flips": core.bound_flips,
+            "degenerate_pivots": core.degenerate_pivots,
+            "bland_fallback": core.bland_fallback,
+        },
     )
 
 

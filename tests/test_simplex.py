@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from ranking_forge.lpmodel import LinRow, LpModel, build_lp
 from ranking_forge.simplex import (
     SolverOptions,
+    _Core,
+    _phase_one,
+    _standard_form,
     brute_force_optimum,
     parse_solution_text,
     solution_from_values,
@@ -61,8 +66,9 @@ def test_bound_flip_path():
     assert s.values["z"] == pytest.approx(0.7)
 
 
-def test_equality_row():
-    m = hand_model(
+def equality_model():
+    # max z subject to x + y = 1, z <= x.
+    return hand_model(
         ["z", "x", "y"],
         [0, 0, 0],
         [2, 1, 1],
@@ -72,6 +78,24 @@ def test_equality_row():
         ],
         objective_var=0,
     )
+
+
+def pinned_model():
+    # max z subject to x = 1/2, z <= x.
+    return hand_model(
+        ["z", "x"],
+        [0, 0],
+        [1, 1],
+        [
+            ("pin", [(1, 1)], "E", Fraction(1, 2)),
+            ("cap", [(0, 1), (1, -1)], "L", 0),
+        ],
+        objective_var=0,
+    )
+
+
+def test_equality_row():
+    m = equality_model()
     s = solve(m)
     assert s.status == "optimal"
     assert s.values["z"] == pytest.approx(1.0)
@@ -92,17 +116,7 @@ def test_infeasible_detected():
 def test_phase_one_recovers_feasibility():
     # Start basis is infeasible (equality with nonzero rhs) but the model is
     # feasible; phase one must clear it.
-    m = hand_model(
-        ["z", "x"],
-        [0, 0],
-        [1, 1],
-        [
-            ("pin", [(1, 1)], "E", Fraction(1, 2)),
-            ("cap", [(0, 1), (1, -1)], "L", 0),
-        ],
-        objective_var=0,
-    )
-    s = solve(m)
+    s = solve(pinned_model())
     assert s.status == "optimal"
     assert s.values["z"] == pytest.approx(0.5)
 
@@ -120,6 +134,67 @@ def test_determinism():
     assert a.values == b.values
 
 
+@pytest.mark.parametrize(
+    "model, phase_one",
+    [(build_lp(4), False), (equality_model(), True), (pinned_model(), True)],
+    ids=["lp4", "equality", "pinned"],
+)
+def test_optimal_basis_is_certified_by_fresh_reduced_costs(model, phase_one):
+    # "optimal" must hold on reduced costs computed from scratch for the
+    # final basis, not only on the ones the pivots updated in place.
+    opts = SolverOptions()
+    sf = _standard_form(model)
+    core = _Core(sf, opts)
+    assert core.primal_feasible(opts.feasibility_tol) != phase_one
+    if phase_one:
+        assert _phase_one(core, opts) == "optimal"
+    assert core.run(sf.c, opts.max_iterations) == "optimal"
+    basis = core.B.basis
+    y = splu(sf.A[:, basis].tocsc()).solve(sf.c[basis], trans="T")
+    d = sf.c - sf.A.T @ y
+    tol = opts.optimality_tol
+    eligible = (
+        ~core.in_basis
+        & (sf.lo != sf.up)
+        & np.where(core.at_upper, d < -tol, d > tol)
+    )
+    assert not eligible.any(), np.flatnonzero(eligible)
+
+
+def test_each_run_starts_with_devex_pricing():
+    # A Bland fallback (or a degenerate streak) left over from an earlier
+    # phase must not carry into the next one.
+    opts = SolverOptions()
+    sf = _standard_form(build_lp(4))
+    core = _Core(sf, opts)
+    core.bland = True
+    core.degenerate_run = opts.stall_limit + 1
+    assert core.run(sf.c, opts.max_iterations) == "optimal"
+    assert not core.bland and not core.bland_fallback
+
+
+def test_devex_iteration_count():
+    # Half the 2 372 iterations that Dantzig pricing needed on this model.
+    assert solve(build_lp(6)).iterations <= 1186
+
+
+def test_solution_stats():
+    counts = ("refactorizations", "bound_flips", "degenerate_pivots", "bland_fallback")
+    a = solve(build_lp(4))
+    b = solve(build_lp(4))
+    for key in counts[:3]:
+        assert type(a.stats[key]) is int
+    assert a.stats["refactorizations"] >= 2  # initial and final factorization
+    assert a.stats["standardize_s"] >= 0 and a.stats["solve_s"] > 0
+    assert a.stats["bland_fallback"] is False
+    assert {key: a.stats[key] for key in counts} == {key: b.stats[key] for key in counts}
+    bland = solve(build_lp(2), SolverOptions(pivot_rule="bland"))
+    assert bland.stats["bland_fallback"] is True
+    stalled = solve(build_lp(4), SolverOptions(stall_limit=0))
+    assert stalled.stats["bland_fallback"] is True
+    assert stalled.alpha == pytest.approx(a.alpha, abs=1e-9)
+
+
 def test_bland_rule_reaches_same_optimum():
     a = solve(build_lp(2))
     b = solve(build_lp(2), SolverOptions(pivot_rule="bland"))
@@ -132,6 +207,8 @@ def test_options_validation():
         SolverOptions(feasibility_tol=0)
     with pytest.raises(ValueError):
         SolverOptions(pivot_rule="steepest")
+    with pytest.raises(ValueError, match="'devex' or 'bland'"):
+        SolverOptions(pivot_rule="dantzig")
 
 
 def test_verify_solution_passes_on_solver_output():
@@ -198,7 +275,7 @@ def test_scipy_linprog_cross_check():
     # Fully independent solver route over the same model data.
     from scipy.optimize import linprog
 
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         m = build_lp(k)
         n = len(m.var_names)
         c = [0.0] * n
@@ -223,4 +300,4 @@ def test_scipy_linprog_cross_check():
             method="highs",
         )
         assert res.status == 0
-        assert -res.fun == pytest.approx(solve(m).alpha, abs=1e-7)
+        assert -res.fun == pytest.approx(solve(m).alpha, abs=1e-9)
