@@ -27,14 +27,6 @@ IN_PROCESS_K_LIMIT = 12
 DIRECT_EXPORT_LIMIT = 40
 
 
-def _jobs_default() -> int:
-    env = os.environ.get("RANKING_FORGE_JOBS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ranking-forge",
@@ -63,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="enumerate all orders and rank vectors up to max-n "
                         "(default: sampled orders only)")
-    p.add_argument("--jobs", type=int, default=_jobs_default())
+    p.add_argument("--jobs", type=int,
+                   help="worker processes (default: $RANKING_FORGE_JOBS, else 1)")
     p.add_argument("--skip-random-eight", action="store_true")
     p.add_argument("--report", metavar="PATH", help="write the JSON report")
 
@@ -174,12 +167,18 @@ def _cmd_validate_f(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    name, jobs = "--jobs", args.jobs
+    if jobs is None:
+        name, jobs = "RANKING_FORGE_JOBS", os.environ.get("RANKING_FORGE_JOBS") or "1"
+    if not str(jobs).isdecimal() or int(jobs) < 1:
+        print(f"invalid input: {name}={jobs} is not a positive integer", file=sys.stderr)
+        return EXIT_USAGE
     config = experiments.SweepConfig(
         max_n=args.max_n,
         k=args.k,
         exhaustive=args.exhaustive,
         seed=args.seed,
-        jobs=args.jobs,
+        jobs=int(jobs),
         with_random_eight=not args.skip_random_eight,
     )
     report = experiments.lemma_sweep(config)

@@ -11,7 +11,8 @@ All three produce the same matching for the same order; ``views_agree``
 checks that on concrete instances.  ``matching_sizes`` is a fourth, batched
 implementation of the vertex-iterative view over numpy arrays, for sampling
 many orders at once; it returns sizes only and is checked against
-``matching_for_order``.  Removing a vertex set S is realized by
+``matching_for_order``.  The sweep's mutation arm is the vertex-iterative
+loop with its neighbor scan reversed.  Removing a vertex set S is realized by
 marking it unavailable from the start (``frozen``), which keeps the probe
 timeline aligned with the full run -- the device the structural checks rely
 on.  Orders whose domain is a strict subset of the graph's vertices are
@@ -81,21 +82,23 @@ def _check_domain(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> N
         raise ValueError(f"frozen vertices {sorted(frozen - set(pos))} not in order")
 
 
+def _probe_schedule(g: Graph, pos: Mapping[int, int]) -> list[tuple[Time, Edge]]:
+    """``(time, edge)`` of the first probe of every in-domain edge, ascending:
+    the times are the distinct probe boundaries of every run on ``pos``."""
+    return sorted(
+        ((min(pos[u], pos[v]), max(pos[u], pos[v])), (u, v))
+        for (u, v) in g.edges
+        if u in pos and v in pos
+    )
+
+
 def greedy_probe_events(
     g: Graph, pos: Mapping[int, int], frozen: frozenset[int]
 ) -> list[ProbeEvent]:
     """First probes of every in-domain edge, in ascending lexicographic time."""
-    domain = set(pos)
-    timed = sorted(
-        (
-            ((min(pos[u], pos[v]), max(pos[u], pos[v])), (u, v))
-            for (u, v) in g.edges
-            if u in domain and v in domain
-        ),
-    )
     unavailable = set(frozen)
     events: list[ProbeEvent] = []
-    for t, (u, v) in timed:
+    for t, (u, v) in _probe_schedule(g, pos):
         ok = u not in unavailable and v not in unavailable
         if ok:
             unavailable.add(u)
@@ -104,7 +107,9 @@ def greedy_probe_events(
     return events
 
 
-def _vertex_iterative(g, pos, frozen):
+def _vertex_iterative(g, pos, frozen, latest_first=False):
+    # ``latest_first`` scans neighbors in descending rank, so each vertex
+    # grabs its last free neighbor: the sweep's deliberately wrong mutation arm.
     domain = set(pos)
     by_rank = sorted(domain, key=pos.__getitem__)
     unavailable = set(frozen)
@@ -114,7 +119,9 @@ def _vertex_iterative(g, pos, frozen):
         if v in unavailable:
             continue  # every probe from a matched vertex is vacuous
         for u in sorted(
-            (u for u in g.neighbors(v) if u in domain), key=pos.__getitem__
+            (u for u in g.neighbors(v) if u in domain),
+            key=pos.__getitem__,
+            reverse=latest_first,
         ):
             ok = u not in unavailable
             log.append(ProbeEvent((pos[v], pos[u]), edge(u, v), ok))

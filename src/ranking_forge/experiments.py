@@ -22,7 +22,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import simplex
-from .engine import matching_for_order, matching_sizes, position_map, views_agree
+from .engine import (
+    _vertex_iterative,
+    matching_for_order,
+    matching_sizes,
+    position_map,
+    views_agree,
+)
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
@@ -326,25 +332,6 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
     )
 
 
-def _corrupted_matching(g: Graph, order) -> frozenset:
-    """Deliberately wrong greedy: picks the last available neighbor."""
-    pos = position_map(order)
-    matched: set[int] = set()
-    out = set()
-    for v in sorted(pos, key=pos.__getitem__):
-        if v in matched:
-            continue
-        best = None
-        for u in g.neighbors(v):
-            if u in pos and u not in matched:
-                if best is None or pos[u] > pos[best]:
-                    best = u
-        if best is not None:
-            out.add(edge(v, best))
-            matched.update((v, best))
-    return frozenset(out)
-
-
 def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
     config, item = args
     g = item.graph
@@ -378,7 +365,10 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
             record("views-agree", order=order, divergence=report.divergence)
         if config.corrupt_engine:
             ref = report.matchings["greedy_probing"]
-            if _corrupted_matching(g, order) != ref:
+            corrupted, _ = _vertex_iterative(
+                g, position_map(order), frozenset(), latest_first=True
+            )
+            if corrupted != ref:
                 record("views-agree-corrupted", order=order)
 
     # Alternating paths at every probe boundary, for every removed vertex.
@@ -392,16 +382,13 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
     # Prefix-agreement fact.
     for order in orders:
         for v in range(n):
-            report = check_prefix_agreement(g, order, v)
-            bump("prefix-agreement", len(report.checks))
-            for fail in report.failures:
-                record(fail.claim, **fail.details)
+            _tally("prefix-agreement", check_prefix_agreement(g, order, v), bump, record)
 
     if n <= config.max_n + 1 and config.exhaustive:
-        _sweep_insertion_claims(g, item.name, counts, violations)
-        _sweep_coloring(g, item.name, orders, counts, violations)
+        _sweep_insertion_claims(g, bump, record)
+        _sweep_coloring(g, orders, bump, record)
     if n <= config.max_n and config.exhaustive:
-        _sweep_rank_vector_checks(g, item.name, config.k, counts, violations)
+        _sweep_rank_vector_checks(g, config.k, bump, record)
     if (
         g.m_star is not None
         and n <= config.audit_max_n + 1
@@ -412,11 +399,18 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
             viols = audit_h_bounds(g, pair.u, pair.u_star, REFERENCE_TABLE_K3, 3)
             bump("h-bound-audit")
             for v in viols:
-                violations.append({"graph": item.name, **v})
+                record(**v)
     return counts, violations, len(orders)
 
 
-def _sweep_insertion_claims(g, name, counts, violations):
+def _tally(key, report, bump, record):
+    """Count a report's checks under ``key`` and record each failure."""
+    bump(key, len(report.checks))
+    for fail in report.failures:
+        record(fail.claim, **fail.details)
+
+
+def _sweep_insertion_claims(g, bump, record):
     n = g.n
     for u_star in range(n):
         others = sorted(set(range(n)) - {u_star})
@@ -425,16 +419,10 @@ def _sweep_insertion_claims(g, name, counts, violations):
             for target in insertion_slots(vec):
                 for u in others:
                     report = check_insertion_claims(g, vec, u, u_star, target)
-                    counts["insertion-claims"] = (
-                        counts.get("insertion-claims", 0) + len(report.checks)
-                    )
-                    for fail in report.failures:
-                        violations.append(
-                            {"graph": name, "claim": fail.claim, **fail.details}
-                        )
+                    _tally("insertion-claims", report, bump, record)
 
 
-def _sweep_rank_vector_checks(g, name, k, counts, violations):
+def _sweep_rank_vector_checks(g, k, bump, record):
     n = g.n
     seen_classes: set = set()
     observed_matched_backup = 0
@@ -448,27 +436,20 @@ def _sweep_rank_vector_checks(g, name, k, counts, violations):
             if key in seen_classes:
                 continue
             seen_classes.add(key)
-            report = check_monotonicity(g, vec, u)
-            counts["monotonicity"] = counts.get("monotonicity", 0) + len(report.checks)
-            for fail in report.failures:
-                violations.append({"graph": name, "claim": fail.claim, **fail.details})
+            _tally("monotonicity", check_monotonicity(g, vec, u), bump, record)
             try:
                 members, structure = enumerate_equivalence_class(g, vec, u)
-                counts["equivalence-class"] = (
-                    counts.get("equivalence-class", 0) + len(members)
-                )
+                bump("equivalence-class", len(members))
                 if structure.backup is not None:
                     bm = matched_partner(matching, structure.backup)
                     if bm is not None:
                         observed_matched_backup += 1
             except ClaimViolation as exc:
-                violations.append({"graph": name, "claim": exc.claim, **exc.payload})
-    counts["backup-is-matched-observed"] = (
-        counts.get("backup-is-matched-observed", 0) + observed_matched_backup
-    )
+                record(exc.claim, **exc.payload)
+    bump("backup-is-matched-observed", observed_matched_backup)
 
 
-def _sweep_coloring(g, name, orders, counts, violations):
+def _sweep_coloring(g, orders, bump, record):
     if g.m_star is None:
         return
     buyer_counts = {v: 0 for v in range(g.n)}
@@ -479,22 +460,15 @@ def _sweep_coloring(g, name, orders, counts, violations):
             try:
                 chi = two_coloring(g, matching, g.m_star, coin)
             except RuntimeError as exc:
-                violations.append({"graph": name, "claim": "two-coloring", "err": str(exc)})
+                record("two-coloring", err=str(exc))
                 continue
             total += 1
             for v in range(g.n):
                 buyer_counts[v] += chi[v] == BUYER
             for e in matching | g.m_star:
                 if chi[e[0]] == chi[e[1]]:
-                    violations.append(
-                        {"graph": name, "claim": "two-coloring-proper", "edge": e}
-                    )
-    counts["two-coloring"] = counts.get("two-coloring", 0) + total
+                    record("two-coloring-proper", edge=e)
+    bump("two-coloring", total)
     for v, cnt in buyer_counts.items():
         if 2 * cnt != total:
-            violations.append(
-                {
-                    "graph": name, "claim": "two-coloring-marginal",
-                    "vertex": v, "buyer_count": cnt, "total": total,
-                }
-            )
+            record("two-coloring-marginal", vertex=v, buyer_count=cnt, total=total)

@@ -131,18 +131,11 @@ def make_graph(
     edge_list: Iterable[tuple[int, int]],
     m_star: Optional[Iterable[tuple[int, int]]] = None,
 ) -> Graph:
-    """Build a canonicalized graph; duplicate pairs collapse into one edge."""
-    edges = set()
-    for u, v in edge_list:
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
-            )
-        edges.add(edge(u, v))
+    """Build a canonicalized graph; duplicate pairs collapse into one edge.
+    :class:`Graph` rejects self-loops and out-of-range endpoints."""
+    edges = frozenset(edge(u, v) for u, v in edge_list)
     ms = frozenset(edge(u, v) for u, v in m_star) if m_star is not None else None
-    return Graph(vertex_count, frozenset(edges), ms)
+    return Graph(vertex_count, edges, ms)
 
 
 def is_matching(g: Graph, edges: Iterable[Edge]) -> bool:

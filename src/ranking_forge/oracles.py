@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Optional
 from .engine import (
     PartialState,
     Time,
-    greedy_probe_events,
+    _probe_schedule,
     matching_for_order,
     partial_state,
     partial_states,
@@ -107,13 +107,18 @@ def compute_backup(
     Requires ``u`` to be matched under the given order (the notion is
     undefined otherwise).
     """
-    frozen = frozenset(frozen)
-    base = matching_for_order(g, order_minus_ustar, frozen=frozen)
-    v = matched_partner(base, u)
+    v = matched_partner(matching_for_order(g, order_minus_ustar, frozen), u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; backup is undefined")
-    rerun = matching_for_order(g, order_minus_ustar, frozen=frozen | {v})
-    return matched_partner(rerun, u)
+    return _backup(g, order_minus_ustar, u, v, frozen)
+
+
+def _backup(
+    g: Graph, order, u: int, v: int, frozen: frozenset[int] | set[int] = frozenset()
+) -> Optional[int]:
+    """``u``'s partner in the run with its match ``v`` also frozen: the one
+    definition of the backup, for callers that already hold ``v``."""
+    return matched_partner(matching_for_order(g, order, frozenset(frozen) | {v}), u)
 
 
 def compute_profile(
@@ -126,7 +131,7 @@ def compute_profile(
     v = matched_partner(matching, u)
     if v is None:
         return Profile(x_u, None, None), ClassLabel.UNMATCHED
-    b = compute_backup(g, vec, u)
+    b = _backup(g, vec, u, v)
     if b is None:
         return Profile(x_u, vec.bucket(v), None), ClassLabel.MATCHED_NO_BACKUP
     return Profile(x_u, vec.bucket(v), vec.bucket(b)), ClassLabel.MATCHED_WITH_BACKUP
@@ -241,7 +246,7 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     state); raises on the first violation.
     """
     pos = position_map(order)
-    times = [ev.time for ev in greedy_probe_events(g, pos, frozenset())]
+    times = [t for t, _ in _probe_schedule(g, pos)]
     times.append((len(pos) + 1, len(pos) + 1))  # the final state
     context = {"graph": sorted(g.edges), "u_star": u_star, "order": pos}
     for full, minus in zip(
@@ -333,7 +338,7 @@ def check_insertion_claims(
     else:
         report.add("worse-off-compensation", "skipped", reason="u not worse off")
 
-    b = compute_backup(g, vec, u)
+    b = _backup(g, vec, u, v)
     if b is not None:
         base_pos = position_map(vec)
         ok1 = base_pos[v] < base_pos[b]
@@ -371,7 +376,7 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
     v = matched_partner(base, u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
-    b = compute_backup(g, vec, u)
+    b = _backup(g, vec, u, v)
     report = ClaimReport()
     v_slot = vec.rank(v)
     base_pos = position_map(vec)
@@ -383,7 +388,7 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
         if b is None:
             if slot >= v_slot:
                 still_v = new_partner == v
-                still_no_backup = still_v and compute_backup(g, moved, u) is None
+                still_no_backup = still_v and _backup(g, moved, u, v) is None
                 report.add(
                     "demote-no-backup",
                     "pass" if (still_v and still_no_backup) else "fail",
@@ -398,9 +403,7 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
                 )
         else:
             if slot >= v_slot and pos[v] < pos[b]:
-                same_backup = (
-                    new_partner == v and compute_backup(g, moved, u) == b
-                )
+                same_backup = new_partner == v and _backup(g, moved, u, v) == b
                 b_pos_kept = pos[b] == base_pos[b]
                 report.add(
                     "demote-below-backup",
@@ -444,24 +447,20 @@ def enumerate_equivalence_class(
     precedes the backup (with backup).  Raises on mismatch.
     """
     vec = generator_vector
-    profile, label = compute_profile(g, vec, u)
-    if label is ClassLabel.UNMATCHED:
-        return {vec}, ClassStructure(label, None, None, None, ())
-    base = matching_for_order(g, vec)
-    v = matched_partner(base, u)
+    v = matched_partner(matching_for_order(g, vec), u)
+    if v is None:
+        return {vec}, ClassStructure(ClassLabel.UNMATCHED, None, None, None, ())
+    b = _backup(g, vec, u, v)
+    label = ClassLabel.MATCHED_NO_BACKUP if b is None else ClassLabel.MATCHED_WITH_BACKUP
     red = remove_vertex(vec, v)
-    # The backup is the same for every member: it is u's partner once v is
-    # gone, and deleting v yields the same reduced vector for all of them.
-    b = matched_partner(matching_for_order(g, red), u)
     slots = insertion_slots(red)
     members: dict[tuple[int, int], RankVector] = {}
     for slot in slots:
         cand = move_vertex(red, v, slot)
-        cand_match = matching_for_order(g, cand)
-        if matched_partner(cand_match, u) != v:
+        if matched_partner(matching_for_order(g, cand), u) != v:
             continue
-        _, cand_label = compute_profile(g, cand, u)
-        if cand_label == label:
+        # Matched to v, a candidate is in C_b exactly when it has a backup.
+        if (_backup(g, cand, u, v) is None) == (b is None):
             members[slot] = cand
     member_slots = sorted(members)
     s0 = member_slots[0]

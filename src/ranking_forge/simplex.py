@@ -31,7 +31,10 @@ INF = float("inf")
 
 
 class SimplexStall(RuntimeError):
-    """Numerical stall; re-run with pivot_rule='bland'."""
+    """The ratio test found no finite step: the entering variable can grow
+    without bound and no basic variable blocks it.  The models ``build_lp``
+    makes are bounded, so this means an unbounded input model or numerical
+    breakdown; ``reproduce_lp_table`` records it as an error row."""
 
 
 @dataclass

@@ -89,6 +89,22 @@ def test_verify_lemmas_sampled_mode(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["four", "2.5", "0", "-1"])
+def test_verify_lemmas_rejects_a_bad_jobs_variable(monkeypatch, capsys, value):
+    monkeypatch.setenv("RANKING_FORGE_JOBS", value)
+    assert run_cli(["verify-lemmas", "--max-n", "2", "--skip-random-eight"]) == 2
+    assert f"invalid input: RANKING_FORGE_JOBS={value}" in capsys.readouterr().err
+    # Only the sweep reads the variable.
+    assert run_cli(["simulate", "--family", "path", "--n", "4", "--exact"]) == 0
+
+
+def test_verify_lemmas_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-2"):
+        assert run_cli(["verify-lemmas", "--max-n", "2", "--skip-random-eight",
+                        "--jobs", jobs]) == 2
+        assert f"invalid input: --jobs={jobs} is not" in capsys.readouterr().err
+
+
 def test_simulate_exact_and_sampled(capsys):
     assert run_cli(["simulate", "--family", "path", "--n", "4", "--exact"]) == 0
     assert "ratio=0.87500" in capsys.readouterr().out

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from ranking_forge.engine import (
     VIEWS,
+    _vertex_iterative,
     matching_for_order,
     matching_sizes,
     partial_state,
     partial_states,
+    position_map,
     run_ranking,
     trace_to_json,
     views_agree,
@@ -90,6 +92,17 @@ def test_views_agree_exhaustively_small(p4, cex, k2):
 def test_p4_expected_matching_size(p4):
     total = sum(len(matching_for_order(p4, p)) for p in permutations(range(4)))
     assert Fraction(total, 24) == Fraction(7, 4)
+
+
+def test_mutation_arm_takes_the_last_free_neighbor(p4):
+    # The sweep's corrupted arm: vertex 1 comes first and grabs its later
+    # neighbor 2 instead of 0, which strands both ends of the path.
+    order = [1, 0, 2, 3]
+    corrupted, _ = _vertex_iterative(
+        p4, position_map(order), frozenset(), latest_first=True
+    )
+    assert corrupted == {(1, 2)}
+    assert matching_for_order(p4, order) == {(0, 1), (2, 3)}
 
 
 def test_frozen_vertices_are_never_matched(cex):

@@ -2,10 +2,12 @@ import json
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranking_forge import oracles
 from ranking_forge.engine import PartialState, matching_for_order, position_map
-from ranking_forge.graphs import make_graph
+from ranking_forge.graphs import make_graph, matched_partner
 from ranking_forge.oracles import (
     BUYER,
     ITEM,
@@ -21,7 +23,13 @@ from ranking_forge.oracles import (
     extract_alternating_path,
     two_coloring,
 )
-from ranking_forge.ranks import RankVector, insertion_slots
+from ranking_forge.ranks import (
+    RankVector,
+    insertion_slots,
+    move_vertex,
+    remove_vertex,
+    sample_ranks,
+)
 
 
 def test_backup_examples(k2, p4, cex):
@@ -76,6 +84,14 @@ def test_alternating_path_sweep_exhaustive_small(p4, cex):
         for perm in permutations(range(g.n)):
             for u_star in range(g.n):
                 assert alternating_path_sweep(g, list(perm), u_star) > 0
+
+
+def test_alternating_path_sweep_on_a_partial_order(cex):
+    # The order leaves out w=4, so the edge (0, 4) is never probed: three
+    # in-domain probe times plus the final state.
+    for perm in permutations([0, 1, 2, 3]):
+        for u_star in perm:
+            assert alternating_path_sweep(cex, list(perm), u_star) == 3 + 1
 
 
 def test_insertion_claims_first_slot():
@@ -173,6 +189,43 @@ def test_equivalence_class_counterexample_ends_before_backup(cex):
     for member in members:
         pos = {v: i for i, v in enumerate(sorted(member.items(), key=lambda kv: kv[1]))}
         assert member.rank(2) < member.rank(3)
+
+
+@st.composite
+def class_cases(draw):
+    # A graph on 2..5 vertices, a seeded rank vector over it, and a vertex.
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
+    vec = sample_ranks(range(n), draw(st.integers(1, 3)), draw(st.integers(0, 10**6)))
+    return g, vec, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_cases())
+def test_equivalence_class_members_follow_the_definition(case):
+    # Members are the slots where moving u's match v keeps u matched to v and
+    # compute_profile gives the generator's label.
+    g, vec, u = case
+    members, structure = enumerate_equivalence_class(g, vec, u)
+    _, label = compute_profile(g, vec, u)
+    assert structure.label is label
+    v = matched_partner(matching_for_order(g, vec), u)
+    if v is None:
+        assert members == {vec}
+        return
+    red = remove_vertex(vec, v)
+    expected = []
+    for slot in insertion_slots(red):
+        cand = move_vertex(red, v, slot)
+        if (
+            matched_partner(matching_for_order(g, cand), u) == v
+            and compute_profile(g, cand, u)[1] is label
+        ):
+            expected.append(slot)
+    assert list(structure.member_slots) == expected
+    assert members == {move_vertex(red, v, slot) for slot in expected}
 
 
 def test_two_coloring_single_edge(k2):
