@@ -22,6 +22,7 @@ floats at solve and export time.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -370,10 +371,16 @@ def _fmt(x: float) -> str:
     return repr(f)
 
 
-def _pairs(entries: list[tuple[str, str]]) -> Iterator[str]:
-    for i in range(0, len(entries), 2):
-        chunk = entries[i : i + 2]
-        yield " ".join(f"{n} {v}" for n, v in chunk)
+def _paired(head: str, entries: list[str]) -> str:
+    """``head`` followed by two ``"row value"`` entries per line; an odd last
+    entry gets a line of its own, and no entries give no lines."""
+    if not entries:
+        return ""
+    it = iter(entries)
+    lines = list(map(" ".join, zip(it, it)))
+    if len(entries) % 2:
+        lines.append(entries[-1])
+    return head + ("\n" + head).join(lines) + "\n"
 
 
 def mps_text(model: LpModel) -> str:
@@ -392,27 +399,33 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
     yield f"NAME ranking_lp_k{model.k}_{model.form}\n"
     yield "OBJSENSE\n    MAX\n"
     yield "ROWS\n N obj\n"
-    lines = [f" {r.sense} {r.name}\n" for r in model.rows]
-    yield "".join(lines)
-    # Column-major transpose; entries within a column keep row order.
-    cols: list[list[tuple[str, str]]] = [[] for _ in model.var_names]
-    for r_idx, row in enumerate(model.rows):
+    yield "".join([f" {r.sense} {r.name}\n" for r in model.rows])
+    # Column-major transpose; entries within a column keep row order.  Text
+    # is kept per coefficient object: a parsed model shares one Fraction per
+    # distinct value, so each distinct value is formatted once.  The model
+    # keeps every object alive meanwhile, so no id is reused.
+    text: dict[int, str] = {}
+
+    def fmt(x: Fraction) -> str:
+        s = text.get(id(x))
+        if s is None:
+            s = text[id(x)] = _fmt(x)
+        return s
+
+    cols: list[list[str]] = [[] for _ in model.var_names]
+    cols[model.objective_var].append("obj 1")
+    for row in model.rows:
+        prefix = row.name + " "
         for j, coef in row.coeffs:
-            cols[j].append((row.name, _fmt(float(coef))))
+            cols[j].append(prefix + fmt(coef))
     yield "COLUMNS\n"
-    out = []
-    for j, name in enumerate(model.var_names):
-        entries = cols[j]
-        if j == model.objective_var:
-            entries = [("obj", "1")] + entries
-        for piece in _pairs(entries):
-            out.append(f"    {name} {piece}\n")
-    yield "".join(out)
+    yield "".join([
+        _paired(f"    {name} ", col) for name, col in zip(model.var_names, cols)
+    ])
     yield "RHS\n"
-    rhs_entries = [
-        (r.name, _fmt(float(r.rhs))) for r in model.rows if r.rhs != 0
-    ]
-    yield "".join(f"    RHS {piece}\n" for piece in _pairs(rhs_entries))
+    yield _paired(
+        "    RHS ", [f"{r.name} {fmt(r.rhs)}" for r in model.rows if r.rhs != 0]
+    )
     yield "BOUNDS\n"
     out = []
     for j, name in enumerate(model.var_names):
@@ -425,9 +438,31 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
     yield "ENDATA\n"
 
 
-def parse_mps(source: str, expect_form: Optional[str] = None) -> LpModel:
-    """Reference reader for the canonical layout written by this module."""
-    if "\n" not in source:
+class _Values(dict):
+    """Value text -> ``Fraction``; each distinct text is converted once."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = Fraction(float(text))
+        return value
+
+
+class _DeclaredRows(dict):
+    """Row name -> its COLUMNS entries; only rows declared in ROWS are keys."""
+
+    def __missing__(self, name: str):
+        raise ValueError(f"COLUMNS entry on row {name!r}, which ROWS does not declare")
+
+
+def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
+    """Reference reader for the canonical layout written by this module.
+
+    ``source`` is MPS text, or a path: an ``os.PathLike`` or a string without
+    a newline.  Raises ``ValueError`` on input the layout cannot mean: an
+    unknown section, row sense or bound type, a COLUMNS or RHS entry on a row
+    ROWS does not declare, a COLUMNS or RHS line with an unpaired field, or a
+    bound without a value.
+    """
+    if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:
             text = fh.read()
     else:
@@ -435,19 +470,31 @@ def parse_mps(source: str, expect_form: Optional[str] = None) -> LpModel:
     name_line = ""
     section = None
     row_sense: dict[str, str] = {}
-    row_order: list[str] = []
+    objective_row = None
+    entries = _DeclaredRows()
+    value = _Values()
+    col_index: dict[str, int] = {}
     col_order: list[str] = []
-    col_seen: dict[str, int] = {}
-    entries: dict[str, list[tuple[str, Fraction]]] = {}
     rhs: dict[str, Fraction] = {}
     lower: dict[str, Fraction] = {}
     upper: dict[str, Fraction] = {}
-    objective_col = None
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line or line.startswith("*"):
-            continue
+    cname = None
+    for line in text.splitlines():
         head = line.split()
+        if not head or line[0] == "*":
+            continue
+        if section == "COLUMNS" and line[0] in " \t":
+            if len(head) % 2 == 0:
+                raise ValueError(f"COLUMNS line with an unpaired field: {line!r}")
+            if head[0] != cname:
+                cname = head[0]
+                j = col_index.get(cname)
+                if j is None:
+                    j = col_index[cname] = len(col_order)
+                    col_order.append(cname)
+            for rname, val in zip(head[1::2], head[2::2]):
+                entries[rname].append((j, value[val]))
+            continue
         if line[0] not in " \t":
             keyword = head[0].upper()
             if keyword in ("NAME",):
@@ -466,46 +513,36 @@ def parse_mps(source: str, expect_form: Optional[str] = None) -> LpModel:
         elif section == "ROWS":
             sense, rname = head[0].upper(), head[1]
             if sense == "N":
-                continue
-            if sense not in ("L", "E"):
-                raise ValueError(f"unsupported row sense {sense}")
-            row_sense[rname] = sense
-            row_order.append(rname)
-        elif section == "COLUMNS":
-            cname = head[0]
-            if cname not in col_seen:
-                col_seen[cname] = len(col_order)
-                col_order.append(cname)
-            for rname, val in zip(head[1::2], head[2::2]):
-                if rname == "obj":
-                    objective_col = cname
-                    continue
-                entries.setdefault(rname, []).append(
-                    (cname, Fraction(float(val)))
-                )
-        elif section == "RHS":
-            for rname, val in zip(head[1::2], head[2::2]):
-                rhs[rname] = Fraction(float(val))
-        elif section == "BOUNDS":
-            kind, _bnd, cname = head[0].upper(), head[1], head[2]
-            val = Fraction(float(head[3])) if len(head) > 3 else None
-            if kind == "UP":
-                upper[cname] = val
-            elif kind == "LO":
-                lower[cname] = val
+                objective_row = objective_row or rname
+            elif sense in ("L", "E"):
+                row_sense[rname] = sense
             else:
+                raise ValueError(f"unsupported row sense {sense}")
+            entries[rname] = []
+        elif section == "RHS":
+            if len(head) % 2 == 0:
+                raise ValueError(f"RHS line with an unpaired field: {line!r}")
+            for rname, val in zip(head[1::2], head[2::2]):
+                if rname not in row_sense:
+                    raise ValueError(
+                        f"RHS entry on row {rname!r}, "
+                        "which ROWS does not declare as L or E"
+                    )
+                rhs[rname] = value[val]
+        elif section == "BOUNDS":
+            kind = head[0].upper()
+            if kind not in ("UP", "LO"):
                 raise ValueError(f"unsupported bound type {kind}")
-    if objective_col is None:
+            if len(head) != 4:
+                raise ValueError(f"bound without a value: {line!r}")
+            (upper if kind == "UP" else lower)[head[2]] = value[head[3]]
+    objective = entries.get(objective_row)
+    if not objective:
         raise ValueError("no objective column found")
-    var_index = {n: i for i, n in enumerate(col_order)}
+    zero = Fraction(0)
     rows = [
-        LinRow(
-            rname,
-            tuple((var_index[c], v) for c, v in entries.get(rname, [])),
-            row_sense[rname],
-            rhs.get(rname, Fraction(0)),
-        )
-        for rname in row_order
+        LinRow(rname, tuple(entries[rname]), sense, rhs.get(rname, zero))
+        for rname, sense in row_sense.items()
     ]
     k, form = _parse_model_name(name_line)
     if expect_form is not None and form != expect_form:
@@ -514,11 +551,11 @@ def parse_mps(source: str, expect_form: Optional[str] = None) -> LpModel:
         k,
         form,
         col_order,
-        [lower.get(n, Fraction(0)) for n in col_order],
+        [lower.get(n, zero) for n in col_order],
         [upper.get(n) for n in col_order],
         rows,
-        var_index[objective_col],
-        var_index,
+        objective[-1][0],
+        col_index,
     )
 
 
@@ -537,276 +574,243 @@ def _parse_model_name(name: str) -> tuple[int, str]:
 # the exporter would produce for the parsed model, but never materializes
 # anything, so very large bucket counts stay within memory and time budgets.
 
+#: A streamed chunk is cut once this many characters have queued up.  One
+#: piece (a column, or the rows of one (i, xv) pair) can run past it.
+_CHUNK_CHARS = 1 << 20
+
 
 def compact_mps_chunks(k: int) -> Iterator[str]:
     """Yield the compact-form MPS for ``k`` buckets as text chunks."""
+    buf: list[str] = []
+    size = 0
+    for piece in _compact_pieces(k):
+        buf.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            yield "".join(buf)
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf)
+
+
+def _compact_pieces(k: int) -> Iterator[str]:
+    """The compact-form MPS in order, one section part, column or (i, xv)
+    block at a time."""
     K1 = k + 1
-    inv_k = _fmt(1.0 / k) if k > 1 else "1"
-    yield f"NAME ranking_lp_k{k}_compact\n"
-    yield "OBJSENSE\n    MAX\n"
-    yield "ROWS\n N obj\n"
+    # nums[x] == str(x): an f-string splices a str faster than it formats an
+    # int, and the hb families below are O(k^4) entries.
+    nums = [str(x) for x in range(K1 + 1)]
+    neg_inv_k = "-" + (_fmt(1.0 / k) if k > 1 else "1")
+    yield f"NAME ranking_lp_k{k}_compact\nOBJSENSE\n    MAX\nROWS\n N obj\n"
 
     # --- ROWS section (order fixes the row indices used everywhere below).
-    buf: list[str] = []
-
-    def flush():
-        nonlocal buf
-        s = "".join(buf)
-        buf = []
-        return s
-
+    buckets, padded = range(1, k + 1), range(1, K1 + 1)
+    yield "".join([f" L monB_{i}_{j}\n" for i in buckets for j in padded])
+    yield "".join([f" L monI_{i}_{j}\n" for i in padded for j in buckets])
+    yield "".join([f" E fp_{i}_{j}\n" for i in buckets for j in buckets])
     for i in range(1, k + 1):
-        for j in range(1, K1 + 1):
-            buf.append(f" L monB_{i}_{j}\n")
-    for i in range(1, K1 + 1):
-        for j in range(1, k + 1):
-            buf.append(f" L monI_{i}_{j}\n")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            buf.append(f" E fp_{i}_{j}\n")
-    yield flush()
-    for i in range(1, k + 1):
+        us = nums[1 : i + 1]
+        parts = []
         for xv in range(1, i + 1):
-            for xus in range(1, i + 1):
-                buf.append(f" L hs_{i}_{xv}_{xus}_1\n L hs_{i}_{xv}_{xus}_2\n")
-        if len(buf) > 200_000:
-            yield flush()
-    yield flush()
+            p = f" L hs_{i}_{xv}_"
+            parts += [f"{p}{u}_1\n{p}{u}_2\n" for u in us]
+        yield "".join(parts)
     for i in range(1, k + 1):
+        us = nums[1 : i + 1]
         for xv in range(1, i + 1):
+            parts = []
             for xb in range(xv + 1, K1 + 1):
-                pre = f" L hb_{i}_{xv}_{xb}_"
-                for xus in range(1, i + 1):
-                    buf.append(f"{pre}{xus}_1\n{pre}{xus}_2\n")
-                if len(buf) > 200_000:
-                    yield flush()
-    yield flush()
+                p = f" L hb_{i}_{xv}_{xb}_"
+                parts += [f"{p}{u}_1\n{p}{u}_2\n" for u in us]
+            yield "".join(parts)
+    yield "".join([f" L abot_{i}\n" for i in range(1, k + 1)])
+    yield "".join([f" L vs_{i}_{c}\n" for i in buckets for c in buckets])
     for i in range(1, k + 1):
-        buf.append(f" L abot_{i}\n")
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            buf.append(f" L vs_{i}_{c}\n")
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            for d in range(c, k + 1):
-                buf.append(f" L vb_{i}_{c}_{d}\n")
-    buf.append(" E aavg\n")
-    yield flush()
+        yield "".join([
+            f" L vb_{i}_{c}_{d}\n" for c in range(1, k + 1) for d in nums[c : k + 1]
+        ])
+    yield " E aavg\n"
 
     # --- COLUMNS section, column-major in canonical variable order.
     yield "COLUMNS\n"
-
-    def emit_column(name: str, entries: list[tuple[str, str]]):
-        for i in range(0, len(entries), 2):
-            chunk = entries[i : i + 2]
-            buf.append(
-                f"    {name} " + " ".join(f"{n} {v}" for n, v in chunk) + "\n"
-            )
-
-    # f columns.  Entries must follow global row order: monB, monI, fp,
-    # hs arms, hb arms, abot, vs, vb, aavg.
     for a in range(1, K1 + 1):
         for bb in range(1, K1 + 1):
-            e: list[tuple[str, str]] = []
-            if a >= 2 and bb <= K1:
-                e.append((f"monB_{a - 1}_{bb}", "1"))
-            if a <= k:
-                e.append((f"monB_{a}_{bb}", "-1"))
-            if bb >= 2:
-                e.append((f"monI_{a}_{bb - 1}", "-1"))
-            if bb <= k:
-                e.append((f"monI_{a}_{bb}", "1"))
-            if a <= k and bb <= k:
-                e.append((f"fp_{a}_{bb}", "-1"))
-            # hs arm rows, ascending (i, xv, xus, arm).
-            for i in range(1, k + 1):
-                block: list[tuple[tuple, str, str]] = []
-                if i >= max(a, bb):
-                    block.append(((a, bb, 1), f"hs_{i}_{a}_{bb}_1", "-1"))
-                if i == a:
-                    if bb <= a:
-                        for xus in range(1, a + 1):
-                            block.append(((bb, xus, 2), f"hs_{a}_{bb}_{xus}_2", "1"))
-                    for xv in range(bb + 1, a + 1):
-                        block.append(((xv, bb, 2), f"hs_{a}_{xv}_{bb}_2", "-1"))
-                block.sort(key=lambda t: t[0])
-                e.extend((n, v) for _, n, v in block)
-            # hb arm rows, ascending (i, xv, xb, xus, arm).
-            for i in range(1, k + 1):
-                block = []
-                if i == a:
-                    for xv in range(1, min(a, bb - 1) + 1):
-                        for xus in range(1, a + 1):
-                            block.append(
-                                ((xv, bb, xus, 1), f"hb_{a}_{xv}_{bb}_{xus}_1", "1")
-                            )
-                if i >= max(a, bb):
-                    for xb in range(a + 1, K1 + 1):
-                        block.append(((a, xb, bb, 1), f"hb_{i}_{a}_{xb}_{bb}_1", "-1"))
-                if i == a and bb <= a:
-                    for xb in range(bb + 1, K1 + 1):
-                        for xus in range(1, a + 1):
-                            block.append(
-                                ((bb, xb, xus, 2), f"hb_{a}_{bb}_{xb}_{xus}_2", "1")
-                            )
-                if i == a:
-                    for xv in range(bb + 1, a + 1):
-                        for xb in range(xv + 1, K1 + 1):
-                            block.append(
-                                ((xv, xb, bb, 2), f"hb_{a}_{xv}_{xb}_{bb}_2", "-1")
-                            )
-                block.sort(key=lambda t: t[0])
-                e.extend((n, v) for _, n, v in block)
-            # vs / vb rows (coefficient k - i vanishes for the last bucket).
-            if a <= k and bb <= k and k - a > 0:
-                e.append((f"vs_{a}_{bb}", str(k - a)))
-            if a <= k:
-                # vb rows ascend by (c, d); the backup-column family sits at
-                # c < bb, the match-column family at c = bb.
-                if bb >= a + 2:
-                    for c in range(a + 1, bb):
-                        e.append((f"vb_{a}_{c}_{bb - 1}", str(a)))
-                if bb <= k and k - a > 0:
-                    for d in range(bb, k + 1):
-                        e.append((f"vb_{a}_{bb}_{d}", str(k - a)))
-            emit_column(f"f_{a}_{bb}", e)
-            if len(buf) > 100_000:
-                yield flush()
-    yield flush()
+            yield _paired(f"    f_{a}_{bb} ", _f_column(k, a, bb, nums))
 
-    # alpha_i columns.
+    # alpha_i columns, then alpha.
     for i in range(1, k + 1):
-        e = [(f"abot_{i}", "1")]
-        for c in range(1, k + 1):
-            e.append((f"vs_{i}_{c}", str(k)))
-        for c in range(1, k + 1):
-            for d in range(c, k + 1):
-                e.append((f"vb_{i}_{c}_{d}", str(k)))
-        e.append(("aavg", f"-{inv_k}" if k > 1 else "-1"))
-        emit_column(f"alpha_{i}", e)
-        yield flush()
-    emit_column("alpha", [("obj", "1"), ("aavg", "1")])
+        e = [f"abot_{i} 1"]
+        e += [f"vs_{i}_{c} {k}" for c in range(1, k + 1)]
+        e += [f"vb_{i}_{c}_{d} {k}" for c in buckets for d in nums[c : k + 1]]
+        e.append(f"aavg {neg_inv_k}")
+        yield _paired(f"    alpha_{i} ", e)
+    yield "    alpha obj 1 aavg 1\n"
 
     # Fp columns.
     for a in range(1, k + 1):
         for bb in range(1, k + 1):
-            e = [(f"fp_{a}_{bb}", "1")]
+            e = [f"fp_{a}_{bb} 1"]
             if bb <= k - 1:
-                e.append((f"fp_{a}_{bb + 1}", "-1"))
+                e.append(f"fp_{a}_{bb + 1} -1")
             if bb == k:
-                e.append((f"abot_{a}", f"-{inv_k}" if k > 1 else "-1"))
+                e.append(f"abot_{a} {neg_inv_k}")
             if bb + 1 > a and bb + 1 <= k:
-                e.append((f"vs_{a}_{bb + 1}", "-1"))
+                e.append(f"vs_{a}_{bb + 1} -1")
             if bb + 1 > a:
-                for d in range(bb + 1, k + 1):
-                    e.append((f"vb_{a}_{bb + 1}_{d}", "-1"))
-            emit_column(f"Fp_{a}_{bb}", e)
-    yield flush()
+                e += [f"vb_{a}_{bb + 1}_{d} -1" for d in nums[bb + 1 : k + 1]]
+            yield _paired(f"    Fp_{a}_{bb} ", e)
 
     # hs columns: two arm rows plus one vs row.
     for i in range(1, k + 1):
+        us = nums[1 : i + 1]
+        parts = []
         for xv in range(1, i + 1):
-            for xus in range(1, i + 1):
-                name = f"hs_{i}_{xv}_{xus}"
-                emit_column(
-                    name,
-                    [(f"{name}_1", "1"), (f"{name}_2", "1"), (f"vs_{i}_{xv}", "-1")],
-                )
-        if len(buf) > 100_000:
-            yield flush()
-    yield flush()
+            p = f"hs_{i}_{xv}_"
+            vs = f"vs_{i}_{xv} -1\n"
+            parts += [
+                f"    {p}{u} {p}{u}_1 1 {p}{u}_2 1\n    {p}{u} {vs}" for u in us
+            ]
+        yield "".join(parts)
 
     # hb columns: two arm rows plus one vb row.
     for i in range(1, k + 1):
+        us = nums[1 : i + 1]
         for xv in range(1, i + 1):
+            parts = []
             for xb in range(xv + 1, K1 + 1):
-                vb_row = f"vb_{i}_{xv}_{xb - 1}"
-                pre = f"hb_{i}_{xv}_{xb}_"
-                for xus in range(1, i + 1):
-                    name = f"{pre}{xus}"
-                    buf.append(f"    {name} {name}_1 1 {name}_2 1\n")
-                    buf.append(f"    {name} {vb_row} -1\n")
-                if len(buf) > 100_000:
-                    yield flush()
-    yield flush()
+                p = f"hb_{i}_{xv}_{xb}_"
+                vb = f"vb_{i}_{xv}_{xb - 1} -1\n"
+                parts += [
+                    f"    {p}{u} {p}{u}_1 1 {p}{u}_2 1\n    {p}{u} {vb}" for u in us
+                ]
+            yield "".join(parts)
 
     # Vs / Vb chain columns.
+    yield "".join([
+        f"    Vs_{i}_{c} vs_{i}_{c - 1} -1 vs_{i}_{c} 1\n" if c >= 2
+        else f"    Vs_{i}_1 vs_{i}_1 1\n"
+        for i in range(1, k + 1)
+        for c in range(1, k + 1)
+    ])
     for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            e = []
-            if c >= 2:
-                e.append((f"vs_{i}_{c - 1}", "-1"))
-            e.append((f"vs_{i}_{c}", "1"))
-            emit_column(f"Vs_{i}_{c}", e)
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            for d in range(c, k + 1):
-                e = []
-                if c >= 2:
-                    e.append((f"vb_{i}_{c - 1}_{d}", "-1"))
-                e.append((f"vb_{i}_{c}_{d}", "1"))
-                emit_column(f"Vb_{i}_{c}_{d}", e)
-        if len(buf) > 100_000:
-            yield flush()
-    yield flush()
+        yield "".join([
+            f"    Vb_{i}_{c}_{d} vb_{i}_{c - 1}_{d} -1 vb_{i}_{c}_{d} 1\n" if c >= 2
+            else f"    Vb_{i}_1_{d} vb_{i}_1_{d} 1\n"
+            for c in range(1, k + 1)
+            for d in nums[c : k + 1]
+        ])
 
-    # --- RHS.  Nonzero right-hand sides, paired two per line, in row order.
+    # --- RHS.  Nonzero right-hand sides, paired two per line, in row order;
+    # a block's odd last entry is carried over to open the next one.
     yield "RHS\n"
-    rhs_entries: list[tuple[str, str]] = []
-
-    def emit_rhs(name: str, val: str):
-        rhs_entries.append((name, val))
-        if len(rhs_entries) == 2:
-            (n1, v1), (n2, v2) = rhs_entries
-            buf.append(f"    RHS {n1} {v1} {n2} {v2}\n")
-            rhs_entries.clear()
-
-    for i in range(1, k + 1):
-        for xv in range(1, i + 1):
-            for xus in range(1, i + 1):
-                # arm 1 (price branch) has rhs 0 for the no-backup family.
-                emit_rhs(f"hs_{i}_{xv}_{xus}_2", "1")
-    yield flush()
-    for i in range(1, k + 1):
-        for xv in range(1, i + 1):
-            for xb in range(xv + 1, K1 + 1):
-                pre = f"hb_{i}_{xv}_{xb}_"
-                for xus in range(1, i + 1):
-                    emit_rhs(f"{pre}{xus}_1", "1")
-                    emit_rhs(f"{pre}{xus}_2", "1")
-                if len(buf) > 100_000:
-                    yield flush()
-    yield flush()
-    for i in range(1, k + 1):
-        if k - i > 0:
-            for c in range(1, k + 1):
-                emit_rhs(f"vs_{i}_{c}", str(k - i))
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            for d in range(c, k + 1):
-                val = (k - i) if c <= i else k
-                if val > 0:
-                    emit_rhs(f"vb_{i}_{c}_{d}", str(val))
-        if len(buf) > 100_000:
-            yield flush()
-    if rhs_entries:
-        (n1, v1) = rhs_entries[0]
-        buf.append(f"    RHS {n1} {v1}\n")
-        rhs_entries.clear()
-    yield flush()
+    carry: list[str] = []
+    for block in _compact_rhs_blocks(k, nums):
+        if carry:
+            block.insert(0, carry.pop())
+        if len(block) % 2:
+            carry.append(block.pop())
+        yield _paired("    RHS ", block)
+    yield _paired("    RHS ", carry)
 
     # --- BOUNDS: price entries and the objective chain live in [0, 1]; the
     # auxiliary bound variables need no explicit upper bound (their arm rows
     # already cap them), which keeps the section small.
     yield "BOUNDS\n"
-    for a in range(1, K1 + 1):
-        for bb in range(1, K1 + 1):
-            buf.append(f" UP BND f_{a}_{bb} 1\n")
+    yield "".join([f" UP BND f_{a}_{bb} 1\n" for a in padded for bb in padded])
+    yield "".join([f" UP BND alpha_{i} 1\n" for i in buckets])
+    yield " UP BND alpha 1\nENDATA\n"
+
+
+def _f_column(k: int, a: int, bb: int, nums: list[str]) -> list[str]:
+    """Entries of column ``f_a_bb`` in global row order: monB, monI, fp, hs
+    arms, hb arms, abot, vs, vb, aavg.  ``nums[x]`` is ``str(x)``."""
+    K1 = k + 1
+    e = []
+    if a >= 2:
+        e.append(f"monB_{a - 1}_{bb} 1")
+    if a <= k:
+        e.append(f"monB_{a}_{bb} -1")
+    if bb >= 2:
+        e.append(f"monI_{a}_{bb - 1} -1")
+    if bb <= k:
+        e.append(f"monI_{a}_{bb} 1")
+    if a > k:
+        return e
+    if bb <= k:
+        e.append(f"fp_{a}_{bb} -1")
+    # Buckets i > a hold f_a_bb only in the price branch (first arm) of their
+    # (i, a, bb) and (i, a, xb, bb) rows, once i >= bb.
+    later = nums[max(a + 1, bb) : k + 1]
+    us = nums[1 : a + 1]
+    # hs arms ascend by (i, xv, xus, arm).  In bucket i = a the second arms
+    # of (a, bb, xus) and (a, xv, bb) hold f_a_bb; when bb <= a, so does the
+    # first arm of (a, a, bb), which sorts just before the block's last entry.
+    if bb <= a:
+        block = [f"hs_{a}_{bb}_{u}_2 1" for u in us]
+        block += [f"hs_{a}_{xv}_{bb}_2 -1" for xv in nums[bb + 1 : a + 1]]
+        block.insert(-1, f"hs_{a}_{a}_{bb}_1 -1")
+        e += block
+    e += [f"hs_{i}_{a}_{bb}_1 -1" for i in later]
+    # hb arms ascend by (i, xv, xb, xus, arm); bucket i = a first.
+    for xv in range(1, min(a, bb - 1) + 1):
+        p = f"hb_{a}_{xv}_{bb}_"
+        e += [f"{p}{u}_1 1" for u in us]
+    if bb <= a:
+        if bb < a:
+            for xb in range(bb + 1, K1 + 1):
+                p = f"hb_{a}_{bb}_{xb}_"
+                e += [f"{p}{u}_2 1" for u in us]
+            for xv in range(bb + 1, a):
+                p = f"hb_{a}_{xv}_"
+                e += [f"{p}{xb}_{bb}_2 -1" for xb in nums[xv + 1 : K1 + 1]]
+        # xv = a: the first arm of (a, a, xb, bb) sorts just before its second.
+        second = "1" if bb == a else "-1"
+        for xb in range(a + 1, K1 + 1):
+            p = f"hb_{a}_{a}_{xb}_"
+            if bb == a:
+                e += [f"{p}{u}_2 1" for u in us[:-1]]
+            e.append(f"{p}{bb}_1 -1")
+            e.append(f"{p}{bb}_2 {second}")
+    suffixes = [f"_{a}_{xb}_{bb}_1 -1" for xb in nums[a + 1 : K1 + 1]]
+    e += [f"hb_{i}{s}" for i in later for s in suffixes]
+    # vs / vb rows (coefficient k - a vanishes for the last bucket).  vb rows
+    # ascend by (c, d): the backup-column family sits at c < bb, the
+    # match-column family at c = bb.
+    if bb <= k and k - a > 0:
+        e.append(f"vs_{a}_{bb} {k - a}")
+    e += [f"vb_{a}_{c}_{bb - 1} {a}" for c in nums[a + 1 : bb]]
+    if bb <= k and k - a > 0:
+        e += [f"vb_{a}_{bb}_{d} {k - a}" for d in nums[bb : k + 1]]
+    return e
+
+
+def _compact_rhs_blocks(k: int, nums: list[str]) -> Iterator[list[str]]:
+    """The nonzero right-hand sides in row order, as lists of entries."""
+    K1 = k + 1
     for i in range(1, k + 1):
-        buf.append(f" UP BND alpha_{i} 1\n")
-    buf.append(" UP BND alpha 1\n")
-    yield flush()
-    yield "ENDATA\n"
+        # arm 1 (price branch) has rhs 0 for the no-backup family.
+        us = nums[1 : i + 1]
+        block = []
+        for xv in range(1, i + 1):
+            p = f"hs_{i}_{xv}_"
+            block += [f"{p}{u}_2 1" for u in us]
+        yield block
+    for i in range(1, k + 1):
+        us = nums[1 : i + 1]
+        for xv in range(1, i + 1):
+            block = []
+            for xb in range(xv + 1, K1 + 1):
+                p = f"hb_{i}_{xv}_{xb}_"
+                block += [f"{p}{u}_{arm} 1" for u in us for arm in "12"]
+            yield block
+    # Every vs and vb rhs of the last bucket is 0.
+    yield [f"vs_{i}_{c} {k - i}" for i in range(1, k) for c in range(1, k + 1)]
+    for i in range(1, k):
+        yield [
+            f"vb_{i}_{c}_{d} {k - i if c <= i else k}"
+            for c in range(1, k + 1)
+            for d in nums[c : k + 1]
+        ]
 
 
 def write_compact_mps(k: int, destination) -> dict:

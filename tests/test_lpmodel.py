@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,11 +62,36 @@ def test_naive_and_substituted_forms_agree():
 
 
 def test_compact_form_same_optimum_and_byte_stable():
-    for k in (1, 2, 3):
+    for k in range(1, 9):
         stream = "".join(compact_mps_chunks(k))
         model = parse_mps(stream, expect_form="compact")
         assert mps_text(model) == stream
-        assert solve(model).alpha == pytest.approx(solve(build_lp(k)).alpha, abs=1e-9)
+        if k <= 3:
+            assert solve(model).alpha == pytest.approx(
+                solve(build_lp(k)).alpha, abs=1e-9
+            )
+
+
+# SHA-256 of the compact stream for a few bucket counts: external solvers read
+# these files, so any change to the writer must keep their bytes.
+COMPACT_STREAM_SHA256 = {
+    4: "138952a03ac35e265af73ff42d6777cd8e7e7dcc85233cd5527f3f172daa6a2c",
+    7: "49ba8903809afb319b88baf838d3c7a9c1478e69516d2017026bad3864d7cddc",
+    10: "06a99f3044e6b2a9b9c27b69c6f13446506b2b4e48e47093ea03cc11d966adf9",
+    14: "60e43f3a1b685d13d8d22126621e0f49c4e083dcd0035b5fe903c5197c50291b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(COMPACT_STREAM_SHA256))
+def test_compact_stream_is_pinned(k):
+    stream = "".join(compact_mps_chunks(k))
+    assert hashlib.sha256(stream.encode()).hexdigest() == COMPACT_STREAM_SHA256[k]
+
+
+def test_compact_chunks_stay_bounded():
+    # A chunk is cut by character count; one column rides over the cut, so
+    # streaming stays bounded even where a column is hundreds of KB (k = 100).
+    assert max(len(chunk) for chunk in compact_mps_chunks(28)) <= 8 * 2**20
 
 
 def test_export_parse_round_trip(tmp_path):
@@ -73,7 +99,7 @@ def test_export_parse_round_trip(tmp_path):
         m = build_lp(k)
         path = tmp_path / f"model_{k}.mps"
         export_mps(m, path)
-        m2 = parse_mps(str(path))
+        m2 = parse_mps(path)
         assert m2.var_names == m.var_names
         assert [r.name for r in m2.rows] == [r.name for r in m.rows]
         for r1, r2 in zip(m.rows, m2.rows):
@@ -175,3 +201,23 @@ def test_parse_rejects_garbage():
         parse_mps("NAME x\nROWS\n Q bad\nENDATA\n")
     with pytest.raises(ValueError):
         parse_mps("NAME x\nROWS\n L r\nCOLUMNS\nRHS\nENDATA\n")  # no objective
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("COLUMNS\n", "COLUMNS\n    f_1_1 ghost 1\n", "ghost"),
+        ("RHS\n", "RHS\n    RHS ghost 1\n", "ghost"),
+        ("COLUMNS\n", "COLUMNS\n    f_1_1 monB_1_1 -1 monI_1_1\n", "monI_1_1"),
+        ("RHS\n", "RHS\n    RHS monB_1_1\n", "RHS monB_1_1"),
+        (" UP BND f_1_1 1\n", " UP BND f_1_1\n", "UP BND f_1_1"),
+    ],
+    ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
+         "unpaired-column-field", "unpaired-rhs-field", "bound-without-value"],
+)
+def test_parse_rejects_malformed_input(old, new, match):
+    text = mps_text(build_lp(2))
+    assert old in text
+    parse_mps(text)
+    with pytest.raises(ValueError, match=match):
+        parse_mps(text.replace(old, new, 1))
