@@ -63,4 +63,4 @@ from .ranks import (
 )
 from .simplex import LpSolution, SolverOptions, solve, verify_solution
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -73,7 +73,6 @@ class RatioEstimate:
     trials: int
     half_width: float
     seed: int
-    exact: bool = False
 
 
 #: Vertex slots per Monte Carlo block: a block holds max(1, 2**16 // n) trials.
@@ -205,21 +204,31 @@ class CorpusGraph:
 
 def connected_graphs_upto(max_n: int) -> list[Graph]:
     """All connected graphs on 1..max_n vertices, one per isomorphism class,
-    each carrying a designated maximum matching."""
+    each carrying a designated maximum matching.
+
+    Edge masks are walked in ascending order; the first mask of each class
+    marks every relabelling of itself as seen, so each class is met once,
+    at its smallest mask, and kept when it is connected.
+    """
     result = []
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
-        seen: set[tuple] = set()
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            if not _connected(n, edges):
+        pair_bit = {p: i for i, p in enumerate(pairs)}
+        relabel = [
+            [pair_bit[edge(perm[u], perm[v])] for u, v in pairs]
+            for perm in permutations(range(n))
+        ]
+        seen = bytearray(1 << len(pairs))
+        for mask in range(len(seen)):
+            if seen[mask]:
                 continue
-            canon = _canonical_form(n, edges)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            g = make_graph(n, edges)
-            result.append(make_graph(n, edges, m_star=maximum_matching(g)))
+            bits = [i for i in range(len(pairs)) if mask >> i & 1]
+            for image in relabel:
+                seen[sum(1 << image[i] for i in bits)] = 1
+            edges = [pairs[i] for i in bits]
+            if _connected(n, edges):
+                g = make_graph(n, edges)
+                result.append(make_graph(n, edges, m_star=maximum_matching(g)))
     return result
 
 
@@ -238,15 +247,6 @@ def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
-
-
-def _canonical_form(n: int, edges: list[tuple[int, int]]) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        mapped = tuple(sorted(edge(perm[u], perm[v]) for u, v in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return best
 
 
 def default_corpus(seed: int = 2024, with_random_eight: bool = True) -> list[CorpusGraph]:

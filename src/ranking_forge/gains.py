@@ -12,7 +12,6 @@ over the insertion bucket of ``u_star``.
 from __future__ import annotations
 
 import json
-from math import factorial
 from typing import Iterable, Optional
 
 from .engine import matching_for_order
@@ -29,7 +28,6 @@ from .ranks import (
     enumerate_rank_vectors,
     insertion_slots,
     move_vertex,
-    sample_ranks,
 )
 
 
@@ -241,23 +239,25 @@ def share_gains(
 # The audit: pointwise soundness of the h bounds against realized gains.
 
 
+#: Cap on the rank vectors one audit enumerates: ``k^(n-1) * (n-1)!`` past
+#: it raises ``EnumerationLimitError`` rather than auditing a sample.
+AUDIT_BUDGET = 2_000_000
+
+
 def audit_h_bounds(
     g: Graph,
     u: int,
     u_star: int,
     table: PriceTable,
     k: int,
-    budget: int = 2_000_000,
-    seed: int = 0,
-    tol: float = 1e-9,
     check_table: bool = True,
 ) -> list[dict]:
     """Check ``h <= gain(u) + gain(u_star)`` on every realization.
 
-    Enumerates rank vectors on the graph without ``u_star`` and every
-    insertion slot for it (exhaustively when ``k^(n-1) * (n-1)!`` fits the
-    budget, otherwise a seeded sample), always conditioning on ``u`` being a
-    buyer.  Returns violation records; an empty list is a pass.
+    Enumerates every rank vector on the graph without ``u_star`` (at most
+    ``AUDIT_BUDGET`` of them) and every insertion slot for it, always
+    conditioning on ``u`` being a buyer.  Returns violation records; an
+    empty list is a pass.
 
     ``check_table=False`` lets a deliberately non-monotone table through, to
     demonstrate that the audit actually catches bound violations.
@@ -269,18 +269,8 @@ def audit_h_bounds(
     if g.m_star is None or edge(u, u_star) not in g.m_star:
         raise ValueError(f"({u}, {u_star}) is not a designated-matching pair")
     others = sorted(set(g.vertices) - {u_star})
-    n1 = len(others)
     violations: list[dict] = []
-
-    def vectors():
-        if k**n1 * factorial(n1) <= budget:
-            for vec, _weight in enumerate_rank_vectors(others, k, budget=budget):
-                yield vec
-        else:
-            for i in range(max(budget // max(k * n1, 1), 1)):
-                yield sample_ranks(others, k, seed + i)
-
-    for vec in vectors():
+    for vec, _weight in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
         profile, label = compute_profile(g, vec, u)
         for slot in insertion_slots(vec):
             sigma = move_vertex(vec, u_star, slot)
@@ -294,7 +284,7 @@ def audit_h_bounds(
             if x_ustar > k:
                 continue
             hv = h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x_ustar)
-            if hv > total_u + tol:
+            if hv > total_u + 1e-9:
                 violations.append(
                     {
                         "claim": f"h-bound-{label.value}",

@@ -18,8 +18,10 @@ import numpy as np
 
 Edge = tuple[int, int]
 
-#: Default cap for the exhaustive (exponential-time) matching search.
+#: Vertex cap for the exhaustive (exponential-time) matching search.
 EXHAUSTIVE_LIMIT = 24
+#: Edge cap for the subset-enumeration matching oracle.
+BRUTEFORCE_MAX_EDGES = 18
 
 FAMILIES = (
     "path",
@@ -67,7 +69,7 @@ class Graph:
             u, v = e
             if u == v:
                 raise ValueError(f"self-loop {e} is not allowed")
-            if e != edge(u, v):
+            if u > v:
                 raise ValueError(f"edge {e} is not in canonical (min, max) form")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {e} has an endpoint outside 0..{self.n - 1}")
@@ -162,16 +164,17 @@ def matched_partner(matching: Iterable[Edge], v: int) -> Optional[int]:
     return None
 
 
-def maximum_matching(g: Graph, limit: int = EXHAUSTIVE_LIMIT) -> frozenset[Edge]:
+def maximum_matching(g: Graph) -> frozenset[Edge]:
     """A maximum matching, by memoized search over vertex subsets.
 
-    Exponential in the vertex count; guarded by ``limit``.  Deterministic in
-    which maximum matching it returns, so it picks the designated matching of
-    the sweep corpus; it is also the test oracle for :func:`blossom_matching`.
+    Exponential in the vertex count; guarded by ``EXHAUSTIVE_LIMIT``.
+    Deterministic in which maximum matching it returns, so it picks the
+    designated matching of the sweep corpus; it is also the test oracle for
+    :func:`blossom_matching`.
     """
-    if g.n > limit:
+    if g.n > EXHAUSTIVE_LIMIT:
         raise SizeLimitError(
-            f"graph has {g.n} vertices, above the exhaustive limit {limit}"
+            f"graph has {g.n} vertices, above the exhaustive limit {EXHAUSTIVE_LIMIT}"
         )
     adj_mask = [0] * g.n
     for u in range(g.n):
@@ -305,14 +308,14 @@ def maximum_matching_size(g: Graph) -> int:
     return len(blossom_matching(g))
 
 
-def matching_size_bruteforce(g: Graph, max_edges: int = 18) -> int:
+def matching_size_bruteforce(g: Graph) -> int:
     """Independent oracle: try every subset of edges, keep the largest matching.
 
     Only usable for small edge counts; meant to cross-check the other
     searches, not for production use.
     """
     edges = sorted(g.edges)
-    if len(edges) > max_edges:
+    if len(edges) > BRUTEFORCE_MAX_EDGES:
         raise SizeLimitError(f"{len(edges)} edges is too many for subset enumeration")
     best = 0
     for r in range(len(edges), best, -1):
@@ -376,7 +379,7 @@ def generate_family(
             rest = np.arange(u + 1, n)
             rest = rest[rest != partner[u]]
             edges.update((u, int(v)) for v in rest[rng.random(rest.size) < density])
-        return make_graph(n, edges, m_star=planted)
+        return Graph(n, frozenset(edges), frozenset(planted))
     if family in ("appendix_counterexample", "backup_counterexample"):
         return backup_counterexample_graph()
     raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")

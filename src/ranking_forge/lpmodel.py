@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -50,11 +50,6 @@ class LpModel:
     upper: list[Optional[Fraction]]
     rows: list[LinRow]
     objective_var: int
-    var_index: dict[str, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.var_index:
-            self.var_index = {n: i for i, n in enumerate(self.var_names)}
 
     @property
     def var_count(self) -> int:
@@ -87,7 +82,6 @@ class _Builder:
         self.names: list[str] = []
         self.lower: list[Fraction] = []
         self.upper: list[Optional[Fraction]] = []
-        self.index: dict[str, int] = {}
         self.rows: list[LinRow] = []
 
     def var(self, name: str, lo=Fraction(0), up: Optional[Fraction] = None) -> int:
@@ -95,7 +89,6 @@ class _Builder:
         self.names.append(name)
         self.lower.append(Fraction(lo))
         self.upper.append(None if up is None else Fraction(up))
-        self.index[name] = idx
         return idx
 
     def row(self, name: str, coeffs: dict[int, Fraction], sense: str, rhs) -> None:
@@ -106,8 +99,7 @@ class _Builder:
 
     def model(self, objective: int) -> LpModel:
         return LpModel(
-            self.k, self.form, self.names, self.lower, self.upper, self.rows,
-            objective, dict(self.index),
+            self.k, self.form, self.names, self.lower, self.upper, self.rows, objective
         )
 
 
@@ -458,9 +450,10 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
 
     ``source`` is MPS text, or a path: an ``os.PathLike`` or a string without
     a newline.  Raises ``ValueError`` on input the layout cannot mean: an
-    unknown section, row sense or bound type, a COLUMNS or RHS entry on a row
-    ROWS does not declare, a COLUMNS or RHS line with an unpaired field, or a
-    bound without a value.
+    unknown section, row sense or bound type, a row declared twice, a COLUMNS
+    or RHS entry on a row ROWS does not declare, a COLUMNS or RHS line with an
+    unpaired field, a bound without a value or on a column COLUMNS does not
+    name, an objective other than one entry of 1, or any RANGES entry.
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:
@@ -518,6 +511,8 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
                 row_sense[rname] = sense
             else:
                 raise ValueError(f"unsupported row sense {sense}")
+            if rname in entries:
+                raise ValueError(f"row {rname!r} declared twice in ROWS")
             entries[rname] = []
         elif section == "RHS":
             if len(head) % 2 == 0:
@@ -535,10 +530,21 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
                 raise ValueError(f"unsupported bound type {kind}")
             if len(head) != 4:
                 raise ValueError(f"bound without a value: {line!r}")
+            if head[2] not in col_index:
+                raise ValueError(
+                    f"bound on column {head[2]!r}, which COLUMNS does not name"
+                )
             (upper if kind == "UP" else lower)[head[2]] = value[head[3]]
+        elif section == "RANGES":
+            raise ValueError(f"RANGES entries are not supported: {line!r}")
     objective = entries.get(objective_row)
     if not objective:
         raise ValueError("no objective column found")
+    if len(objective) != 1 or objective[0][1] != 1:
+        raise ValueError(
+            f"objective row {objective_row!r} must hold one entry of 1, "
+            f"found {[(col_order[j], str(c)) for j, c in objective]}"
+        )
     zero = Fraction(0)
     rows = [
         LinRow(rname, tuple(entries[rname]), sense, rhs.get(rname, zero))
@@ -554,8 +560,7 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
         [lower.get(n, zero) for n in col_order],
         [upper.get(n) for n in col_order],
         rows,
-        objective[-1][0],
-        col_index,
+        objective[0][0],
     )
 
 

@@ -203,14 +203,14 @@ def enumerate_rank_vectors(
             yield RankVector(k, ranks), weight
 
 
-def distribution_audit(n: int, k: int, budget: int = 5_000_000) -> Fraction:
+def distribution_audit(n: int, k: int) -> Fraction:
     """Max |P(induced permutation) - 1/n!| over all permutations, exactly.
 
     The bucketed generation scheme is uniform over total orders, so this
     must come out exactly zero.
     """
     totals: dict[tuple[int, ...], Fraction] = {}
-    for vec, weight in enumerate_rank_vectors(range(n), k, budget=budget):
+    for vec, weight in enumerate_rank_vectors(range(n), k):
         key = order_of(vec)
         totals[key] = totals.get(key, Fraction(0)) + weight
     target = Fraction(1, factorial(max(n, 1)))

@@ -2,8 +2,8 @@
 
 Bounded-variable primal simplex on the slack-augmented standard form, with
 a sparse LU factorization of the basis (refreshed periodically) and
-product-form eta updates in between.  Devex pricing (Harris 1973) by
-default, falling back to Bland's rule after a run of degenerate pivots so
+product-form eta updates in between.  Devex pricing (Harris 1973),
+falling back to Bland's rule after a run of degenerate pivots so
 termination is guaranteed.  Each basis change computes the pivot row
 e_r^T B^-1 A once and uses it to update both the devex reference weights
 and the reduced costs in place; reduced costs are recomputed from the basis
@@ -37,26 +37,23 @@ class SimplexStall(RuntimeError):
     breakdown; ``reproduce_lp_table`` records it as an error row."""
 
 
+#: Primal feasibility slack on bounds, and the step length below which a
+#: pivot counts as degenerate.
+FEASIBILITY_TOL = 1e-9
+#: A reduced cost must exceed this to make its variable eligible to enter.
+OPTIMALITY_TOL = 1e-9
+#: Consecutive degenerate pivots before Bland's rule takes over for the
+#: rest of the phase.
+STALL_LIMIT = 1000
+#: Basis changes between LU refactorizations (each also recomputes the
+#: basic values and the reduced costs from scratch).
+REFACTOR_EVERY = 64
+
+
 @dataclass
 class SolverOptions:
-    feasibility_tol: float = 1e-9
-    optimality_tol: float = 1e-9
+    #: Pivots over both phases before the solve stops with status 'limit'.
     max_iterations: int = 200_000
-    #: 'devex': largest d_j^2 / w_j over devex reference weights, with the
-    #: Bland fallback below; 'bland': Bland's rule from the first iteration.
-    pivot_rule: str = "devex"
-    #: Consecutive degenerate pivots before Bland's rule takes over for the
-    #: rest of the phase.
-    stall_limit: int = 1000
-    #: Basis changes between LU refactorizations (each also recomputes the
-    #: basic values and the reduced costs from scratch).
-    refactor_every: int = 64
-
-    def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.pivot_rule not in ("devex", "bland"):
-            raise ValueError("pivot_rule must be 'devex' or 'bland'")
 
 
 @dataclass
@@ -70,14 +67,9 @@ class LpSolution:
     values: dict[str, float] = field(repr=False, default_factory=dict)
     #: How the solve went: ``standardize_s``/``solve_s`` seconds, counts of
     #: ``refactorizations``, ``bound_flips`` and ``degenerate_pivots``, and
-    #: ``bland_fallback`` (Bland's rule was in use, chosen by ``pivot_rule``
-    #: or taken over after a degenerate stall).
+    #: ``bland_fallback`` (Bland's rule took over after a degenerate stall).
     #: Empty for an externally produced solution.
     stats: dict[str, float | int | bool] = field(repr=False, default_factory=dict)
-
-    @property
-    def objective(self) -> float:
-        return self.alpha
 
 
 class _Basis:
@@ -164,9 +156,8 @@ def _standard_form(model: LpModel) -> _StandardForm:
 class _Core:
     """One basis carried through both phases; ``run`` is one phase."""
 
-    def __init__(self, sf: _StandardForm, opts: SolverOptions):
+    def __init__(self, sf: _StandardForm):
         self.sf = sf
-        self.opts = opts
         m = sf.A.shape[0]
         total = sf.A.shape[1]
         self.m = m
@@ -182,7 +173,7 @@ class _Core:
         self.iterations = 0
         self.bound_flips = 0
         self.degenerate_pivots = 0
-        self.bland_fallback = opts.pivot_rule == "bland"
+        self.bland_fallback = False
 
     def recompute_basics(self) -> None:
         rhs = self.sf.b - self.sf.A @ np.where(self.in_basis, 0.0, self.x)
@@ -206,19 +197,18 @@ class _Core:
         Devex pricing picks the entering variable by the largest d_j^2 / w_j
         over the reference weights w, which restart at 1 here with the
         nonbasic variables as the reference framework.  Bland's rule takes
-        over for the rest of the run after ``stall_limit`` degenerate pivots
+        over for the rest of the run after ``STALL_LIMIT`` degenerate pivots
         in a row.  "optimal" is only returned on reduced costs recomputed
         from the basis, never on the in-place updated ones.
         """
-        opts = self.opts
-        tol = opts.optimality_tol
+        tol = OPTIMALITY_TOL
         # Nonbasic fixed variables (lo == up) can never improve anything.
         movable = self.sf.lo != self.sf.up
         self.c = c
         self.weights = np.ones(self.total)
         self.reference = np.where(self.in_basis, 0.0, 1.0)
         self.degenerate_run = 0
-        self.bland = opts.pivot_rule == "bland"
+        self.bland = False
         self.price()
         while True:
             if self.iterations >= max_iterations:
@@ -237,7 +227,7 @@ class _Core:
                 e = int(idx[np.argmax(d[idx] ** 2 / self.weights[idx])])
             self._step(e)
             self.iterations += 1
-            if not self.bland and self.degenerate_run > opts.stall_limit:
+            if not self.bland and self.degenerate_run > STALL_LIMIT:
                 self.bland = self.bland_fallback = True
 
     def _step(self, e: int) -> None:
@@ -250,7 +240,7 @@ class _Core:
         basis = self.B.basis
         xb = self.x[basis]
         step_dir = sign * w
-        feas = self.opts.feasibility_tol
+        feas = FEASIBILITY_TOL
         pivot_tol = 1e-10
 
         # Blocking ratios from basic variables: a basic variable moving down
@@ -304,7 +294,7 @@ class _Core:
         else:
             self.degenerate_run += 1
             self.degenerate_pivots += 1
-        if len(self.B.etas) >= self.opts.refactor_every:
+        if len(self.B.etas) >= REFACTOR_EVERY:
             self.B.refactor()
             self.recompute_basics()
             self.price()
@@ -338,27 +328,27 @@ def solve(model: LpModel, opts: SolverOptions | None = None) -> LpSolution:
     Starts from the all-slack basis (feasible for every model the factory
     builds); falls back to a phase-1 artificial objective otherwise.
     """
-    opts = opts or SolverOptions()
+    max_iterations = (opts or SolverOptions()).max_iterations
     start = time.perf_counter()
     sf = _standard_form(model)
     standardized = time.perf_counter()
-    core = _Core(sf, opts)
+    core = _Core(sf)
 
-    if not core.primal_feasible(opts.feasibility_tol):
-        status = _phase_one(core, opts)
+    if not core.primal_feasible(FEASIBILITY_TOL):
+        status = _phase_one(core, max_iterations)
         if status == "limit":
             return _package(model, core, "limit", start, standardized)
-        if not core.primal_feasible(10 * opts.feasibility_tol):
+        if not core.primal_feasible(10 * FEASIBILITY_TOL):
             return _package(model, core, "infeasible", start, standardized)
 
-    status = core.run(sf.c, opts.max_iterations)
+    status = core.run(sf.c, max_iterations)
     # One clean refactorization before reading the answer off.
     core.B.refactor()
     core.recompute_basics()
     return _package(model, core, status, start, standardized)
 
 
-def _phase_one(core: _Core, opts: SolverOptions) -> str:
+def _phase_one(core: _Core, max_iterations: int) -> str:
     """Drive infeasible basic slacks back into range.
 
     Each violated basic variable gets its violated bound widened to the
@@ -375,12 +365,12 @@ def _phase_one(core: _Core, opts: SolverOptions) -> str:
     low_violators: list[int] = []
     up_violators: list[int] = []
     for row, j in enumerate(basis):
-        if xb[row] < sf.lo[j] - opts.feasibility_tol:
+        if xb[row] < sf.lo[j] - FEASIBILITY_TOL:
             relaxed_lo[j] = xb[row]
             relaxed_up[j] = sf.lo[j]
             c1[j] = 1.0
             low_violators.append(j)
-        elif xb[row] > sf.up[j] + opts.feasibility_tol:
+        elif xb[row] > sf.up[j] + FEASIBILITY_TOL:
             relaxed_up[j] = xb[row]
             relaxed_lo[j] = sf.up[j]
             c1[j] = -1.0
@@ -388,17 +378,17 @@ def _phase_one(core: _Core, opts: SolverOptions) -> str:
     true_lo, true_up = sf.lo.copy(), sf.up.copy()
     sf.lo, sf.up = relaxed_lo, relaxed_up
     try:
-        status = core.run(c1, opts.max_iterations)
+        status = core.run(c1, max_iterations)
     finally:
         sf.lo, sf.up = true_lo, true_up
     # A recovered variable that went nonbasic sits on a relaxed bound that
     # coincides with one of its true bounds; fix the status flags to match.
     for j in low_violators:
-        if not core.in_basis[j] and abs(core.x[j] - true_lo[j]) <= opts.feasibility_tol:
+        if not core.in_basis[j] and abs(core.x[j] - true_lo[j]) <= FEASIBILITY_TOL:
             core.at_upper[j] = False
             core.x[j] = true_lo[j]
     for j in up_violators:
-        if not core.in_basis[j] and abs(core.x[j] - true_up[j]) <= opts.feasibility_tol:
+        if not core.in_basis[j] and abs(core.x[j] - true_up[j]) <= FEASIBILITY_TOL:
             core.at_upper[j] = True
             core.x[j] = true_up[j]
     core.recompute_basics()
@@ -520,19 +510,24 @@ def solution_from_values(model: LpModel, values: dict[str, float]) -> LpSolution
 # Tiny-scale oracle: enumerate candidate vertices of the polytope directly.
 
 
-def brute_force_optimum(
-    model: LpModel, max_vars: int = 12, chunk: int = 65536
-) -> float:
+#: Structural-variable cap and vertex candidates per batch of the oracle.
+BRUTE_FORCE_MAX_VARS = 12
+BRUTE_FORCE_CHUNK = 65536
+
+
+def brute_force_optimum(model: LpModel) -> float:
     """Exact optimum by enumerating active-constraint subsets.
 
     Works in the structural-variable space: every vertex of the feasible
     polytope is the solution of n linearly independent active constraints
     drawn from the rows and the variable bounds.  Refuses models with more
-    than ``max_vars`` structural variables.
+    than ``BRUTE_FORCE_MAX_VARS`` structural variables.
     """
     n = len(model.var_names)
-    if n > max_vars:
-        raise ValueError(f"{n} variables exceeds the oracle limit {max_vars}")
+    if n > BRUTE_FORCE_MAX_VARS:
+        raise ValueError(
+            f"{n} variables exceeds the oracle limit {BRUTE_FORCE_MAX_VARS}"
+        )
     rows = []
     rhs = []
     senses = []
@@ -569,7 +564,7 @@ def brute_force_optimum(
     best = -INF
     combos = combinations(range(len(G)), n)
     while True:
-        batch = [list(cmb) for _, cmb in zip(range(chunk), combos)]
+        batch = [list(cmb) for _, cmb in zip(range(BRUTE_FORCE_CHUNK), combos)]
         if not batch:
             break
         idx = np.asarray(batch)

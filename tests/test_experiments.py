@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,15 +18,25 @@ from ranking_forge.experiments import (
     monte_carlo_ratio,
     reproduce_lp_table,
 )
-from ranking_forge.graphs import generate_family, maximum_matching_size
+from ranking_forge.graphs import generate_family, graph_to_json, maximum_matching_size
 
 
 def test_connected_graph_census():
-    per_n = Counter(g.n for g in connected_graphs_upto(5))
-    assert per_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+    # Connected graphs per vertex count: OEIS A001349.
+    per_n = Counter(g.n for g in connected_graphs_upto(6))
+    assert per_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     for g in connected_graphs_upto(4):
         assert g.m_star is not None
         assert len(g.m_star) == maximum_matching_size(g)
+
+
+def test_connected_graphs_are_pinned():
+    # Order, edge sets and designated matchings of the n <= 5 corpus: the
+    # sweep's claim counts and corpus names depend on all three.
+    text = "\n".join(graph_to_json(g) for g in connected_graphs_upto(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c10afaff91e3a50126d254baf5364c65a9b3274a8f112c82d570a78015dcaa7c"
+    )
 
 
 def test_default_corpus_composition():

@@ -12,9 +12,9 @@ from ranking_forge.gains import (
     h_value,
     share_gains,
 )
-from ranking_forge.graphs import make_graph
+from ranking_forge.graphs import generate_family, make_graph
 from ranking_forge.oracles import BUYER, ITEM, ClassLabel
-from ranking_forge.ranks import RankVector
+from ranking_forge.ranks import EnumerationLimitError, RankVector
 
 C_BOT = ClassLabel.UNMATCHED
 C_S = ClassLabel.MATCHED_NO_BACKUP
@@ -175,6 +175,15 @@ def test_audit_detects_corrupted_table():
     assert all(v["h"] > v["realized"] for v in violations if "h" in v)
     with pytest.raises(ValueError):
         audit_h_bounds(g, 0, 1, bad, 2)
+
+
+def test_audit_refuses_to_sample_past_its_budget():
+    # 3^7 * 7! = 11 022 480 rank vectors on the other seven vertices: past
+    # the audit's cap, so it must stop instead of auditing a sample.
+    g = generate_family("random_with_perfect_matching", n=8, density=0.3, seed=1)
+    u, u_star = sorted(g.m_star)[0]
+    with pytest.raises(EnumerationLimitError):
+        audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3, 3)
 
 
 def test_audit_requires_designated_pair(p4):

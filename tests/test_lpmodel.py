@@ -211,9 +211,16 @@ def test_parse_rejects_garbage():
         ("COLUMNS\n", "COLUMNS\n    f_1_1 monB_1_1 -1 monI_1_1\n", "monI_1_1"),
         ("RHS\n", "RHS\n    RHS monB_1_1\n", "RHS monB_1_1"),
         (" UP BND f_1_1 1\n", " UP BND f_1_1\n", "UP BND f_1_1"),
+        ("BOUNDS\n", "BOUNDS\n UP BND ghost 1\n", "ghost"),
+        ("alpha obj 1 ", "alpha obj 2 ", "objective"),
+        ("COLUMNS\n", "COLUMNS\n    f_1_1 obj 1\n", "objective"),
+        (" L monB_1_2\n", " L monB_1_2\n L monB_1_1\n", "twice"),
+        ("BOUNDS\n", "RANGES\n    RNG monB_1_1 1\nBOUNDS\n", "RANGES"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
-         "unpaired-column-field", "unpaired-rhs-field", "bound-without-value"],
+         "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
+         "bound-on-undeclared-column", "objective-coefficient-not-one",
+         "objective-on-two-columns", "row-declared-twice", "ranges-entry"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))

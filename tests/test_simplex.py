@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from ranking_forge import simplex
 from ranking_forge.lpmodel import LinRow, LpModel, build_lp
 from ranking_forge.simplex import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
+    STALL_LIMIT,
     SolverOptions,
     _Core,
     _phase_one,
@@ -142,17 +146,17 @@ def test_determinism():
 def test_optimal_basis_is_certified_by_fresh_reduced_costs(model, phase_one):
     # "optimal" must hold on reduced costs computed from scratch for the
     # final basis, not only on the ones the pivots updated in place.
-    opts = SolverOptions()
+    max_iterations = SolverOptions().max_iterations
     sf = _standard_form(model)
-    core = _Core(sf, opts)
-    assert core.primal_feasible(opts.feasibility_tol) != phase_one
+    core = _Core(sf)
+    assert core.primal_feasible(FEASIBILITY_TOL) != phase_one
     if phase_one:
-        assert _phase_one(core, opts) == "optimal"
-    assert core.run(sf.c, opts.max_iterations) == "optimal"
+        assert _phase_one(core, max_iterations) == "optimal"
+    assert core.run(sf.c, max_iterations) == "optimal"
     basis = core.B.basis
     y = splu(sf.A[:, basis].tocsc()).solve(sf.c[basis], trans="T")
     d = sf.c - sf.A.T @ y
-    tol = opts.optimality_tol
+    tol = OPTIMALITY_TOL
     eligible = (
         ~core.in_basis
         & (sf.lo != sf.up)
@@ -164,12 +168,11 @@ def test_optimal_basis_is_certified_by_fresh_reduced_costs(model, phase_one):
 def test_each_run_starts_with_devex_pricing():
     # A Bland fallback (or a degenerate streak) left over from an earlier
     # phase must not carry into the next one.
-    opts = SolverOptions()
     sf = _standard_form(build_lp(4))
-    core = _Core(sf, opts)
+    core = _Core(sf)
     core.bland = True
-    core.degenerate_run = opts.stall_limit + 1
-    assert core.run(sf.c, opts.max_iterations) == "optimal"
+    core.degenerate_run = STALL_LIMIT + 1
+    assert core.run(sf.c, SolverOptions().max_iterations) == "optimal"
     assert not core.bland and not core.bland_fallback
 
 
@@ -178,7 +181,7 @@ def test_devex_iteration_count():
     assert solve(build_lp(6)).iterations <= 1186
 
 
-def test_solution_stats():
+def test_solution_stats(monkeypatch):
     counts = ("refactorizations", "bound_flips", "degenerate_pivots", "bland_fallback")
     a = solve(build_lp(4))
     b = solve(build_lp(4))
@@ -188,27 +191,19 @@ def test_solution_stats():
     assert a.stats["standardize_s"] >= 0 and a.stats["solve_s"] > 0
     assert a.stats["bland_fallback"] is False
     assert {key: a.stats[key] for key in counts} == {key: b.stats[key] for key in counts}
-    bland = solve(build_lp(2), SolverOptions(pivot_rule="bland"))
-    assert bland.stats["bland_fallback"] is True
-    stalled = solve(build_lp(4), SolverOptions(stall_limit=0))
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    stalled = solve(build_lp(4))
     assert stalled.stats["bland_fallback"] is True
     assert stalled.alpha == pytest.approx(a.alpha, abs=1e-9)
 
 
-def test_bland_rule_reaches_same_optimum():
+def test_bland_rule_reaches_same_optimum(monkeypatch):
     a = solve(build_lp(2))
-    b = solve(build_lp(2), SolverOptions(pivot_rule="bland"))
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    b = solve(build_lp(2))
     assert b.status == "optimal"
+    assert b.stats["bland_fallback"] is True
     assert b.alpha == pytest.approx(a.alpha, abs=1e-9)
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(feasibility_tol=0)
-    with pytest.raises(ValueError):
-        SolverOptions(pivot_rule="steepest")
-    with pytest.raises(ValueError, match="'devex' or 'bland'"):
-        SolverOptions(pivot_rule="dantzig")
 
 
 def test_verify_solution_passes_on_solver_output():
