@@ -21,10 +21,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-#: Largest bucket count solved in-process by default.
+#: Largest bucket count built and solved in-process by default.
 IN_PROCESS_K_LIMIT = 12
-#: Beyond this, exports switch to the compact streaming form.
-DIRECT_EXPORT_LIMIT = 40
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,26 +103,24 @@ def _cmd_solve_lp(args) -> int:
     if k < 1:
         print("k must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    exported = None
-    if args.export:
-        if args.form == "compact" or k > DIRECT_EXPORT_LIMIT:
-            stats = write_compact_mps(k, args.export)
-            exported = f"{args.export} (compact, {stats['lines']} lines)"
-        else:
-            export_mps(build_lp(k, form=args.form), args.export)
-            exported = args.export
-        print(f"exported {exported}")
     if k > args.max_k_in_process:
-        if exported:
-            print(f"k={k} beyond in-process budget; solve externally")
-            return EXIT_OK
-        print(
-            f"resource limit: k={k} beyond in-process budget "
-            f"{args.max_k_in_process}; use --export",
-            file=sys.stderr,
-        )
-        return EXIT_RESOURCE
+        # Beyond the budget nothing is built: an export streams the compact
+        # form, whose size stays near the number of min-cases.
+        if not args.export:
+            print(
+                f"resource limit: k={k} beyond in-process budget "
+                f"{args.max_k_in_process}; use --export",
+                file=sys.stderr,
+            )
+            return EXIT_RESOURCE
+        stats = write_compact_mps(k, args.export)
+        print(f"exported {args.export} (compact, {stats['lines']} lines)")
+        print(f"k={k} beyond in-process budget; solve externally")
+        return EXIT_OK
     model = build_lp(k, form=args.form)
+    if args.export:
+        export_mps(model, args.export)
+        print(f"exported {args.export}")
     solution = simplex.solve(model)
     if solution.status != "optimal":
         print(f"solver status: {solution.status}", file=sys.stderr)

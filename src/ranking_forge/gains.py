@@ -280,10 +280,7 @@ def audit_h_bounds(
                 chi = {v: (ITEM if c == BUYER else BUYER) for v, c in chi.items()}
             gains = share_gains(g, sigma, chi, table, matching=matching)
             total_u = gains[u] + gains[u_star]
-            x_ustar = slot[0]
-            if x_ustar > k:
-                continue
-            hv = h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x_ustar)
+            hv = h_value(label, table, profile.x_u, profile.x_v, profile.x_b, slot[0])
             if hv > total_u + 1e-9:
                 violations.append(
                     {

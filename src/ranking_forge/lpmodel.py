@@ -7,8 +7,9 @@ Three model forms share one optimum:
   bucket bound, and one auxiliary variable per min-case of the pointwise
   bounds; affine cases are folded straight into the averaging rows.  This is
   the in-process form for desk-scale bucket counts.
-* ``naive``: every pointwise bound is its own variable with explicit
-  upper-bounding rows; used to cross-check the substitution.
+* ``naive``: the same model with no case inlined, so every pointwise bound
+  is its own variable with explicit upper-bounding rows; used to
+  cross-check the substitution.
 * ``compact``: window-average constraints are telescoped through chains of
   nonnegative slack variables and prefix-sum columns so the row count stays
   near the number of min-cases.  This is the only form whose size permits
@@ -84,10 +85,10 @@ class _Builder:
         self.upper: list[Optional[Fraction]] = []
         self.rows: list[LinRow] = []
 
-    def var(self, name: str, lo=Fraction(0), up: Optional[Fraction] = None) -> int:
+    def var(self, name: str, up: Optional[Fraction] = None) -> int:
         idx = len(self.names)
         self.names.append(name)
-        self.lower.append(Fraction(lo))
+        self.lower.append(Fraction(0))
         self.upper.append(None if up is None else Fraction(up))
         return idx
 
@@ -136,6 +137,60 @@ def _min_case(i: int, xv: int, xus: int) -> bool:
     return xv <= i and xus <= i
 
 
+#: One pointwise-bound case ``(label, x_u, x_v, x_b, x_ustar)``, in the
+#: argument order of ``h_forms``; absent buckets are ``None``.
+HCase = tuple[ClassLabel, int, Optional[int], Optional[int], int]
+
+_H_PREFIX = {
+    ClassLabel.UNMATCHED: "hbot",
+    ClassLabel.MATCHED_NO_BACKUP: "hs",
+    ClassLabel.MATCHED_WITH_BACKUP: "hb",
+}
+
+
+def _h_cases(k: int) -> Iterator[HCase]:
+    """Every pointwise-bound case in variable order: no match, then no
+    backup, then backup."""
+    buckets = range(1, k + 1)
+    for i in buckets:
+        for xus in buckets:
+            yield ClassLabel.UNMATCHED, i, None, None, xus
+    for i in buckets:
+        for xv in buckets:
+            for xus in buckets:
+                yield ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus
+    for i in buckets:
+        for xv in buckets:
+            for xb in range(xv + 1, k + 2):
+                for xus in buckets:
+                    yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
+
+
+def _windows(k: int) -> Iterator[tuple[str, int, list[HCase]]]:
+    """Each averaging row as ``(name, i, cases)``: ``alpha_i`` is at most
+    the average of h over the cases."""
+    buckets = range(1, k + 1)
+    for i in buckets:
+        yield f"abot_{i}", i, [
+            (ClassLabel.UNMATCHED, i, None, None, xus) for xus in buckets
+        ]
+    for i in buckets:
+        for c in buckets:
+            yield f"as_{i}_{c}", i, [
+                (ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus)
+                for xv in range(c, k + 1)
+                for xus in buckets
+            ]
+    for i in buckets:
+        for c in buckets:
+            for d in range(c, k + 1):
+                yield f"ab_{i}_{c}_{d}", i, [
+                    (ClassLabel.MATCHED_WITH_BACKUP, i, xv, d + 1, xus)
+                    for xv in range(c, d + 1)
+                    for xus in buckets
+                ]
+
+
 def _build_direct(k: int, naive: bool) -> LpModel:
     b = _Builder(k, "naive" if naive else "substituted")
     f_idx = {
@@ -146,36 +201,15 @@ def _build_direct(k: int, naive: bool) -> LpModel:
     alpha_i_idx = {i: b.var(f"alpha_{i}", up=Fraction(1)) for i in range(1, k + 1)}
     alpha_idx = b.var("alpha", up=Fraction(1))
 
-    hbot_idx: dict[tuple[int, int], int] = {}
-    hs_idx: dict[tuple[int, int, int], int] = {}
-    hb_idx: dict[tuple[int, int, int, int], int] = {}
-    if naive:
-        for i in range(1, k + 1):
-            for xus in range(1, k + 1):
-                hbot_idx[(i, xus)] = b.var(f"hbot_{i}_{xus}", up=Fraction(2))
-        for i in range(1, k + 1):
-            for xv in range(1, k + 1):
-                for xus in range(1, k + 1):
-                    hs_idx[(i, xv, xus)] = b.var(f"hs_{i}_{xv}_{xus}", up=Fraction(2))
-        for i in range(1, k + 1):
-            for xv in range(1, k + 1):
-                for xb in range(xv + 1, k + 2):
-                    for xus in range(1, k + 1):
-                        hb_idx[(i, xv, xb, xus)] = b.var(
-                            f"hb_{i}_{xv}_{xb}_{xus}", up=Fraction(2)
-                        )
-    else:
-        for i in range(1, k + 1):
-            for xv in range(1, i + 1):
-                for xus in range(1, i + 1):
-                    hs_idx[(i, xv, xus)] = b.var(f"hs_{i}_{xv}_{xus}", up=Fraction(2))
-        for i in range(1, k + 1):
-            for xv in range(1, i + 1):
-                for xb in range(xv + 1, k + 2):
-                    for xus in range(1, i + 1):
-                        hb_idx[(i, xv, xb, xus)] = b.var(
-                            f"hb_{i}_{xv}_{xb}_{xus}", up=Fraction(2)
-                        )
+    # A case gets an auxiliary variable in the naive form, and in the
+    # substituted form when its bound is a minimum of two arms; every other
+    # case is affine and is folded straight into the averaging rows.
+    aux: dict[HCase, int] = {}
+    for case in _h_cases(k):
+        label, i, xv, _, xus = case
+        if naive or (label is not ClassLabel.UNMATCHED and _min_case(i, xv, xus)):
+            buckets = [str(x) for x in case[1:] if x is not None]
+            aux[case] = b.var("_".join([_H_PREFIX[label], *buckets]), up=Fraction(2))
 
     # Monotonicity of the price table over the padded domain.
     for i in range(1, k + 1):
@@ -193,88 +227,36 @@ def _build_direct(k: int, naive: bool) -> LpModel:
                 "L", 0,
             )
 
-    # Upper-bounding rows for the auxiliary bound variables.  Maximization
-    # presses each one onto the smaller branch, so a single row suffices for
-    # affine cases in the naive form.
-    for (i, xus), idx in hbot_idx.items():
-        forms = h_forms(ClassLabel.UNMATCHED, i, None, None, xus)
-        coeffs, rhs = _form_to_row(idx, forms[0], f_idx)
-        b.row(f"hb0_{i}_{xus}", coeffs, "L", rhs)
-    for (i, xv, xus), idx in hs_idx.items():
-        forms = h_forms(ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus)
-        for arm, form in enumerate(forms, start=1):
+    # One upper-bounding row per arm.  Maximization presses each variable
+    # onto its smaller arm, so an affine case needs a single row.
+    for case, idx in aux.items():
+        for arm, form in enumerate(h_forms(*case), start=1):
             coeffs, rhs = _form_to_row(idx, form, f_idx)
-            b.row(f"hs_{i}_{xv}_{xus}_{arm}", coeffs, "L", rhs)
-    for (i, xv, xb, xus), idx in hb_idx.items():
-        forms = h_forms(ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus)
-        for arm, form in enumerate(forms, start=1):
-            coeffs, rhs = _form_to_row(idx, form, f_idx)
-            b.row(f"hb_{i}_{xv}_{xb}_{xus}_{arm}", coeffs, "L", rhs)
+            if case[0] is ClassLabel.UNMATCHED:
+                name = f"hb0_{case[1]}_{case[4]}"
+            else:
+                name = f"{b.names[idx]}_{arm}"
+            b.row(name, coeffs, "L", rhs)
 
-    def accumulate(coeffs, const, label, i, xv, xb, xus, scale):
-        """Add ``scale * h(...)`` to an averaging row, substituting affine
-        cases directly (substituted form) or referencing the variable.
-        Returns the accumulated constant; the row's rhs is its negation."""
-        if label is ClassLabel.UNMATCHED:
-            if naive:
-                idx = hbot_idx[(i, xus)]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
-                return const
-            form = h_forms(label, i, None, None, xus)[0]
-        elif label is ClassLabel.MATCHED_NO_BACKUP:
-            if naive or _min_case(i, xv, xus):
-                idx = hs_idx[(i, xv, xus)]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
-                return const
-            form = h_forms(label, i, xv, None, xus)[0]
-        else:
-            if naive or _min_case(i, xv, xus):
-                idx = hb_idx[(i, xv, xb, xus)]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
-                return const
-            form = h_forms(label, i, xv, xb, xus)[0]
-        fconst, terms = form
-        const += scale * fconst
-        for coef, (a, bb) in terms:
-            idx = f_idx[(a, bb)]
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale * coef
-        return const
-
-    # Per-bucket bound rows: alpha_i is at most each family's average bound.
-    for i in range(1, k + 1):
+    # Averaging rows: a case enters through its variable if it has one,
+    # otherwise through its single affine form (a two-arm form cannot be
+    # unpacked here, so an inlined min-case raises).  The rhs is minus the
+    # accumulated constant.
+    for name, i, cases in _windows(k):
+        scale = Fraction(-1, len(cases))
         coeffs = {alpha_i_idx[i]: Fraction(1)}
         const = Fraction(0)
-        for xus in range(1, k + 1):
-            const = accumulate(
-                coeffs, const, ClassLabel.UNMATCHED, i, None, None, xus,
-                Fraction(-1, k),
-            )
-        b.row(f"abot_{i}", coeffs, "L", -const)
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            coeffs = {alpha_i_idx[i]: Fraction(1)}
-            const = Fraction(0)
-            scale = Fraction(-1, (k - c + 1) * k)
-            for xv in range(c, k + 1):
-                for xus in range(1, k + 1):
-                    const = accumulate(
-                        coeffs, const, ClassLabel.MATCHED_NO_BACKUP,
-                        i, xv, None, xus, scale,
-                    )
-            b.row(f"as_{i}_{c}", coeffs, "L", -const)
-    for i in range(1, k + 1):
-        for c in range(1, k + 1):
-            for d in range(c, k + 1):
-                coeffs = {alpha_i_idx[i]: Fraction(1)}
-                const = Fraction(0)
-                scale = Fraction(-1, (d - c + 1) * k)
-                for xv in range(c, d + 1):
-                    for xus in range(1, k + 1):
-                        const = accumulate(
-                            coeffs, const, ClassLabel.MATCHED_WITH_BACKUP,
-                            i, xv, d + 1, xus, scale,
-                        )
-                b.row(f"ab_{i}_{c}_{d}", coeffs, "L", -const)
+        for case in cases:
+            idx = aux.get(case)
+            if idx is not None:
+                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
+                continue
+            ((fconst, terms),) = h_forms(*case)
+            const += scale * fconst
+            for coef, ij in terms:
+                idx = f_idx[ij]
+                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale * coef
+        b.row(name, coeffs, "L", -const)
 
     coeffs = {alpha_idx: Fraction(1)}
     for i in range(1, k + 1):
@@ -450,10 +432,11 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
 
     ``source`` is MPS text, or a path: an ``os.PathLike`` or a string without
     a newline.  Raises ``ValueError`` on input the layout cannot mean: an
-    unknown section, row sense or bound type, a row declared twice, a COLUMNS
-    or RHS entry on a row ROWS does not declare, a COLUMNS or RHS line with an
-    unpaired field, a bound without a value or on a column COLUMNS does not
-    name, an objective other than one entry of 1, or any RANGES entry.
+    unknown section, row sense or bound type, a data line before any section,
+    a second objective row, a row declared twice, a COLUMNS or RHS entry on a
+    row ROWS does not declare, a COLUMNS or RHS line with an unpaired field, a
+    bound without a value or on a column COLUMNS does not name, an objective
+    other than one entry of 1, or any RANGES entry.
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:
@@ -506,7 +489,9 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
         elif section == "ROWS":
             sense, rname = head[0].upper(), head[1]
             if sense == "N":
-                objective_row = objective_row or rname
+                if objective_row is not None:
+                    raise ValueError(f"second objective row {rname!r} in ROWS")
+                objective_row = rname
             elif sense in ("L", "E"):
                 row_sense[rname] = sense
             else:
@@ -537,6 +522,8 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
             (upper if kind == "UP" else lower)[head[2]] = value[head[3]]
         elif section == "RANGES":
             raise ValueError(f"RANGES entries are not supported: {line!r}")
+        else:
+            raise ValueError(f"data line before any section: {line!r}")
     objective = entries.get(objective_row)
     if not objective:
         raise ValueError("no objective column found")

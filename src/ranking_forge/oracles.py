@@ -457,10 +457,10 @@ def enumerate_equivalence_class(
     members: dict[tuple[int, int], RankVector] = {}
     for slot in slots:
         cand = move_vertex(red, v, slot)
-        if matched_partner(matching_for_order(g, cand), u) != v:
-            continue
-        # Matched to v, a candidate is in C_b exactly when it has a backup.
-        if (_backup(g, cand, u, v) is None) == (b is None):
+        # With v frozen, a candidate's run is the run on ``red`` wherever v
+        # sits, so a candidate matched to v has the generator's backup and
+        # label.
+        if matched_partner(matching_for_order(g, cand), u) == v:
             members[slot] = cand
     member_slots = sorted(members)
     s0 = member_slots[0]

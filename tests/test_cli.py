@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from ranking_forge import cli
 from ranking_forge.cli import run_cli
 from ranking_forge.gains import REFERENCE_TABLE_K3, PriceTable
+from ranking_forge.lpmodel import build_lp, mps_text
 
 
 def test_solve_lp_small(capsys):
@@ -17,12 +19,23 @@ def test_solve_lp_compact_form(capsys):
     assert "alpha=0.51052" in capsys.readouterr().out
 
 
-def test_solve_lp_export_still_solves(tmp_path, capsys):
-    path = tmp_path / "k2.mps"
-    assert run_cli(["solve-lp", "--k", "2", "--export", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert path.exists()
-    assert "alpha=0.50000" in out
+def test_solve_lp_export_still_solves(tmp_path, capsys, monkeypatch):
+    # Within the budget the exported file is the solved model, in the
+    # requested form, built once.
+    built = []
+
+    def counted(k, form):
+        built.append(form)
+        return build_lp(k, form)
+
+    monkeypatch.setattr(cli, "build_lp", counted)
+    for form in ("substituted", "naive", "compact"):
+        path = tmp_path / f"k2_{form}.mps"
+        args = ["solve-lp", "--k", "2", "--form", form, "--export", str(path)]
+        assert run_cli(args) == 0
+        assert path.read_text() == mps_text(build_lp(2, form))
+        assert "alpha=0.50000" in capsys.readouterr().out
+    assert built == ["substituted", "naive", "compact"]
 
 
 def test_solve_lp_resource_limit():
@@ -34,6 +47,19 @@ def test_solve_lp_export_beyond_budget_uses_compact(tmp_path, capsys):
     assert run_cli(["solve-lp", "--k", "45", "--export", str(path)]) == 0
     head = path.read_text().splitlines()[0]
     assert head == "NAME ranking_lp_k45_compact"
+    assert "solve externally" in capsys.readouterr().out
+
+
+def test_solve_lp_export_just_beyond_budget_streams_compact(
+    tmp_path, capsys, monkeypatch
+):
+    # Every export beyond the in-process budget is the compact stream, with
+    # no model built in-process.
+    monkeypatch.setattr(cli, "build_lp", None)
+    path = tmp_path / "k13.mps"
+    assert run_cli(["solve-lp", "--k", "13", "--export", str(path)]) == 0
+    with open(path) as fh:
+        assert fh.readline() == "NAME ranking_lp_k13_compact\n"
     assert "solve externally" in capsys.readouterr().out
 
 

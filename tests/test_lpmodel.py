@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ranking_forge import lpmodel
 from ranking_forge.gains import (
     REFERENCE_TABLE_K3,
     REFERENCE_TABLE_K10,
@@ -59,6 +60,42 @@ def test_naive_and_substituted_forms_agree():
         a = solve(build_lp(k)).alpha
         b = solve(build_lp(k, form="naive")).alpha
         assert b == pytest.approx(a, abs=1e-9)
+
+
+# SHA-256 of the direct forms' MPS text: both forms come from one walk over
+# the h cases, and any change to it must keep names, order and coefficients.
+DIRECT_FORM_SHA256 = {
+    ("substituted", 3): "c781cabe1beb3b3045a9618c9aec8fd14039421c54768e34fc2744171fe47fd9",
+    ("substituted", 5): "48bb6f1eb31e39ffb63f272bd67c74e30a5324337f7b61691e0a6566d7f4c4e7",
+    ("substituted", 7): "4dd5b4d930e46e3522aa3609b0eb6a215874883cf5a324717050b7e8c5cc080a",
+    ("naive", 3): "175bf8c61374e90a36893fede7987c672ff45acb44fb8c98ab4792560d5054d2",
+    ("naive", 5): "05c183cbe83653f1ed29640a982bb70091e2d5d7c51cdc0b2fb74186a92bb95d",
+    ("naive", 7): "af66019f3cfcf1aa6b34300aab073a4aa33f6f1720b570508082eef7c7bd8005",
+}
+
+
+@pytest.mark.parametrize("form, k", sorted(DIRECT_FORM_SHA256))
+def test_direct_form_text_is_pinned(form, k):
+    text = mps_text(build_lp(k, form))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIRECT_FORM_SHA256[form, k]
+
+
+def test_substituted_min_cases_match_compact():
+    # The compact writer hard-codes the min-case set; the substituted form
+    # derives it from _min_case.  Both must give the same auxiliary variables.
+    def aux(model):
+        return [n for n in model.var_names if n.startswith(("hs_", "hb_"))]
+
+    for k in range(1, 7):
+        assert aux(build_lp(k)) == aux(build_lp(k, "compact"))
+
+
+def test_inlined_two_arm_case_raises(monkeypatch):
+    # A case folded into an averaging row must have a single affine form;
+    # inlining a min-case would silently keep only its first arm.
+    monkeypatch.setattr(lpmodel, "_min_case", lambda i, xv, xus: False)
+    with pytest.raises(ValueError):
+        build_lp(2)
 
 
 def test_compact_form_same_optimum_and_byte_stable():
@@ -216,11 +253,15 @@ def test_parse_rejects_garbage():
         ("COLUMNS\n", "COLUMNS\n    f_1_1 obj 1\n", "objective"),
         (" L monB_1_2\n", " L monB_1_2\n L monB_1_1\n", "twice"),
         ("BOUNDS\n", "RANGES\n    RNG monB_1_1 1\nBOUNDS\n", "RANGES"),
+        (" E aavg\nCOLUMNS\n", " E aavg\n N cost\nCOLUMNS\n    f_1_1 cost 3\n",
+         "second objective row"),
+        ("OBJSENSE\n", "    stray 1\nOBJSENSE\n", "before any section"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
          "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
          "bound-on-undeclared-column", "objective-coefficient-not-one",
-         "objective-on-two-columns", "row-declared-twice", "ranges-entry"],
+         "objective-on-two-columns", "row-declared-twice", "ranges-entry",
+         "second-objective-row", "data-line-before-any-section"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))
