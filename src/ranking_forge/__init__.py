@@ -61,6 +61,6 @@ from .ranks import (
     remove_vertex,
     sample_ranks,
 )
-from .simplex import LpSolution, SolverOptions, solve, verify_solution
+from .simplex import LpSolution, solve, verify_solution
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

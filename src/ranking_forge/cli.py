@@ -169,6 +169,9 @@ def _cmd_verify_lemmas(args) -> int:
     if not str(jobs).isdecimal() or int(jobs) < 1:
         print(f"invalid input: {name}={jobs} is not a positive integer", file=sys.stderr)
         return EXIT_USAGE
+    if args.k < 1:
+        print(f"invalid input: --k={args.k} is below 1", file=sys.stderr)
+        return EXIT_USAGE
     config = experiments.SweepConfig(
         max_n=args.max_n,
         k=args.k,

@@ -136,8 +136,8 @@ class LpTableRow:
     elapsed: float
     iterations: int
     expected: Optional[float]
-    #: Solver status ('optimal', 'limit', 'infeasible') or 'error' when the
-    #: solver raised; ``error`` says what went wrong for anything but optimal.
+    #: Solver status ('optimal', 'limit') or 'error' when the solver
+    #: stalled; ``error`` says what went wrong for anything but optimal.
     status: str = "optimal"
     error: Optional[str] = None
 
@@ -148,9 +148,7 @@ class LpTableRow:
         return abs(self.alpha - self.expected) <= 1e-4
 
 
-def reproduce_lp_table(
-    k_list: Iterable[int], options: Optional[simplex.SolverOptions] = None
-) -> list[LpTableRow]:
+def reproduce_lp_table(k_list: Iterable[int]) -> list[LpTableRow]:
     """Solve the factor-revealing LP for each k.
 
     A solve that stops short of optimal, or stalls numerically, is recorded
@@ -161,7 +159,7 @@ def reproduce_lp_table(
     for k in k_list:
         start = time.perf_counter()
         try:
-            solution = simplex.solve(build_lp(k), options)
+            solution = simplex.solve(build_lp(k))
         except simplex.SimplexStall as exc:
             alpha, iters, status, error = float("nan"), 0, "error", f"stall: {exc}"
         else:

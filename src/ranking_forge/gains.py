@@ -52,6 +52,8 @@ class PriceTable:
     __slots__ = ("k", "_rows")
 
     def __init__(self, k: int, rows: Iterable[Iterable[float]]):
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"bucket count k must be an int >= 1, got {k!r}")
         grid = [list(map(float, row)) for row in rows]
         if len(grid) == k:
             grid = _pad(grid)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -131,12 +132,6 @@ def build_lp(k: int, form: str = "substituted") -> LpModel:
     raise ValueError(f"unknown form {form!r}")
 
 
-def _min_case(i: int, xv: int, xus: int) -> bool:
-    # The pointwise bounds split into two branches exactly when both the
-    # match and the new vertex land at or before u's bucket.
-    return xv <= i and xus <= i
-
-
 #: One pointwise-bound case ``(label, x_u, x_v, x_b, x_ustar)``, in the
 #: argument order of ``h_forms``; absent buckets are ``None``.
 HCase = tuple[ClassLabel, int, Optional[int], Optional[int], int]
@@ -204,12 +199,12 @@ def _build_direct(k: int, naive: bool) -> LpModel:
     # A case gets an auxiliary variable in the naive form, and in the
     # substituted form when its bound is a minimum of two arms; every other
     # case is affine and is folded straight into the averaging rows.
+    forms = {case: h_forms(*case) for case in _h_cases(k)}
     aux: dict[HCase, int] = {}
-    for case in _h_cases(k):
-        label, i, xv, _, xus = case
-        if naive or (label is not ClassLabel.UNMATCHED and _min_case(i, xv, xus)):
+    for case, arms in forms.items():
+        if naive or len(arms) == 2:
             buckets = [str(x) for x in case[1:] if x is not None]
-            aux[case] = b.var("_".join([_H_PREFIX[label], *buckets]), up=Fraction(2))
+            aux[case] = b.var("_".join([_H_PREFIX[case[0]], *buckets]), up=Fraction(2))
 
     # Monotonicity of the price table over the padded domain.
     for i in range(1, k + 1):
@@ -230,7 +225,7 @@ def _build_direct(k: int, naive: bool) -> LpModel:
     # One upper-bounding row per arm.  Maximization presses each variable
     # onto its smaller arm, so an affine case needs a single row.
     for case, idx in aux.items():
-        for arm, form in enumerate(h_forms(*case), start=1):
+        for arm, form in enumerate(forms[case], start=1):
             coeffs, rhs = _form_to_row(idx, form, f_idx)
             if case[0] is ClassLabel.UNMATCHED:
                 name = f"hb0_{case[1]}_{case[4]}"
@@ -239,8 +234,8 @@ def _build_direct(k: int, naive: bool) -> LpModel:
             b.row(name, coeffs, "L", rhs)
 
     # Averaging rows: a case enters through its variable if it has one,
-    # otherwise through its single affine form (a two-arm form cannot be
-    # unpacked here, so an inlined min-case raises).  The rhs is minus the
+    # otherwise through its single affine form (the one-element unpack
+    # guards that no two-arm case is inlined).  The rhs is minus the
     # accumulated constant.
     for name, i, cases in _windows(k):
         scale = Fraction(-1, len(cases))
@@ -251,7 +246,7 @@ def _build_direct(k: int, naive: bool) -> LpModel:
             if idx is not None:
                 coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
                 continue
-            ((fconst, terms),) = h_forms(*case)
+            ((fconst, terms),) = forms[case]
             const += scale * fconst
             for coef, ij in terms:
                 idx = f_idx[ij]
@@ -436,7 +431,8 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
     a second objective row, a row declared twice, a COLUMNS or RHS entry on a
     row ROWS does not declare, a COLUMNS or RHS line with an unpaired field, a
     bound without a value or on a column COLUMNS does not name, an objective
-    other than one entry of 1, or any RANGES entry.
+    other than one entry of 1, any RANGES entry, or a NAME other than
+    ``ranking_lp_k{k}_{form}`` with k >= 1.
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:
@@ -552,13 +548,14 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
 
 
 def _parse_model_name(name: str) -> tuple[int, str]:
-    # ranking_lp_k{k}_{form}
-    try:
-        parts = name.split("_")
-        k = int(parts[2][1:])
-        return k, parts[3]
-    except (IndexError, ValueError):
-        return 0, "unknown"
+    """``(k, form)`` from the NAME ``ranking_lp_k{k}_{form}``."""
+    match = re.fullmatch(r"ranking_lp_k(\d+)_([A-Za-z0-9]+)", name)
+    if match is None:
+        raise ValueError(f"model name {name!r} is not ranking_lp_k<k>_<form>")
+    k = int(match[1])
+    if k < 1:
+        raise ValueError(f"model name {name!r} gives bucket count {k} < 1")
+    return k, match[2]
 
 
 # ---------------------------------------------------------------------------

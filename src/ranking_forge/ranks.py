@@ -177,6 +177,8 @@ def enumerate_rank_vectors(
     The weight is (bucket assignment probability) x (within-bucket
     permutation probability), as an exact rational.  Weights sum to 1.
     """
+    if k < 1:
+        raise ValueError(f"bucket count k must be >= 1, got {k}")
     vs = sorted(vertices)
     n = len(vs)
     if k**n * factorial(n) > budget:

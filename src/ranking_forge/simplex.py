@@ -2,7 +2,9 @@
 
 Bounded-variable primal simplex on the slack-augmented standard form, with
 a sparse LU factorization of the basis (refreshed periodically) and
-product-form eta updates in between.  Devex pricing (Harris 1973),
+product-form eta updates in between.  One phase from the all-slack basis,
+which must be feasible: it is for every model ``build_lp`` makes, and
+``solve`` rejects any other.  Devex pricing (Harris 1973),
 falling back to Bland's rule after a run of degenerate pivots so
 termination is guaranteed.  Each basis change computes the pivot row
 e_r^T B^-1 A once and uses it to update both the devex reference weights
@@ -43,17 +45,13 @@ FEASIBILITY_TOL = 1e-9
 #: A reduced cost must exceed this to make its variable eligible to enter.
 OPTIMALITY_TOL = 1e-9
 #: Consecutive degenerate pivots before Bland's rule takes over for the
-#: rest of the phase.
+#: rest of the solve.
 STALL_LIMIT = 1000
 #: Basis changes between LU refactorizations (each also recomputes the
 #: basic values and the reduced costs from scratch).
 REFACTOR_EVERY = 64
-
-
-@dataclass
-class SolverOptions:
-    #: Pivots over both phases before the solve stops with status 'limit'.
-    max_iterations: int = 200_000
+#: Pivots before the solve stops with status 'limit'.
+MAX_ITERATIONS = 200_000
 
 
 @dataclass
@@ -61,7 +59,7 @@ class LpSolution:
     alpha: float
     alpha_i: tuple[float, ...]
     f_table: Optional[PriceTable]
-    status: str  # 'optimal' | 'limit' | 'infeasible'
+    status: str  # 'optimal' | 'limit'; 'external' for an outside assignment
     iterations: int
     elapsed: float
     values: dict[str, float] = field(repr=False, default_factory=dict)
@@ -154,14 +152,13 @@ def _standard_form(model: LpModel) -> _StandardForm:
 
 
 class _Core:
-    """One basis carried through both phases; ``run`` is one phase."""
+    """The basis, the basic values and the pricing state of one solve."""
 
     def __init__(self, sf: _StandardForm):
         self.sf = sf
         m = sf.A.shape[0]
         total = sf.A.shape[1]
         self.m = m
-        self.total = total
         self.at_upper = np.zeros(total, dtype=bool)
         self.in_basis = np.zeros(total, dtype=bool)
         basis = np.arange(sf.n_struct, sf.n_struct + m)
@@ -173,45 +170,39 @@ class _Core:
         self.iterations = 0
         self.bound_flips = 0
         self.degenerate_pivots = 0
-        self.bland_fallback = False
+        # Devex reference weights start at 1, with the nonbasic variables
+        # of the start as the reference framework.
+        self.weights = np.ones(total)
+        self.reference = np.where(self.in_basis, 0.0, 1.0)
+        self.degenerate_run = 0
+        self.bland = False
 
     def recompute_basics(self) -> None:
         rhs = self.sf.b - self.sf.A @ np.where(self.in_basis, 0.0, self.x)
         self.x[self.B.basis] = self.B.ftran(rhs)
 
-    def primal_feasible(self, tol: float) -> bool:
-        xb = self.x[self.B.basis]
-        lo = self.sf.lo[self.B.basis]
-        up = self.sf.up[self.B.basis]
-        return bool(np.all(xb >= lo - tol) and np.all(xb <= up + tol))
-
     def price(self) -> None:
         """Reduced costs from scratch: d = c - A^T B^-T c_B."""
-        y = self.B.btran(self.c[self.B.basis])
-        self.d = self.c - self.AT @ y
+        c = self.sf.c
+        y = self.B.btran(c[self.B.basis])
+        self.d = c - self.AT @ y
         self.fresh = True
 
-    def run(self, c: np.ndarray, max_iterations: int) -> str:
-        """Maximize ``c @ x`` from the current basis.
+    def run(self) -> str:
+        """Maximize the objective from the current basis.
 
         Devex pricing picks the entering variable by the largest d_j^2 / w_j
-        over the reference weights w, which restart at 1 here with the
-        nonbasic variables as the reference framework.  Bland's rule takes
-        over for the rest of the run after ``STALL_LIMIT`` degenerate pivots
-        in a row.  "optimal" is only returned on reduced costs recomputed
-        from the basis, never on the in-place updated ones.
+        over the reference weights w.  Bland's rule takes over for the rest
+        of the run after ``STALL_LIMIT`` degenerate pivots in a row.
+        "optimal" is only returned on reduced costs recomputed from the
+        basis, never on the in-place updated ones.
         """
         tol = OPTIMALITY_TOL
         # Nonbasic fixed variables (lo == up) can never improve anything.
         movable = self.sf.lo != self.sf.up
-        self.c = c
-        self.weights = np.ones(self.total)
-        self.reference = np.where(self.in_basis, 0.0, 1.0)
-        self.degenerate_run = 0
-        self.bland = False
         self.price()
         while True:
-            if self.iterations >= max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return "limit"
             d = self.d
             eligible = ~self.in_basis & movable & np.where(self.at_upper, d < -tol, d > tol)
@@ -228,7 +219,7 @@ class _Core:
             self._step(e)
             self.iterations += 1
             if not self.bland and self.degenerate_run > STALL_LIMIT:
-                self.bland = self.bland_fallback = True
+                self.bland = True
 
     def _step(self, e: int) -> None:
         sf = self.sf
@@ -322,77 +313,32 @@ class _Core:
         self.weights[leaving] = max(we / w[r] ** 2, 1.0)
 
 
-def solve(model: LpModel, opts: SolverOptions | None = None) -> LpSolution:
+def solve(model: LpModel) -> LpSolution:
     """Maximize the model's objective variable.
 
-    Starts from the all-slack basis (feasible for every model the factory
-    builds); falls back to a phase-1 artificial objective otherwise.
+    One devex phase from the all-slack basis.  Raises ``ValueError`` naming
+    the first row whose slack that start puts outside its bounds, before
+    any pivot.
     """
-    max_iterations = (opts or SolverOptions()).max_iterations
     start = time.perf_counter()
     sf = _standard_form(model)
     standardized = time.perf_counter()
     core = _Core(sf)
-
-    if not core.primal_feasible(FEASIBILITY_TOL):
-        status = _phase_one(core, max_iterations)
-        if status == "limit":
-            return _package(model, core, "limit", start, standardized)
-        if not core.primal_feasible(10 * FEASIBILITY_TOL):
-            return _package(model, core, "infeasible", start, standardized)
-
-    status = core.run(sf.c, max_iterations)
+    basis = core.B.basis
+    xb = core.x[basis]
+    lo, up = sf.lo[basis], sf.up[basis]
+    violated = np.flatnonzero((xb < lo - FEASIBILITY_TOL) | (xb > up + FEASIBILITY_TOL))
+    if violated.size:
+        r = int(violated[0])
+        raise ValueError(
+            f"row {model.rows[r].name!r} is violated at the all-slack start: "
+            f"slack {xb[r]:g} outside [{lo[r]:g}, {up[r]:g}]"
+        )
+    status = core.run()
     # One clean refactorization before reading the answer off.
     core.B.refactor()
     core.recompute_basics()
     return _package(model, core, status, start, standardized)
-
-
-def _phase_one(core: _Core, max_iterations: int) -> str:
-    """Drive infeasible basic slacks back into range.
-
-    Each violated basic variable gets its violated bound widened to the
-    current value and the opposite bound pinned to the true violated bound,
-    so maximizing the recovery objective pushes it exactly onto the bound it
-    must reach and no further.
-    """
-    sf = core.sf
-    basis = core.B.basis
-    xb = core.x[basis]
-    relaxed_lo = sf.lo.copy()
-    relaxed_up = sf.up.copy()
-    c1 = np.zeros(core.total)
-    low_violators: list[int] = []
-    up_violators: list[int] = []
-    for row, j in enumerate(basis):
-        if xb[row] < sf.lo[j] - FEASIBILITY_TOL:
-            relaxed_lo[j] = xb[row]
-            relaxed_up[j] = sf.lo[j]
-            c1[j] = 1.0
-            low_violators.append(j)
-        elif xb[row] > sf.up[j] + FEASIBILITY_TOL:
-            relaxed_up[j] = xb[row]
-            relaxed_lo[j] = sf.up[j]
-            c1[j] = -1.0
-            up_violators.append(j)
-    true_lo, true_up = sf.lo.copy(), sf.up.copy()
-    sf.lo, sf.up = relaxed_lo, relaxed_up
-    try:
-        status = core.run(c1, max_iterations)
-    finally:
-        sf.lo, sf.up = true_lo, true_up
-    # A recovered variable that went nonbasic sits on a relaxed bound that
-    # coincides with one of its true bounds; fix the status flags to match.
-    for j in low_violators:
-        if not core.in_basis[j] and abs(core.x[j] - true_lo[j]) <= FEASIBILITY_TOL:
-            core.at_upper[j] = False
-            core.x[j] = true_lo[j]
-    for j in up_violators:
-        if not core.in_basis[j] and abs(core.x[j] - true_up[j]) <= FEASIBILITY_TOL:
-            core.at_upper[j] = True
-            core.x[j] = true_up[j]
-    core.recompute_basics()
-    return status
 
 
 def _package(model, core, status, start, standardized) -> LpSolution:
@@ -417,7 +363,7 @@ def _package(model, core, status, start, standardized) -> LpSolution:
             "refactorizations": core.B.factorizations,
             "bound_flips": core.bound_flips,
             "degenerate_pivots": core.degenerate_pivots,
-            "bland_fallback": core.bland_fallback,
+            "bland_fallback": core.bland,
         },
     )
 

@@ -85,6 +85,9 @@ def test_validate_f_rejects_non_monotone(tmp_path):
     ("out_of_range.json", json.dumps({"k": 2, "values": [[1.5, 1.0], [0.0, 1.0]]})),
     ("missing_key.json", json.dumps({"values": [[0.5]]})),
     ("not_an_object.json", "[1, 2]"),
+    ("k_zero.json", json.dumps({"k": 0, "values": []})),
+    ("k_negative.json", json.dumps({"k": -1, "values": []})),
+    ("k_bool.json", json.dumps({"k": True, "values": [[0.5]]})),
 ])
 def test_validate_f_rejects_bad_input_files(tmp_path, capsys, name, text):
     path = tmp_path / name
@@ -131,6 +134,15 @@ def test_verify_lemmas_rejects_jobs_below_one(capsys):
         assert f"invalid input: --jobs={jobs} is not" in capsys.readouterr().err
 
 
+def test_verify_lemmas_rejects_k_below_one(monkeypatch, capsys):
+    # Refused before the sweep starts, so no worker ever sees the value.
+    monkeypatch.setattr(cli.experiments, "lemma_sweep", None)
+    for k in ("0", "-1"):
+        assert run_cli(["verify-lemmas", "--max-n", "2", "--k", k, "--exhaustive",
+                        "--skip-random-eight"]) == 2
+        assert f"invalid input: --k={k} is below 1" in capsys.readouterr().err
+
+
 def test_simulate_exact_and_sampled(capsys):
     assert run_cli(["simulate", "--family", "path", "--n", "4", "--exact"]) == 0
     assert "ratio=0.87500" in capsys.readouterr().out
@@ -169,13 +181,9 @@ def test_reproduce_small(tmp_path, capsys):
 
 
 def test_reproduce_reports_solver_failure(monkeypatch, capsys):
-    from ranking_forge import experiments, simplex
+    from ranking_forge import simplex
 
-    real = experiments.reproduce_lp_table
-    monkeypatch.setattr(
-        experiments, "reproduce_lp_table",
-        lambda ks: real(ks, simplex.SolverOptions(max_iterations=5)),
-    )
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 5)
     assert run_cli(["reproduce", "--table1", "--k-max", "4"]) == 1
     out = capsys.readouterr().out
     assert "k=  4 alpha=nan" in out and "LIMIT: solver stopped" in out

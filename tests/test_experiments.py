@@ -93,8 +93,9 @@ def test_monte_carlo_rejects_bad_inputs(trials, k):
         monte_carlo_ratio(generate_family("path", n=4), trials, k, seed=0)
 
 
-def test_reproduce_records_solver_failures():
-    rows = reproduce_lp_table([1, 4], simplex.SolverOptions(max_iterations=5))
+def test_reproduce_records_solver_failures(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 5)
+    rows = reproduce_lp_table([1, 4])
     failed = rows[-1]
     assert failed.k == 4 and failed.status == "limit"
     assert math.isnan(failed.alpha)

@@ -55,6 +55,9 @@ def test_bad_table_shapes():
         PriceTable(2, [[0.1, 0.2]])
     with pytest.raises(ValueError):
         PriceTable(2, [[0.1, 1.4], [0.0, 0.0]])
+    for k in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="bucket count"):
+            PriceTable(k, [[0.5]])
 
 
 def test_share_gains_k2_reference_values(k2):

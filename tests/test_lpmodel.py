@@ -82,20 +82,13 @@ def test_direct_form_text_is_pinned(form, k):
 
 def test_substituted_min_cases_match_compact():
     # The compact writer hard-codes the min-case set; the substituted form
-    # derives it from _min_case.  Both must give the same auxiliary variables.
+    # takes it from the cases whose h_forms has two arms.  Both must give the
+    # same auxiliary variables.
     def aux(model):
         return [n for n in model.var_names if n.startswith(("hs_", "hb_"))]
 
     for k in range(1, 7):
         assert aux(build_lp(k)) == aux(build_lp(k, "compact"))
-
-
-def test_inlined_two_arm_case_raises(monkeypatch):
-    # A case folded into an averaging row must have a single affine form;
-    # inlining a min-case would silently keep only its first arm.
-    monkeypatch.setattr(lpmodel, "_min_case", lambda i, xv, xus: False)
-    with pytest.raises(ValueError):
-        build_lp(2)
 
 
 def test_compact_form_same_optimum_and_byte_stable():
@@ -234,10 +227,10 @@ def test_compact_export_solved_by_independent_solver():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_mps("NAME x\nROWS\n Q bad\nENDATA\n")
-    with pytest.raises(ValueError):
-        parse_mps("NAME x\nROWS\n L r\nCOLUMNS\nRHS\nENDATA\n")  # no objective
+    with pytest.raises(ValueError, match="row sense"):
+        parse_mps("NAME ranking_lp_k1_handmade\nROWS\n Q bad\nENDATA\n")
+    with pytest.raises(ValueError, match="no objective"):
+        parse_mps("NAME ranking_lp_k1_handmade\nROWS\n L r\nCOLUMNS\nRHS\nENDATA\n")
 
 
 @pytest.mark.parametrize(
@@ -256,12 +249,16 @@ def test_parse_rejects_garbage():
         (" E aavg\nCOLUMNS\n", " E aavg\n N cost\nCOLUMNS\n    f_1_1 cost 3\n",
          "second objective row"),
         ("OBJSENSE\n", "    stray 1\nOBJSENSE\n", "before any section"),
+        ("NAME ranking_lp_k2_substituted\n", "NAME foo\n", "model name 'foo'"),
+        ("NAME ranking_lp_k2_substituted\n", "NAME ranking_lp_k0_substituted\n",
+         "bucket count 0"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
          "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
          "bound-on-undeclared-column", "objective-coefficient-not-one",
          "objective-on-two-columns", "row-declared-twice", "ranges-entry",
-         "second-objective-row", "data-line-before-any-section"],
+         "second-objective-row", "data-line-before-any-section",
+         "unreadable-name", "name-with-k-below-one"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))

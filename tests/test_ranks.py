@@ -126,6 +126,12 @@ def test_enumeration_budget():
         list(enumerate_rank_vectors(range(10), 3, budget=100))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_enumeration_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        next(enumerate_rank_vectors(range(2), k))
+
+
 def test_probe_times_are_distinct():
     # Induced permutation has no ties, so neither do edge probe times.
     vec = sample_ranks(range(6), k=2, seed=13)

@@ -5,14 +5,10 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from ranking_forge import simplex
-from ranking_forge.lpmodel import LinRow, LpModel, build_lp
+from ranking_forge.lpmodel import LinRow, LpModel, build_lp, mps_text, parse_mps
 from ranking_forge.simplex import (
-    FEASIBILITY_TOL,
     OPTIMALITY_TOL,
-    STALL_LIMIT,
-    SolverOptions,
     _Core,
-    _phase_one,
     _standard_form,
     brute_force_optimum,
     parse_solution_text,
@@ -71,14 +67,14 @@ def test_bound_flip_path():
 
 
 def equality_model():
-    # max z subject to x + y = 1, z <= x.
+    # max z subject to x - y = 0, z <= x + 1/2, everything in [0, 1].
     return hand_model(
         ["z", "x", "y"],
         [0, 0, 0],
         [2, 1, 1],
         [
-            ("split", [(1, 1), (2, 1)], "E", 1),
-            ("cap", [(0, 1), (1, -1)], "L", 0),
+            ("split", [(1, 1), (2, -1)], "E", 0),
+            ("cap", [(0, 1), (1, -1)], "L", Fraction(1, 2)),
         ],
         objective_var=0,
     )
@@ -99,14 +95,15 @@ def pinned_model():
 
 
 def test_equality_row():
-    m = equality_model()
-    s = solve(m)
+    s = solve(equality_model())
     assert s.status == "optimal"
-    assert s.values["z"] == pytest.approx(1.0)
-    assert s.values["x"] + s.values["y"] == pytest.approx(1.0)
+    assert s.values["z"] == pytest.approx(1.5)
+    assert s.values["x"] == pytest.approx(1.0)
+    assert s.values["x"] - s.values["y"] == pytest.approx(0.0)
 
 
-def test_infeasible_detected():
+def test_infeasible_detected(monkeypatch):
+    # x + y = 3 with x, y in [0, 1]: the start is refused before any pivot.
     m = hand_model(
         ["z", "x", "y"],
         [0, 0, 0],
@@ -114,20 +111,33 @@ def test_infeasible_detected():
         [("impossible", [(1, 1), (2, 1)], "E", 3)],
         objective_var=0,
     )
-    assert solve(m).status == "infeasible"
+    monkeypatch.setattr(_Core, "run", None)
+    with pytest.raises(ValueError, match="row 'impossible' is violated at the all-slack start"):
+        solve(m)
 
 
-def test_phase_one_recovers_feasibility():
-    # Start basis is infeasible (equality with nonzero rhs) but the model is
-    # feasible; phase one must clear it.
-    s = solve(pinned_model())
-    assert s.status == "optimal"
-    assert s.values["z"] == pytest.approx(0.5)
+def test_infeasible_start_of_a_feasible_model_is_rejected(monkeypatch):
+    # The model has a feasible point, but not at the all-slack start, and
+    # the solver does not search for one.
+    monkeypatch.setattr(_Core, "run", None)
+    with pytest.raises(ValueError, match="row 'pin' is violated at the all-slack start"):
+        solve(pinned_model())
 
 
-def test_iteration_limit_status():
-    s = solve(build_lp(3), SolverOptions(max_iterations=5))
+def test_hand_model_round_trips_through_mps():
+    m = budget_model()
+    text = mps_text(m)
+    assert text.startswith("NAME ranking_lp_k1_handmade\n")
+    parsed = parse_mps(text)
+    assert mps_text(parsed) == text
+    assert solve(parsed).alpha == solve(m).alpha
+
+
+def test_iteration_limit_status(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 5)
+    s = solve(build_lp(3))
     assert s.status == "limit"
+    assert s.iterations == 5
 
 
 def test_determinism():
@@ -139,20 +149,16 @@ def test_determinism():
 
 
 @pytest.mark.parametrize(
-    "model, phase_one",
-    [(build_lp(4), False), (equality_model(), True), (pinned_model(), True)],
-    ids=["lp4", "equality", "pinned"],
+    "model",
+    [build_lp(4), build_lp(4, "compact"), equality_model()],
+    ids=["lp4", "compact4", "equality"],
 )
-def test_optimal_basis_is_certified_by_fresh_reduced_costs(model, phase_one):
+def test_optimal_basis_is_certified_by_fresh_reduced_costs(model):
     # "optimal" must hold on reduced costs computed from scratch for the
     # final basis, not only on the ones the pivots updated in place.
-    max_iterations = SolverOptions().max_iterations
     sf = _standard_form(model)
     core = _Core(sf)
-    assert core.primal_feasible(FEASIBILITY_TOL) != phase_one
-    if phase_one:
-        assert _phase_one(core, max_iterations) == "optimal"
-    assert core.run(sf.c, max_iterations) == "optimal"
+    assert core.run() == "optimal"
     basis = core.B.basis
     y = splu(sf.A[:, basis].tocsc()).solve(sf.c[basis], trans="T")
     d = sf.c - sf.A.T @ y
@@ -163,17 +169,6 @@ def test_optimal_basis_is_certified_by_fresh_reduced_costs(model, phase_one):
         & np.where(core.at_upper, d < -tol, d > tol)
     )
     assert not eligible.any(), np.flatnonzero(eligible)
-
-
-def test_each_run_starts_with_devex_pricing():
-    # A Bland fallback (or a degenerate streak) left over from an earlier
-    # phase must not carry into the next one.
-    sf = _standard_form(build_lp(4))
-    core = _Core(sf)
-    core.bland = True
-    core.degenerate_run = STALL_LIMIT + 1
-    assert core.run(sf.c, SolverOptions().max_iterations) == "optimal"
-    assert not core.bland and not core.bland_fallback
 
 
 def test_devex_iteration_count():
