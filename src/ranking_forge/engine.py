@@ -22,8 +22,9 @@ accepted; missing vertices are treated as frozen.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -85,26 +86,65 @@ def _check_domain(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> N
 def _probe_schedule(g: Graph, pos: Mapping[int, int]) -> list[tuple[Time, Edge]]:
     """``(time, edge)`` of the first probe of every in-domain edge, ascending:
     the times are the distinct probe boundaries of every run on ``pos``."""
-    return sorted(
-        ((min(pos[u], pos[v]), max(pos[u], pos[v])), (u, v))
-        for (u, v) in g.edges
-        if u in pos and v in pos
-    )
+    schedule = []
+    for u, v in g.edges:
+        if u in pos and v in pos:
+            a, b = pos[u], pos[v]
+            schedule.append(((a, b) if a < b else (b, a), (u, v)))
+    schedule.sort()
+    return schedule
+
+
+class _Timeline(NamedTuple):
+    """One greedy-probing run.  ``schedule`` and ``accepted`` hold each
+    probe and its outcome; ``matchings[i]`` and ``taken[i]`` are the state
+    before probe ``i``, and index ``len(schedule)`` is the final state.
+    ``taken`` is a bitmask of the frozen and matched vertices.  A probe that
+    is turned down leaves the state as it was, and the next index reuses the
+    same objects."""
+
+    schedule: list[tuple[Time, Edge]]
+    accepted: list[bool]
+    matchings: list[frozenset[Edge]]
+    taken: list[int]
+
+    def before(self, t: Time) -> int:
+        """Index of the state after all probes at times < ``t``."""
+        return bisect_left(self.schedule, (t,))
+
+
+def _replay(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> _Timeline:
+    """The greedy-probing loop: walk the probe schedule once, committing
+    every probe whose endpoints are both free."""
+    _check_domain(g, pos, frozen)
+    schedule = _probe_schedule(g, pos)
+    matching: frozenset[Edge] = frozenset()
+    taken = 0
+    for v in frozen:
+        taken |= 1 << v
+    accepted: list[bool] = []
+    matchings = [matching]
+    takens = [taken]
+    for _, (u, v) in schedule:
+        pair = 1 << u | 1 << v
+        ok = not taken & pair
+        if ok:
+            taken |= pair
+            matching = matching | {(u, v)}
+        accepted.append(ok)
+        matchings.append(matching)
+        takens.append(taken)
+    return _Timeline(schedule, accepted, matchings, takens)
 
 
 def greedy_probe_events(
     g: Graph, pos: Mapping[int, int], frozen: frozenset[int]
 ) -> list[ProbeEvent]:
     """First probes of every in-domain edge, in ascending lexicographic time."""
-    unavailable = set(frozen)
-    events: list[ProbeEvent] = []
-    for t, (u, v) in _probe_schedule(g, pos):
-        ok = u not in unavailable and v not in unavailable
-        if ok:
-            unavailable.add(u)
-            unavailable.add(v)
-        events.append(ProbeEvent(t, edge(u, v), ok))
-    return events
+    timeline = _replay(g, pos, frozen)
+    return [
+        ProbeEvent(t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted)
+    ]
 
 
 def _vertex_iterative(g, pos, frozen, latest_first=False):
@@ -263,23 +303,16 @@ def partial_states(
     must strictly ascend; ``ValueError`` otherwise.
     """
     pos = position_map(order)
-    frozen = frozenset(frozen)
-    _check_domain(g, pos, frozen)
-    events = iter(greedy_probe_events(g, pos, frozen))
-    pending = next(events, None)
-    matching: set[Edge] = set()
-    available = set(pos) - frozen
+    timeline = _replay(g, pos, frozenset(frozen))
     previous = None
     for t in times:
         if previous is not None and t <= previous:
             raise ValueError(f"times must ascend: {t} follows {previous}")
         previous = t
-        while pending is not None and pending.time < t:
-            if pending.accepted:
-                matching.add(pending.edge)
-                available.difference_update(pending.edge)
-            pending = next(events, None)
-        yield PartialState(t, frozenset(matching), frozenset(available))
+        i = timeline.before(t)
+        taken = timeline.taken[i]
+        available = frozenset(v for v in pos if not taken >> v & 1)
+        yield PartialState(t, timeline.matchings[i], available)
 
 
 def partial_state(

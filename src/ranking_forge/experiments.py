@@ -284,6 +284,13 @@ class SweepConfig:
     corrupt_engine: bool = False  # mutation-test mode: must produce violations
 
 
+#: The sweep's stages, in the order they run on each graph.
+SWEEP_STAGES = (
+    "views", "alternating-paths", "prefix-agreement", "insertion-claims",
+    "coloring", "rank-vector-checks", "audit",
+)
+
+
 @dataclass
 class SweepReport:
     corpus: str
@@ -291,6 +298,8 @@ class SweepReport:
     claims_checked: dict[str, int]
     violations: list[dict]
     wall_time: float
+    #: Seconds per stage (``SWEEP_STAGES``), summed over graphs and workers.
+    seconds: dict[str, float]
 
     @property
     def ok(self) -> bool:
@@ -316,25 +325,37 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
     claims: dict[str, int] = {}
     violations: list[dict] = []
     instances = 0
-    for counts, viols, n_inst in partials:
+    seconds = dict.fromkeys(SWEEP_STAGES, 0.0)
+    for counts, viols, n_inst, stage_s in partials:
         instances += n_inst
         violations.extend(viols)
         for key, val in counts.items():
             claims[key] = claims.get(key, 0) + val
+        for stage, val in stage_s.items():
+            seconds[stage] += val
     return SweepReport(
         corpus=f"{len(work)} graphs (max_n={config.max_n}, k={config.k})",
         instances_checked=instances,
         claims_checked=claims,
         violations=violations,
         wall_time=time.perf_counter() - start,
+        seconds=seconds,
     )
 
 
-def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
+def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]:
     config, item = args
     g = item.graph
     counts: dict[str, int] = {}
     violations: list[dict] = []
+    seconds = dict.fromkeys(SWEEP_STAGES, 0.0)
+
+    def lap(stage):
+        # Charge the time since the previous lap to ``stage``.
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[stage] += now - clock
+        clock = now
 
     def bump(key, by=1):
         counts[key] = counts.get(key, 0) + by
@@ -356,6 +377,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
         ]
 
     # View equivalence (and the mutation-test arm when enabled).
+    clock = time.perf_counter()
     for order in orders:
         report = views_agree(g, order)
         bump("views-agree")
@@ -368,6 +390,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
             )
             if corrupted != ref:
                 record("views-agree-corrupted", order=order)
+    lap("views")
 
     # Alternating paths at every probe boundary, for every removed vertex.
     for order in orders:
@@ -376,17 +399,22 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
                 bump("alt-path-checkpoints", alternating_path_sweep(g, order, u_star))
             except ClaimViolation as exc:
                 record(exc.claim, payload=exc.payload)
+    lap("alternating-paths")
 
     # Prefix-agreement fact.
     for order in orders:
         for v in range(n):
             _tally("prefix-agreement", check_prefix_agreement(g, order, v), bump, record)
+    lap("prefix-agreement")
 
     if n <= config.max_n + 1 and config.exhaustive:
         _sweep_insertion_claims(g, bump, record)
+        lap("insertion-claims")
         _sweep_coloring(g, orders, bump, record)
+        lap("coloring")
     if n <= config.max_n and config.exhaustive:
         _sweep_rank_vector_checks(g, config.k, bump, record)
+        lap("rank-vector-checks")
     if (
         g.m_star is not None
         and n <= config.audit_max_n + 1
@@ -398,7 +426,8 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int]:
             bump("h-bound-audit")
             for v in viols:
                 record(**v)
-    return counts, violations, len(orders)
+        lap("audit")
+    return counts, violations, len(orders), seconds
 
 
 def _tally(key, report, bump, record):

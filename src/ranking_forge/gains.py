@@ -28,6 +28,7 @@ from .ranks import (
     enumerate_rank_vectors,
     insertion_slots,
     move_vertex,
+    order_of,
 )
 
 
@@ -272,17 +273,28 @@ def audit_h_bounds(
         raise ValueError(f"({u}, {u_star}) is not a designated-matching pair")
     others = sorted(set(g.vertices) - {u_star})
     violations: list[dict] = []
+    # Realizations share vertex orders, and the matching and the coloring
+    # depend on the order alone: run each order once.
+    by_order: dict[tuple[int, ...], tuple[frozenset[Edge], dict[int, str]]] = {}
     for vec, _weight in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
         profile, label = compute_profile(g, vec, u)
+        h_by_bucket = {
+            x: h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
+            for x in range(1, k + 1)
+        }
         for slot in insertion_slots(vec):
             sigma = move_vertex(vec, u_star, slot)
-            matching = matching_for_order(g, sigma)
-            chi = two_coloring(g, matching, g.m_star, 0)
-            if chi[u] != BUYER:
-                chi = {v: (ITEM if c == BUYER else BUYER) for v, c in chi.items()}
+            key = order_of(sigma)
+            if key not in by_order:
+                matching = matching_for_order(g, sigma)
+                chi = two_coloring(g, matching, g.m_star, 0)
+                if chi[u] != BUYER:
+                    chi = {v: (ITEM if c == BUYER else BUYER) for v, c in chi.items()}
+                by_order[key] = matching, chi
+            matching, chi = by_order[key]
             gains = share_gains(g, sigma, chi, table, matching=matching)
             total_u = gains[u] + gains[u_star]
-            hv = h_value(label, table, profile.x_u, profile.x_v, profile.x_b, slot[0])
+            hv = h_by_bucket[slot[0]]
             if hv > total_u + 1e-9:
                 violations.append(
                     {

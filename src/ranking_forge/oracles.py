@@ -21,18 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .engine import (
-    PartialState,
-    Time,
-    _probe_schedule,
-    matching_for_order,
-    partial_state,
-    partial_states,
-    position_map,
-)
+from .engine import Time, _replay, _Timeline, matching_for_order, position_map
 from .graphs import Edge, Graph, edge, matched_partner
 from .ranks import RankVector, insertion_slots, move_vertex, remove_vertex
 
@@ -188,39 +179,47 @@ def _arrange_path(diff: set[Edge], start: int) -> list[int]:
 def _verify_path_properties(
     pos: dict[int, int],
     u_star: int,
-    full: PartialState,
-    minus: PartialState,
-    context: dict,
+    full: _Timeline,
+    minus: _Timeline,
+    i: int,
+    context: Callable[[], dict],
 ) -> AlternatingPath:
-    diff = set(full.partial_matching ^ minus.partial_matching)
-    path = _arrange_path(diff, u_star)
+    """Check the path properties on state ``i`` of the run and of the run
+    with ``u_star`` removed; ``context()`` builds the witness for a raise."""
+    full_matching, minus_matching = full.matchings[i], minus.matchings[i]
+    path = _arrange_path(set(full_matching ^ minus_matching), u_star)
     sources = []
-    for i in range(len(path) - 1):
-        e = edge(path[i], path[i + 1])
-        expected = full.partial_matching if i % 2 == 0 else minus.partial_matching
-        source = "full" if i % 2 == 0 else "minus"
+    for j in range(len(path) - 1):
+        e = edge(path[j], path[j + 1])
+        expected = full_matching if j % 2 == 0 else minus_matching
+        source = "full" if j % 2 == 0 else "minus"
         if e not in expected:
             raise ClaimViolation(
                 "alt-path-alternation",
-                {**context, "path": path, "edge": e, "expected_in": source},
+                {**context(), "path": path, "edge": e, "expected_in": source},
             )
         sources.append(source)
-    for i in range(len(path) - 2):
-        if not pos[path[i]] < pos[path[i + 2]]:
+    for j in range(len(path) - 2):
+        if not pos[path[j]] < pos[path[j + 2]]:
             raise ClaimViolation(
                 "alt-path-monotonicity",
-                {**context, "path": path,
-                 "ranks": [pos[v] for v in path], "index": i},
+                {**context(), "path": path,
+                 "ranks": [pos[v] for v in path], "index": j},
             )
-    tail = path[-1]
-    if set(full.available ^ minus.available) != {tail}:
+    # Both runs take their vertices from the same domain, so the available
+    # sets differ exactly where the taken sets do.
+    if full.taken[i] ^ minus.taken[i] != 1 << path[-1]:
         raise ClaimViolation(
             "alt-path-availability",
-            {**context, "path": path,
-             "available_full": sorted(full.available),
-             "available_minus": sorted(minus.available)},
+            {**context(), "path": path,
+             "available_full": _available(pos, full.taken[i]),
+             "available_minus": _available(pos, minus.taken[i])},
         )
     return AlternatingPath(tuple(path), tuple(sources))
+
+
+def _available(pos: dict[int, int], taken: int) -> list[int]:
+    return sorted(v for v in pos if not taken >> v & 1)
 
 
 def extract_alternating_path(
@@ -231,12 +230,12 @@ def extract_alternating_path(
     path.  Raises :class:`ClaimViolation` if any path property fails.
     """
     pos = position_map(order)
-    full = partial_state(g, order, t)
-    minus = partial_state(g, order, t, frozen={u_star})
-    context = {
-        "graph": sorted(g.edges), "u_star": u_star, "t": t, "order": pos,
-    }
-    return _verify_path_properties(pos, u_star, full, minus, context)
+    full = _replay(g, pos, frozenset())
+    minus = _replay(g, pos, frozenset({u_star}))
+    return _verify_path_properties(
+        pos, u_star, full, minus, full.before(t),
+        lambda: {"graph": sorted(g.edges), "u_star": u_star, "t": t, "order": pos},
+    )
 
 
 def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
@@ -246,13 +245,21 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     state); raises on the first violation.
     """
     pos = position_map(order)
-    times = [t for t, _ in _probe_schedule(g, pos)]
+    full = _replay(g, pos, frozenset())
+    minus = _replay(g, pos, frozenset({u_star}))
+    times = [t for t, _ in full.schedule]
     times.append((len(pos) + 1, len(pos) + 1))  # the final state
-    context = {"graph": sorted(g.edges), "u_star": u_star, "order": pos}
-    for full, minus in zip(
-        partial_states(g, pos, times), partial_states(g, pos, times, {u_star})
-    ):
-        _verify_path_properties(pos, u_star, full, minus, {**context, "t": full.t})
+    checked = None
+    for i, t in enumerate(times):
+        state = (full.matchings[i], full.taken[i], minus.matchings[i], minus.taken[i])
+        # Neither run took a probe since the last checkpoint: the states,
+        # and so the verdict, are the ones already checked.
+        if state != checked:
+            _verify_path_properties(
+                pos, u_star, full, minus, i,
+                lambda: {"graph": sorted(g.edges), "u_star": u_star, "order": pos, "t": t},
+            )
+            checked = state
     return len(times)
 
 
@@ -550,39 +557,38 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     pos = position_map(order)
     n = len(pos)
     report = ClaimReport()
-    boundaries = [(t, 1) for t in range(1, n + 2)]
-    demoted = repeat(None)
+    full = _replay(g, pos, frozenset())
+    minus = _replay(g, pos, frozenset({v}))
+    demoted = None
     if pos[v] < n:
         swapped = dict(pos)
         w = next(u for u, p in pos.items() if p == pos[v] + 1)
         swapped[v], swapped[w] = swapped[w], swapped[v]
-        demoted = partial_states(g, swapped, boundaries)
-    for st, st_minus, st_plus in zip(
-        partial_states(g, pos, boundaries),
-        partial_states(g, pos, boundaries, {v}),
-        demoted,
-    ):
-        if v not in st.available:
+        demoted = _replay(g, swapped, frozenset())
+    # Every run takes its vertices from the same domain, so comparing the
+    # available sets apart from ``v`` is comparing the taken sets with ``v``.
+    bit = 1 << v
+    for t in range(1, n + 2):
+        i = full.before((t, 1))
+        matching, taken = full.matchings[i], full.taken[i]
+        if taken & bit:
             break
-        ok = (
-            st.partial_matching == st_minus.partial_matching
-            and st.available - {v} == st_minus.available
-        )
+        minus_matching = minus.matchings[i]
+        ok = matching == minus_matching and taken | bit == minus.taken[i]
         report.add(
             "prefix-agreement-removed", "pass" if ok else "fail",
-            v=v, t=st.t, order=pos,
-            full=sorted(st.partial_matching),
-            minus=sorted(st_minus.partial_matching),
+            v=v, t=(t, 1), order=pos,
+            full=sorted(matching),
+            minus=sorted(minus_matching),
         )
-        if st_plus is not None and st.t[0] <= pos[v]:
-            ok = (
-                st.partial_matching == st_plus.partial_matching
-                and st.available - {v} == st_plus.available - {v}
-            )
+        if demoted is not None and t <= pos[v]:
+            j = demoted.before((t, 1))
+            demoted_matching = demoted.matchings[j]
+            ok = matching == demoted_matching and taken | bit == demoted.taken[j] | bit
             report.add(
                 "prefix-agreement-demoted", "pass" if ok else "fail",
-                v=v, t=st.t, order=pos,
-                full=sorted(st.partial_matching),
-                demoted=sorted(st_plus.partial_matching),
+                v=v, t=(t, 1), order=pos,
+                full=sorted(matching),
+                demoted=sorted(demoted_matching),
             )
     return report

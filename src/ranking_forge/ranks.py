@@ -176,6 +176,7 @@ def enumerate_rank_vectors(
 
     The weight is (bucket assignment probability) x (within-bucket
     permutation probability), as an exact rational.  Weights sum to 1.
+    The arguments are checked at the call, before anything is yielded.
     """
     if k < 1:
         raise ValueError(f"bucket count k must be >= 1, got {k}")
@@ -185,6 +186,11 @@ def enumerate_rank_vectors(
         raise EnumerationLimitError(
             f"k^n * n! = {k**n * factorial(n)} exceeds budget {budget}"
         )
+    return _rank_vectors(vs, k)
+
+
+def _rank_vectors(vs: list[int], k: int) -> Iterator[tuple[RankVector, Fraction]]:
+    n = len(vs)
     if n == 0:
         yield RankVector(k, {}), Fraction(1)
         return

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from ranking_forge import simplex
 from ranking_forge.experiments import (
     KNOWN_OPTIMA,
     MC_BLOCK_SLOTS,
+    SWEEP_STAGES,
     SweepConfig,
     connected_graphs_upto,
     default_corpus,
@@ -133,12 +135,40 @@ def test_small_sweep_is_clean():
     assert report.claims_checked["equivalence-class"] > 0
 
 
+def test_benchmark_sweep_claim_counts_are_pinned():
+    # The configuration the lemma_sweep benchmark runs: exhaustive over
+    # orders up to 4 vertices and rank vectors up to 3, 24 seeded orders for
+    # the larger graphs, so every count is exact.
+    report = lemma_sweep(
+        SweepConfig(
+            max_n=3, k=3, exhaustive=True, jobs=1, with_random_eight=False,
+            permutation_budget=24, audit_max_n=3,
+        )
+    )
+    assert report.violations == []
+    assert report.claims_checked == {
+        "views-agree": 759,
+        "alt-path-checkpoints": 23895,
+        "prefix-agreement": 14964,
+        "insertion-claims": 8572,
+        "two-coloring": 414,
+        "h-bound-audit": 36,
+        "backup-is-matched-observed": 0,
+        "monotonicity": 384,
+        "equivalence-class": 264,
+    }
+    assert list(report.seconds) == list(SWEEP_STAGES)
+    assert all(s > 0 for s in report.seconds.values())
+    assert sum(report.seconds.values()) <= report.wall_time
+
+
 def test_sweep_parallel_matches_serial():
     config = dict(max_n=3, k=2, with_random_eight=False, audit_max_n=2)
     serial = lemma_sweep(SweepConfig(**config, jobs=1))
     parallel = lemma_sweep(SweepConfig(**config, jobs=2))
     assert serial.claims_checked == parallel.claims_checked
     assert serial.violations == parallel.violations
+    assert list(parallel.seconds) == list(SWEEP_STAGES)
 
 
 def test_sweep_detects_corrupted_engine():
@@ -155,4 +185,6 @@ def test_sweep_report_serializes():
     report = lemma_sweep(
         SweepConfig(max_n=2, k=2, with_random_eight=False, audit_max_n=2)
     )
-    assert '"instances_checked"' in report.to_json()
+    payload = json.loads(report.to_json())
+    assert payload["instances_checked"] == report.instances_checked
+    assert set(payload["seconds"]) == set(SWEEP_STAGES)

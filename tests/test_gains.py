@@ -12,9 +12,16 @@ from ranking_forge.gains import (
     h_value,
     share_gains,
 )
-from ranking_forge.graphs import generate_family, make_graph
-from ranking_forge.oracles import BUYER, ITEM, ClassLabel
-from ranking_forge.ranks import EnumerationLimitError, RankVector
+from ranking_forge.engine import matching_for_order
+from ranking_forge.graphs import backup_counterexample_graph, generate_family, make_graph
+from ranking_forge.oracles import BUYER, ITEM, ClassLabel, compute_profile, two_coloring
+from ranking_forge.ranks import (
+    EnumerationLimitError,
+    RankVector,
+    enumerate_rank_vectors,
+    insertion_slots,
+    move_vertex,
+)
 
 C_BOT = ClassLabel.UNMATCHED
 C_S = ClassLabel.MATCHED_NO_BACKUP
@@ -178,6 +185,54 @@ def test_audit_detects_corrupted_table():
     assert all(v["h"] > v["realized"] for v in violations if "h" in v)
     with pytest.raises(ValueError):
         audit_h_bounds(g, 0, 1, bad, 2)
+
+
+def _unmemoized_audit(g, u, u_star, table, k):
+    # The audit's loop with nothing shared between realizations: matching,
+    # coloring and h are recomputed for every one.
+    violations = []
+    for vec, _ in enumerate_rank_vectors(sorted(set(g.vertices) - {u_star}), k):
+        profile, label = compute_profile(g, vec, u)
+        for slot in insertion_slots(vec):
+            sigma = move_vertex(vec, u_star, slot)
+            matching = matching_for_order(g, sigma)
+            chi = two_coloring(g, matching, g.m_star, 0)
+            if chi[u] != BUYER:
+                chi = {v: (ITEM if c == BUYER else BUYER) for v, c in chi.items()}
+            gains = share_gains(g, sigma, chi, table, matching=matching)
+            total_u = gains[u] + gains[u_star]
+            hv = h_value(label, table, profile.x_u, profile.x_v, profile.x_b, slot[0])
+            vector = {str(v): list(s) for v, s in vec.items()}
+            if hv > total_u + 1e-9:
+                violations.append({
+                    "claim": f"h-bound-{label.value}", "vector": vector,
+                    "slot": list(slot), "profile": list(profile), "h": hv,
+                    "realized": total_u,
+                })
+            mass = sum(gains.values())
+            if abs(mass - len(matching)) > 1e-9:
+                violations.append({
+                    "claim": "gain-conservation", "vector": vector,
+                    "slot": list(slot), "total_gain": mass,
+                    "matching_size": len(matching),
+                })
+    return violations
+
+
+@pytest.mark.parametrize(
+    "g", [backup_counterexample_graph(), generate_family("path", n=4)],
+    ids=["backup_cex", "path4"],
+)
+def test_audit_matches_the_unmemoized_loop(g):
+    # A non-monotone table, so that the violation lists are not empty.
+    bad = PriceTable(2, [[0.1, 0.2], [0.9, 0.95]])
+    found = 0
+    for a, b in sorted(g.m_star):
+        for u, u_star in ((a, b), (b, a)):
+            expected = _unmemoized_audit(g, u, u_star, bad, 2)
+            assert audit_h_bounds(g, u, u_star, bad, 2, check_table=False) == expected
+            found += len(expected)
+    assert found
 
 
 def test_audit_refuses_to_sample_past_its_budget():

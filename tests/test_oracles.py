@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranking_forge import oracles
-from ranking_forge.engine import PartialState, matching_for_order, position_map
+from ranking_forge.engine import matching_for_order
 from ranking_forge.graphs import make_graph, matched_partner
 from ranking_forge.oracles import (
     BUYER,
@@ -288,28 +288,43 @@ def test_violation_payload_is_json(cex):
     assert payload["claim"] == "demo" and payload["witness"] == [1, 2]
 
 
-def test_checkers_catch_a_faulty_removed_vertex_timeline(monkeypatch, cex):
-    # The run with a vertex removed forgets the last edge it accepted: both
-    # checkers, which read every timeline through ``partial_states``, must
-    # notice.
-    real = oracles.partial_states
-    natural = list(range(cex.n))
+def _forget_last_edge(timeline):
+    # Every state of the run loses the edge the run accepted last.
+    matchings, taken, last = [], [], None
+    for i, (matching, mask) in enumerate(zip(timeline.matchings, timeline.taken)):
+        if i and timeline.accepted[i - 1]:
+            last = timeline.schedule[i - 1][1]
+        if last is not None:
+            matching = matching - {last}
+            mask &= ~(1 << last[0] | 1 << last[1])
+        matchings.append(matching)
+        taken.append(mask)
+    return timeline._replace(matchings=matchings, taken=taken)
 
-    def faulty(g, order, times, frozen=frozenset()):
-        pos = position_map(order)
-        for state in real(g, order, times, frozen):
-            if frozen and state.partial_matching:
-                last = max(state.partial_matching, key=lambda e: sorted(map(pos.get, e)))
-                state = PartialState(
-                    state.t, state.partial_matching - {last}, state.available | set(last)
-                )
-            yield state
 
-    for v in range(cex.n):
-        alternating_path_sweep(cex, natural, v)
-        assert check_prefix_agreement(cex, natural, v).ok
-    monkeypatch.setattr(oracles, "partial_states", faulty)
-    for v in range(cex.n):
+def _assert_checkers_catch(monkeypatch, g, faulty_run):
+    # Both checkers read every timeline through ``_replay``; a timeline that
+    # forgets its last accepted edge must make both of them fail.
+    real = oracles._replay
+    natural = list(range(g.n))
+
+    def faulty(g, pos, frozen):
+        timeline = real(g, pos, frozen)
+        return _forget_last_edge(timeline) if faulty_run(frozen) else timeline
+
+    for v in range(g.n):
+        alternating_path_sweep(g, natural, v)
+        assert check_prefix_agreement(g, natural, v).ok
+    monkeypatch.setattr(oracles, "_replay", faulty)
+    for v in range(g.n):
         with pytest.raises(ClaimViolation):
-            alternating_path_sweep(cex, natural, v)
-    assert any(check_prefix_agreement(cex, natural, v).failures for v in range(cex.n))
+            alternating_path_sweep(g, natural, v)
+    assert any(check_prefix_agreement(g, natural, v).failures for v in range(g.n))
+
+
+def test_checkers_catch_a_faulty_removed_vertex_timeline(monkeypatch, cex):
+    _assert_checkers_catch(monkeypatch, cex, lambda frozen: bool(frozen))
+
+
+def test_checkers_catch_a_faulty_full_run_timeline(monkeypatch, cex):
+    _assert_checkers_catch(monkeypatch, cex, lambda frozen: not frozen)
