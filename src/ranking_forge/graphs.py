@@ -367,6 +367,8 @@ def generate_family(
     if family == "random_with_perfect_matching":
         if n <= 0 or n % 2:
             raise ValueError("random_with_perfect_matching needs a positive even n")
+        if not 0 <= density <= 1:
+            raise ValueError(f"density must be in [0, 1], got {density}")
         rng = np.random.default_rng(seed)
         perm = [int(x) for x in rng.permutation(n)]
         planted = [edge(perm[2 * i], perm[2 * i + 1]) for i in range(n // 2)]

@@ -9,11 +9,11 @@ random total order, which is what the matching engine consumes.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain, product
 from itertools import permutations as iter_permutations
-from itertools import product
 from math import factorial
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -28,64 +28,86 @@ class EnumerationLimitError(RuntimeError):
 class RankVector:
     """Immutable map vertex -> (bucket, within-bucket position).
 
-    Invariants: the map is injective and, for every bucket, the positions
-    present are exactly ``1..m`` for some ``m >= 0`` (contiguity).  All
-    operations return new vectors.
+    Stored as the vertices in slot order and their nondecreasing buckets; a
+    position is the index minus its bucket's first index, plus one, so no
+    bucket can have a gap.  Only ``RankVector(k, mapping)`` validates (the
+    positions it derives must be the given ones); ``_from_order`` trusts its
+    caller.  All operations return new vectors.
     """
 
-    __slots__ = ("k", "_map", "_key", "_order")
+    __slots__ = ("k", "_order", "_buckets")
 
     def __init__(self, k: int, ranks: Mapping[int, Slot]):
-        if k < 1:
-            raise ValueError("bucket count k must be >= 1")
+        _check_k(k)
         m: dict[int, Slot] = {int(v): (int(x), int(y)) for v, (x, y) in ranks.items()}
-        per_bucket: dict[int, list[int]] = {}
-        for v, (x, y) in m.items():
+        for v, (x, _) in m.items():
             if not 1 <= x <= k:
                 raise ValueError(f"vertex {v} has bucket {x} outside 1..{k}")
-            per_bucket.setdefault(x, []).append(y)
-        for x, ys in per_bucket.items():
-            if sorted(ys) != list(range(1, len(ys) + 1)):
-                raise ValueError(
-                    f"bucket {x} positions {sorted(ys)} are not contiguous from 1"
-                )
         self.k = k
-        self._map = m
-        # Slots are injective, so sorting by slot is canonical and gives the order.
-        by_slot = tuple(sorted(m.items(), key=itemgetter(1)))
-        self._key = (k, by_slot)
-        self._order = tuple(v for v, _ in by_slot)
+        self._order = tuple(sorted(m, key=m.__getitem__))
+        self._buckets = tuple(m[v][0] for v in self._order)
+        for v, (x, y) in self.items():
+            if m[v] != (x, y):
+                ys = sorted(y for b, y in m.values() if b == x)
+                raise ValueError(f"bucket {x} positions {ys} are not contiguous from 1")
+
+    @classmethod
+    def _from_order(cls, k: int, order: tuple, buckets: tuple) -> RankVector:
+        r = object.__new__(cls)
+        r.k, r._order, r._buckets = k, order, buckets
+        return r
+
+    def _index(self, v: int) -> int:
+        if v not in self._order:
+            raise KeyError(f"vertex {v} not present in rank vector")
+        return self._order.index(v)
 
     def rank(self, v: int) -> Slot:
-        return self._map[v]
+        i = self._index(v)
+        x = self._buckets[i]
+        return x, i - bisect_left(self._buckets, x) + 1
 
     def bucket(self, v: int) -> int:
-        return self._map[v][0]
+        return self._buckets[self._index(v)]
 
-    def items(self):
-        return self._map.items()
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(self._map)
+    def items(self) -> Iterator[tuple[int, Slot]]:
+        b = self._buckets
+        pairs = enumerate(zip(self._order, b))
+        return ((v, (x, i - bisect_left(b, x) + 1)) for i, (v, x) in pairs)
 
     def bucket_size(self, x: int) -> int:
-        return sum(1 for (b, _) in self._map.values() if b == x)
+        return bisect_right(self._buckets, x) - bisect_left(self._buckets, x)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._map
+        return v in self._order
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self._order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RankVector) and self._key == other._key
+        return isinstance(other, RankVector) and self.k == other.k and (
+            self._order == other._order and self._buckets == other._buckets
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.k, self._order, self._buckets))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:({x},{y})" for v, (x, y) in sorted(self._map.items()))
+        inner = ", ".join(f"{v}:({x},{y})" for v, (x, y) in sorted(self.items()))
         return f"RankVector(k={self.k}, {{{inner}}})"
+
+
+def _check_k(k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"bucket count k must be >= 1 and an int, got {k!r}")
+
+
+def _distinct_sorted(vertices: Iterable[int]) -> list[int]:
+    vs = sorted(int(v) for v in vertices)
+    for a, b in zip(vs, vs[1:]):
+        if a == b:
+            raise ValueError(f"vertex {a} is repeated")
+    return vs
 
 
 def sample_ranks(vertices: Iterable[int], k: int, seed: int) -> RankVector:
@@ -94,20 +116,19 @@ def sample_ranks(vertices: Iterable[int], k: int, seed: int) -> RankVector:
     Uses the PCG64 stream, so identical ``(vertices, k, seed)`` reproduce the
     identical vector.
     """
-    vs = sorted(vertices)
+    _check_k(k)
+    vs = _distinct_sorted(vertices)
     rng = np.random.default_rng(seed)
-    ranks: dict[int, Slot] = {}
-    if not vs:
-        return RankVector(k, ranks)
-    buckets = rng.integers(1, k + 1, size=len(vs))
     members: dict[int, list[int]] = {}
-    for v, x in zip(vs, buckets):
+    for v, x in zip(vs, rng.integers(1, k + 1, size=len(vs))):
         members.setdefault(int(x), []).append(v)
+    order: list[int] = []
+    buckets: list[int] = []
     for x in sorted(members):
-        order = rng.permutation(len(members[x]))
-        for y_minus_1, idx in enumerate(order):
-            ranks[members[x][int(idx)]] = (x, y_minus_1 + 1)
-    return RankVector(k, ranks)
+        ms = members[x]
+        order.extend(ms[i] for i in rng.permutation(len(ms)))
+        buckets.extend([x] * len(ms))
+    return RankVector._from_order(k, tuple(order), tuple(buckets))
 
 
 def order_of(r: RankVector) -> tuple[int, ...]:
@@ -122,15 +143,9 @@ def induced_permutation(r: RankVector) -> dict[int, int]:
 
 def remove_vertex(r: RankVector, v: int) -> RankVector:
     """Drop ``v``; re-compact positions in its bucket, all else untouched."""
-    if v not in r:
-        raise KeyError(f"vertex {v} not present in rank vector")
-    xv, yv = r.rank(v)
-    ranks = {}
-    for u, (x, y) in r.items():
-        if u == v:
-            continue
-        ranks[u] = (x, y - 1) if x == xv and y > yv else (x, y)
-    return RankVector(r.k, ranks)
+    i = r._index(v)
+    o, b = r._order, r._buckets
+    return RankVector._from_order(r.k, o[:i] + o[i + 1 :], b[:i] + b[i + 1 :])
 
 
 def move_vertex(r: RankVector, v: int, target: Slot) -> RankVector:
@@ -148,11 +163,9 @@ def move_vertex(r: RankVector, v: int, target: Slot) -> RankVector:
             f"target position {y} breaks contiguity of bucket {x} "
             f"(occupancy {occupancy})"
         )
-    ranks = {}
-    for u, (xu, yu) in base.items():
-        ranks[u] = (xu, yu + 1) if xu == x and yu >= y else (xu, yu)
-    ranks[v] = (x, y)
-    return RankVector(r.k, ranks)
+    o, b = base._order, base._buckets
+    j = bisect_left(b, x) + y - 1
+    return RankVector._from_order(r.k, o[:j] + (v,) + o[j:], b[:j] + (x,) + b[j:])
 
 
 def insertion_slots(r: RankVector, v: int | None = None) -> list[Slot]:
@@ -178,9 +191,8 @@ def enumerate_rank_vectors(
     permutation probability), as an exact rational.  Weights sum to 1.
     The arguments are checked at the call, before anything is yielded.
     """
-    if k < 1:
-        raise ValueError(f"bucket count k must be >= 1, got {k}")
-    vs = sorted(vertices)
+    _check_k(k)
+    vs = _distinct_sorted(vertices)
     n = len(vs)
     if k**n * factorial(n) > budget:
         raise EnumerationLimitError(
@@ -190,25 +202,18 @@ def enumerate_rank_vectors(
 
 
 def _rank_vectors(vs: list[int], k: int) -> Iterator[tuple[RankVector, Fraction]]:
-    n = len(vs)
-    if n == 0:
-        yield RankVector(k, {}), Fraction(1)
-        return
-    assign_weight = Fraction(1, k**n)
-    for assignment in product(range(1, k + 1), repeat=n):
+    assign_weight = Fraction(1, k ** len(vs))
+    for assignment in product(range(1, k + 1), repeat=len(vs)):
         members: dict[int, list[int]] = {}
         for v, x in zip(vs, assignment):
             members.setdefault(x, []).append(v)
         weight = assign_weight
         for ms in members.values():
             weight /= factorial(len(ms))
-        buckets = sorted(members)
-        for orders in product(*(iter_permutations(members[x]) for x in buckets)):
-            ranks: dict[int, Slot] = {}
-            for x, order in zip(buckets, orders):
-                for y_minus_1, v in enumerate(order):
-                    ranks[v] = (x, y_minus_1 + 1)
-            yield RankVector(k, ranks), weight
+        xs = sorted(members)
+        buckets = tuple(x for x in xs for _ in members[x])
+        for orders in product(*(iter_permutations(members[x]) for x in xs)):
+            yield RankVector._from_order(k, tuple(chain(*orders)), buckets), weight
 
 
 def distribution_audit(n: int, k: int) -> Fraction:

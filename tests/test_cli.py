@@ -161,6 +161,15 @@ def test_simulate_rejects_bad_inputs(capsys):
     assert "bucket count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("density", ["1.5", "-1"])
+def test_simulate_rejects_density_outside_unit_interval(density, capsys):
+    assert run_cli(["simulate", "--family", "random_with_perfect_matching",
+                    "--n", "4", "--density", density]) == 2
+    captured = capsys.readouterr()
+    assert "invalid input: density must be in [0, 1]" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_beyond_exhaustive_limit(capsys):
     assert run_cli(["simulate", "--family", "random_with_perfect_matching",
                     "--n", "40", "--trials", "200"]) == 0

@@ -191,6 +191,12 @@ def test_generate_family_errors():
         generate_family("mystery", n=4)
 
 
+@pytest.mark.parametrize("density", [-1.0, -0.01, 1.5, float("nan")])
+def test_generate_family_rejects_density_outside_unit_interval(density):
+    with pytest.raises(ValueError, match=r"density must be in \[0, 1\]"):
+        generate_family("random_with_perfect_matching", n=4, density=density, seed=0)
+
+
 def test_m_star_validation():
     with pytest.raises(ValueError, match="matching"):
         make_graph(4, [(0, 1), (1, 2)], m_star=[(0, 1), (1, 2)])

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 
@@ -110,8 +111,50 @@ def test_contiguity_holds_under_random_move_sequences(ops):
     for v, slot_choice in ops:
         slots = insertion_slots(vec, v)
         vec = move_vertex(vec, v, slots[slot_choice % len(slots)])
-        # Constructor re-validates contiguity and injectivity on every step.
+        # Surgery does not validate, so check the result against the
+        # validating mapping constructor at every step.
         assert len(vec) == 5
+        rebuilt = RankVector(vec.k, dict(vec.items()))
+        assert rebuilt == vec and hash(rebuilt) == hash(vec)
+
+
+def _assert_round_trips(vec):
+    rebuilt = RankVector(vec.k, dict(vec.items()))
+    assert rebuilt == vec and hash(rebuilt) == hash(vec)
+    assert dict(rebuilt.items()) == dict(vec.items())
+    assert all(vec.rank(v) == slot for v, slot in rebuilt.items())
+
+
+def test_built_vectors_round_trip_through_the_mapping_constructor():
+    for vec, _ in enumerate_rank_vectors(range(4), 3):
+        _assert_round_trips(vec)
+        for v in range(4):
+            _assert_round_trips(remove_vertex(vec, v))
+            for slot in insertion_slots(vec, v):
+                _assert_round_trips(move_vertex(vec, v, slot))
+
+
+def _digest(lines):
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+def test_enumeration_is_pinned():
+    vectors = enumerate_rank_vectors(range(4), 3)
+    lines = [f"{sorted(vec.items())} {w}" for vec, w in vectors]
+    assert len(lines) == 360
+    assert _digest(lines).startswith("14ef2b723e75b5eb")
+
+
+def test_sampling_is_pinned():
+    lines = [sorted(sample_ranks(range(6), 3, seed).items()) for seed in range(100)]
+    assert _digest(lines).startswith("7e68fd6f8e7b98c6")
+
+
+def test_absent_vertex_raises_key_error():
+    vec = RankVector(2, {0: (1, 1), 1: (2, 1)})
+    for lookup in (vec.rank, vec.bucket, lambda v: remove_vertex(vec, v)):
+        with pytest.raises(KeyError):
+            lookup(9)
 
 
 def test_enumeration_counts_and_weights():
@@ -131,6 +174,32 @@ def test_enumeration_budget():
 def test_enumeration_rejects_k_below_one(k):
     with pytest.raises(ValueError, match="k must be >= 1"):
         enumerate_rank_vectors(range(2), k)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.5, "2"])
+def test_rank_vector_rejects_a_bucket_count_that_is_not_an_int_of_at_least_one(k):
+    with pytest.raises(ValueError, match="bucket count k"):
+        RankVector(k, {0: (1, 1)})
+    with pytest.raises(ValueError, match="bucket count k"):
+        sample_ranks(range(2), k, seed=0)
+    with pytest.raises(ValueError, match="bucket count k"):
+        enumerate_rank_vectors(range(2), k)
+
+
+def test_json_rejects_a_fractional_bucket_count():
+    with pytest.raises(ValueError, match="bucket count k"):
+        vector_from_json('{"k": 2.5, "ranks": {"0": [2, 1]}}')
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampling_rejects_a_repeated_vertex(seed):
+    with pytest.raises(ValueError, match="vertex 0 is repeated"):
+        sample_ranks([0, 0, 1], k=3, seed=seed)
+
+
+def test_enumeration_rejects_a_repeated_vertex_at_the_call():
+    with pytest.raises(ValueError, match="vertex 0 is repeated"):
+        enumerate_rank_vectors([0, 0], 2)
 
 
 def test_probe_times_are_distinct():
