@@ -13,8 +13,12 @@ Three model forms share one optimum:
 * ``compact``: window-average constraints are telescoped through chains of
   nonnegative slack variables and prefix-sum columns so the row count stays
   near the number of min-cases.  This is the only form whose size permits
-  exporting very large bucket counts; it is emitted by a streaming writer
-  and, for small bucket counts, materialized by parsing that same stream.
+  exporting very large bucket counts; a streaming writer emits it as MPS
+  text without building it.
+
+One builder makes all three forms in memory, in one walk over the
+pointwise-bound cases.  The writer and the builder are two independent
+sources of the compact model, and the tests hold their MPS text equal.
 
 Coefficients are exact rationals while a model is in memory; they become
 floats at solve and export time.
@@ -35,7 +39,7 @@ from .oracles import ClassLabel
 Coef = tuple[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinRow:
     name: str
     coeffs: tuple[Coef, ...]
@@ -77,46 +81,6 @@ class LpModel:
         }
 
 
-class _Builder:
-    def __init__(self, k: int, form: str):
-        self.k = k
-        self.form = form
-        self.names: list[str] = []
-        self.lower: list[Fraction] = []
-        self.upper: list[Optional[Fraction]] = []
-        self.rows: list[LinRow] = []
-
-    def var(self, name: str, up: Optional[Fraction] = None) -> int:
-        idx = len(self.names)
-        self.names.append(name)
-        self.lower.append(Fraction(0))
-        self.upper.append(None if up is None else Fraction(up))
-        return idx
-
-    def row(self, name: str, coeffs: dict[int, Fraction], sense: str, rhs) -> None:
-        items = tuple(
-            (j, c) for j, c in sorted(coeffs.items()) if c != 0
-        )
-        self.rows.append(LinRow(name, items, sense, Fraction(rhs)))
-
-    def model(self, objective: int) -> LpModel:
-        return LpModel(
-            self.k, self.form, self.names, self.lower, self.upper, self.rows, objective
-        )
-
-
-def _form_to_row(
-    h_idx: int, form, f_idx
-) -> tuple[dict[int, Fraction], Fraction]:
-    """Row data for ``h <= const + sum(coef * f)`` as ``h - sum(...) <= const``."""
-    const, terms = form
-    coeffs: dict[int, Fraction] = {h_idx: Fraction(1)}
-    for coef, (i, j) in terms:
-        idx = f_idx[(i, j)]
-        coeffs[idx] = coeffs.get(idx, Fraction(0)) - coef
-    return coeffs, Fraction(const)
-
-
 def build_lp(k: int, form: str = "substituted") -> LpModel:
     """Assemble the factor-revealing LP for ``k`` buckets.
 
@@ -125,11 +89,9 @@ def build_lp(k: int, form: str = "substituted") -> LpModel:
     """
     if k < 1:
         raise ValueError("bucket count k must be >= 1")
-    if form in ("substituted", "naive"):
-        return _build_direct(k, naive=(form == "naive"))
-    if form == "compact":
-        return parse_mps("".join(compact_mps_chunks(k)), expect_form="compact")
-    raise ValueError(f"unknown form {form!r}")
+    if form not in ("substituted", "naive", "compact"):
+        raise ValueError(f"unknown form {form!r}")
+    return _build(k, form)
 
 
 #: One pointwise-bound case ``(label, x_u, x_v, x_b, x_ustar)``, in the
@@ -162,8 +124,8 @@ def _h_cases(k: int) -> Iterator[HCase]:
 
 
 def _windows(k: int) -> Iterator[tuple[str, int, list[HCase]]]:
-    """Each averaging row as ``(name, i, cases)``: ``alpha_i`` is at most
-    the average of h over the cases."""
+    """Each averaging row of the direct forms as ``(name, i, cases)``:
+    ``alpha_i`` is at most the average of h over the cases."""
     buckets = range(1, k + 1)
     for i in buckets:
         yield f"abot_{i}", i, [
@@ -186,78 +148,195 @@ def _windows(k: int) -> Iterator[tuple[str, int, list[HCase]]]:
                 ]
 
 
-def _build_direct(k: int, naive: bool) -> LpModel:
-    b = _Builder(k, "naive" if naive else "substituted")
-    f_idx = {
-        (i, j): b.var(f"f_{i}_{j}", up=Fraction(1))
-        for i in range(1, k + 2)
-        for j in range(1, k + 2)
-    }
-    alpha_i_idx = {i: b.var(f"alpha_{i}", up=Fraction(1)) for i in range(1, k + 1)}
-    alpha_idx = b.var("alpha", up=Fraction(1))
+class _Interned(dict):
+    """``key`` -> ``make(*key)``, made once per distinct key."""
 
-    # A case gets an auxiliary variable in the naive form, and in the
-    # substituted form when its bound is a minimum of two arms; every other
-    # case is affine and is folded straight into the averaging rows.
-    forms = {case: h_forms(*case) for case in _h_cases(k)}
-    aux: dict[HCase, int] = {}
-    for case, arms in forms.items():
-        if naive or len(arms) == 2:
-            buckets = [str(x) for x in case[1:] if x is not None]
-            aux[case] = b.var("_".join([_H_PREFIX[case[0]], *buckets]), up=Fraction(2))
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(*key)
+        return value
+
+
+def _build(k: int, form: str) -> LpModel:
+    """Build any of the three forms in memory.
+
+    Every form has the price-table and alpha columns, the monotonicity rows,
+    one variable with its arm rows per case it does not inline, and the tie
+    row.  The direct forms then average the cases of each window; the
+    compact form telescopes the windows through its own prefix-sum and
+    slack columns, in the streaming writer's row and column order.  Row
+    entries ascend by column.  Coefficients are counted as integers; each
+    value becomes one ``Fraction`` and each ``(column, value)`` entry one
+    tuple, shared by every row that holds it, so there are few objects to
+    allocate and for the collector to track, and ``mps_text`` formats each
+    value once.
+    """
+    naive, compact = form == "naive", form == "compact"
+    K1 = k + 1
+    buckets, padded = range(1, k + 1), range(1, K1 + 1)
+    frac = _Interned(Fraction)  # (numerator, denominator) -> value
+    entry = _Interned(lambda j, num, den: (j, frac[num, den]))  # -> (j, value)
+    zero = frac[0, 1]
+    names = [f"f_{i}_{j}" for i in padded for j in padded]
+    f_idx = {(i, j): (i - 1) * K1 + j - 1 for i in padded for j in padded}
+    names += [f"alpha_{i}" for i in buckets]
+    names.append("alpha")
+    alpha = len(names) - 1
+    alpha_0 = alpha - K1  # alpha_0 + i is alpha_i
 
     # Monotonicity of the price table over the padded domain.
-    for i in range(1, k + 1):
-        for j in range(1, k + 2):
-            b.row(
-                f"monB_{i}_{j}",
-                {f_idx[(i + 1, j)]: Fraction(1), f_idx[(i, j)]: Fraction(-1)},
-                "L", 0,
-            )
-    for i in range(1, k + 2):
-        for j in range(1, k + 1):
-            b.row(
-                f"monI_{i}_{j}",
-                {f_idx[(i, j)]: Fraction(1), f_idx[(i, j + 1)]: Fraction(-1)},
-                "L", 0,
-            )
+    rows = [
+        LinRow(
+            f"monB_{i}_{j}",
+            (entry[f_idx[i, j], -1, 1], entry[f_idx[i + 1, j], 1, 1]),
+            "L", zero,
+        )
+        for i in buckets
+        for j in padded
+    ]
+    rows += [
+        LinRow(
+            f"monI_{i}_{j}",
+            (entry[f_idx[i, j], 1, 1], entry[f_idx[i, j + 1], -1, 1]),
+            "L", zero,
+        )
+        for i in padded
+        for j in buckets
+    ]
+    fp_0 = len(names) - k - 1  # fp_0 + a * k + b is Fp_a_b
+    if compact:
+        # Prefix sums of the price table: Fp_a_b = Fp_a_(b-1) + f_a_b.
+        names += [f"Fp_{a}_{b}" for a in buckets for b in buckets]
+        for a in buckets:
+            for b in buckets:
+                col = fp_0 + a * k + b
+                e = [entry[f_idx[a, b], -1, 1], entry[col - 1, -1, 1], entry[col, 1, 1]]
+                if b == 1:
+                    del e[1]
+                rows.append(LinRow(f"fp_{a}_{b}", tuple(e), "E", zero))
 
-    # One upper-bounding row per arm.  Maximization presses each variable
-    # onto its smaller arm, so an affine case needs a single row.
-    for case, idx in aux.items():
-        for arm, form in enumerate(forms[case], start=1):
-            coeffs, rhs = _form_to_row(idx, form, f_idx)
+    # A case gets a variable in the naive form, and in the other two when
+    # its bound is a minimum of two arms.  Each arm is an upper-bounding row:
+    # maximization presses the variable onto its smaller arm.  The direct
+    # forms fold every other case, affine, straight into the averaging rows.
+    aux_0 = len(names)
+    aux: dict[HCase, int] = {}
+    inlined: dict[HCase, tuple] = {}
+    for case in _h_cases(k):
+        arms = h_forms(*case)
+        if len(arms) == 1 and not naive:
+            if not compact:
+                inlined[case] = arms[0]
+            continue
+        idx = len(names)
+        if not compact:
+            aux[case] = idx
+        parts = [_H_PREFIX[case[0]]] + [str(x) for x in case[1:] if x is not None]
+        name = "_".join(parts)
+        names.append(name)
+        for arm, (const, terms) in enumerate(arms, start=1):
+            e = sorted([entry[f_idx[ij], -coef, 1] for coef, ij in terms])
+            e.append(entry[idx, 1, 1])
             if case[0] is ClassLabel.UNMATCHED:
-                name = f"hb0_{case[1]}_{case[4]}"
+                rname = f"hb0_{case[1]}_{case[4]}"
             else:
-                name = f"{b.names[idx]}_{arm}"
-            b.row(name, coeffs, "L", rhs)
+                rname = f"{name}_{arm}"
+            rows.append(LinRow(rname, tuple(e), "L", frac[const, 1]))
+    # The arm rows cap the variables; the direct forms bound them by 2 too.
+    upper = [frac[1, 1]] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
+    upper += [None if compact else frac[2, 1]] * (len(names) - aux_0)
 
-    # Averaging rows: a case enters through its variable if it has one,
-    # otherwise through its single affine form (the one-element unpack
-    # guards that no two-arm case is inlined).  The rhs is minus the
-    # accumulated constant.
-    for name, i, cases in _windows(k):
-        scale = Fraction(-1, len(cases))
-        coeffs = {alpha_i_idx[i]: Fraction(1)}
-        const = Fraction(0)
-        for case in cases:
-            idx = aux.get(case)
-            if idx is not None:
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale
-                continue
-            ((fconst, terms),) = forms[case]
-            const += scale * fconst
-            for coef, ij in terms:
-                idx = f_idx[ij]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + scale * coef
-        b.row(name, coeffs, "L", -const)
+    if not compact:
+        # Averaging rows: a case enters through its variable if it has one,
+        # otherwise through its affine form.
+        for name, i, cases in _windows(k):
+            counts: dict[int, int] = {}
+            const = 0
+            for case in cases:
+                idx = aux.get(case)
+                if idx is not None:
+                    counts[idx] = counts.get(idx, 0) + 1
+                    continue
+                fconst, terms = inlined[case]
+                const += fconst
+                for coef, ij in terms:
+                    idx = f_idx[ij]
+                    counts[idx] = counts.get(idx, 0) + coef
+            n = len(cases)
+            e = [entry[j, -c, n] for j, c in counts.items() if c]
+            e.append(entry[alpha_0 + i, 1, 1])
+            e.sort()
+            rows.append(LinRow(name, tuple(e), "L", frac[const, n]))
+    else:
+        # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Row
+        # vs_i_c reads Vs_i_c <= Vs_i_(c+1) + S - k alpha_i, where S sums h
+        # over the k cases with match bucket c, so the nonnegative Vs_i_c
+        # keeps the window c..k (vb_i_c_d likewise, with backup bucket
+        # d + 1).  S holds the variables of the cases with x_ustar <= i; the
+        # rest is affine: k - i copies of 1 - f_i_c and, for a match bucket
+        # above i, the prefix Fp_i_(c-1), plus i copies of 1 - f_i_(d+1) in
+        # the backup family.
+        vs_0 = len(names) - k - 1  # vs_0 + i * k + c is Vs_i_c
+        names += [f"Vs_{i}_{c}" for i in buckets for c in buckets]
+        names += [
+            f"Vb_{i}_{c}_{d}" for i in buckets for c in buckets for d in range(c, K1)
+        ]
+        upper += [None] * (len(names) - len(upper))
+        rows += [
+            LinRow(
+                f"abot_{i}",
+                (entry[alpha_0 + i, 1, 1], entry[fp_0 + i * k + k, -1, k]),
+                "L", zero,
+            )
+            for i in buckets
+        ]
+        # The variables are ordered (i, x_v[, x_b], x_ustar) and each window
+        # row with x_v = c <= i holds the next i of them, so the vs rows and
+        # then the vb rows take them in order from h.
+        h = aux_0
+        for i in buckets:
+            rest = frac[k - i, 1]
+            for c in buckets:
+                e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
+                e.append(entry[alpha_0 + i, k, 1])
+                if c > i:
+                    e.append(entry[fp_0 + i * k + c - 1, -1, 1])
+                else:
+                    e += [entry[j, -1, 1] for j in range(h, h + i)]
+                    h += i
+                col = vs_0 + i * k + c
+                e.append(entry[col, 1, 1])
+                if c < k:
+                    e.append(entry[col + 1, -1, 1])
+                rows.append(LinRow(f"vs_{i}_{c}", tuple(e), "L", rest))
+        col = vs_0 + k * k + k  # advanced to Vb_i_c_d below
+        for i in buckets:
+            rest = frac[k - i, 1]
+            for c in buckets:
+                for d in range(c, K1):
+                    col += 1
+                    e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
+                    if c > i:
+                        e.append(entry[f_idx[i, d + 1], i, 1])
+                        e.append(entry[alpha_0 + i, k, 1])
+                        e.append(entry[fp_0 + i * k + c - 1, -1, 1])
+                    else:
+                        e.append(entry[alpha_0 + i, k, 1])
+                        e += [entry[j, -1, 1] for j in range(h, h + i)]
+                        h += i
+                    e.append(entry[col, 1, 1])
+                    if c < d:
+                        e.append(entry[col + k - c, -1, 1])  # Vb_i_(c+1)_d
+                    rhs = rest if c <= i else frac[k, 1]
+                    rows.append(LinRow(f"vb_{i}_{c}_{d}", tuple(e), "L", rhs))
 
-    coeffs = {alpha_idx: Fraction(1)}
-    for i in range(1, k + 1):
-        coeffs[alpha_i_idx[i]] = Fraction(-1, k)
-    b.row("aavg", coeffs, "E", 0)
-    return b.model(alpha_idx)
+    e = [entry[alpha_0 + i, -1, k] for i in buckets]
+    e.append(entry[alpha, 1, 1])
+    rows.append(LinRow("aavg", tuple(e), "E", zero))
+    return LpModel(k, form, names, [zero] * len(names), upper, rows, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +490,10 @@ class _Values(dict):
     """Value text -> ``Fraction``; each distinct text is converted once."""
 
     def __missing__(self, text: str) -> Fraction:
-        value = self[text] = Fraction(float(text))
+        try:
+            value = self[text] = Fraction(float(text))
+        except (ValueError, OverflowError):
+            raise ValueError(f"value {text!r} is not a finite number") from None
         return value
 
 
@@ -430,9 +512,10 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
     unknown section, row sense or bound type, a data line before any section,
     a second objective row, a row declared twice, a COLUMNS or RHS entry on a
     row ROWS does not declare, a COLUMNS or RHS line with an unpaired field, a
-    bound without a value or on a column COLUMNS does not name, an objective
-    other than one entry of 1, any RANGES entry, or a NAME other than
-    ``ranking_lp_k{k}_{form}`` with k >= 1.
+    bound without a value or on a column COLUMNS does not name, a value that
+    is not a finite number, an objective other than one entry of 1, any
+    RANGES entry, or a NAME other than ``ranking_lp_k{k}_{form}`` with
+    k >= 1.
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:

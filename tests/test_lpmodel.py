@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from ranking_forge.lpmodel import (
     parse_mps,
     write_compact_mps,
 )
-from ranking_forge.simplex import solve
+from ranking_forge.simplex import solve, verify_solution
 
 
 def test_build_rejects_zero_buckets():
@@ -81,14 +82,15 @@ def test_direct_form_text_is_pinned(form, k):
 
 
 def test_substituted_min_cases_match_compact():
-    # The compact writer hard-codes the min-case set; the substituted form
-    # takes it from the cases whose h_forms has two arms.  Both must give the
-    # same auxiliary variables.
+    # The compact writer hard-codes the min-case set; the builder takes it
+    # from the cases whose h_forms has two arms.  Both must give the same
+    # auxiliary variables.
     def aux(model):
         return [n for n in model.var_names if n.startswith(("hs_", "hb_"))]
 
     for k in range(1, 7):
-        assert aux(build_lp(k)) == aux(build_lp(k, "compact"))
+        streamed = parse_mps("".join(compact_mps_chunks(k)))
+        assert aux(build_lp(k)) == aux(build_lp(k, "compact")) == aux(streamed)
 
 
 def test_compact_form_same_optimum_and_byte_stable():
@@ -114,8 +116,91 @@ COMPACT_STREAM_SHA256 = {
 
 @pytest.mark.parametrize("k", sorted(COMPACT_STREAM_SHA256))
 def test_compact_stream_is_pinned(k):
-    stream = "".join(compact_mps_chunks(k))
-    assert hashlib.sha256(stream.encode()).hexdigest() == COMPACT_STREAM_SHA256[k]
+    # The writer and the in-memory builder are two sources of the same bytes.
+    for text in ("".join(compact_mps_chunks(k)), mps_text(build_lp(k, "compact"))):
+        assert hashlib.sha256(text.encode()).hexdigest() == COMPACT_STREAM_SHA256[k]
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+def test_compact_builder_matches_writer(k):
+    assert mps_text(build_lp(k, "compact")) == "".join(compact_mps_chunks(k))
+
+
+def test_compact_builder_matches_parsed_stream():
+    for k in range(1, 9):
+        built = build_lp(k, "compact")
+        parsed = parse_mps("".join(compact_mps_chunks(k)), expect_form="compact")
+        assert (built.k, built.form) == (parsed.k, parsed.form)
+        assert built.var_names == parsed.var_names
+        assert built.objective_var == parsed.objective_var
+        assert built.lower == parsed.lower and built.upper == parsed.upper
+        assert [(r.name, r.sense, r.rhs) for r in built.rows] == [
+            (r.name, r.sense, r.rhs) for r in parsed.rows
+        ]
+        assert [[(j, float(c)) for j, c in r.coeffs] for r in built.rows] == [
+            [(j, float(c)) for j, c in r.coeffs] for r in parsed.rows
+        ]
+
+
+def test_compact_build_goes_through_no_mps_text(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("build_lp(k, 'compact') went through MPS text")
+
+    stream = "".join(compact_mps_chunks(3))
+    monkeypatch.setattr(lpmodel, "parse_mps", forbidden)
+    monkeypatch.setattr(lpmodel, "compact_mps_chunks", forbidden)
+    assert mps_text(build_lp(3, "compact")) == stream
+
+
+@pytest.mark.parametrize("k", [3, 7, 14])
+def test_compact_model_is_exact(k):
+    # Parsing rounds -1/k through a float; the builder keeps it exact.
+    model = build_lp(k, "compact")
+    by_name = {r.name: r for r in model.rows}
+    rows = [by_name["aavg"]] + [by_name[f"abot_{i}"] for i in range(1, k + 1)]
+    averaged = {"aavg": "alpha_", "abot": "Fp_"}
+    for row in rows:
+        prefix = averaged[row.name.split("_")[0]]
+        coefs = [c for j, c in row.coeffs if model.var_names[j].startswith(prefix)]
+        assert coefs and all(c == Fraction(-1, k) for c in coefs)
+
+
+def test_compact_solutions_verify():
+    for k in range(1, 7):
+        model = build_lp(k, "compact")
+        assert verify_solution(model, solve(model), tol=1e-8).ok
+
+
+# Iterations and the bits of alpha pin the solver's path on each form: a
+# change to how a model is built must hand the solver the same floats in the
+# same order.  The counts follow last-bit rounding of the pricing, so they
+# hold for one numpy build.
+SOLVER_PATH = {
+    "compact": [
+        (7, "0x1.0000000000000p-1"),
+        (28, "0x1.0000000000000p-1"),
+        (85, "0x1.01c71c71c71c6p-1"),
+        (208, "0x1.0562ecc562eccp-1"),
+        (427, "0x1.0851678a67824p-1"),
+        (876, "0x1.0a9697178e163p-1"),
+        (1459, "0x1.0c6629170725fp-1"),
+    ],
+    "substituted": [
+        (6, "0x1.0000000000000p-1"),
+        (21, "0x1.0000000000000p-1"),
+        (74, "0x1.01c71c71c71c6p-1"),
+        (165, "0x1.0562ecc562ecdp-1"),
+        (337, "0x1.0851678a67823p-1"),
+        (685, "0x1.0a9697178e163p-1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("form", sorted(SOLVER_PATH))
+def test_solver_path_is_pinned(form):
+    for k, (iterations, alpha) in enumerate(SOLVER_PATH[form], start=1):
+        solution = solve(build_lp(k, form))
+        assert (solution.iterations, solution.alpha.hex()) == (iterations, alpha), k
 
 
 def test_compact_chunks_stay_bounded():
@@ -252,13 +337,22 @@ def test_parse_rejects_garbage():
         ("NAME ranking_lp_k2_substituted\n", "NAME foo\n", "model name 'foo'"),
         ("NAME ranking_lp_k2_substituted\n", "NAME ranking_lp_k0_substituted\n",
          "bucket count 0"),
+        ("f_1_1 monB_1_1 -1", "f_1_1 monB_1_1 inf", "'inf'"),
+        ("f_1_1 monB_1_1 -1", "f_1_1 monB_1_1 1e400", "'1e400'"),
+        ("f_1_1 monB_1_1 -1", "f_1_1 monB_1_1 nan", "'nan'"),
+        (" UP BND f_1_1 1\n", " UP BND f_1_1 inf\n", "'inf'"),
+        (" UP BND f_1_1 1\n", " UP BND f_1_1 1e400\n", "'1e400'"),
+        (" UP BND f_1_1 1\n", " UP BND f_1_1 nan\n", "'nan'"),
+        ("RHS hs_1_1_1_2 1", "RHS hs_1_1_1_2 one", "'one'"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
          "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
          "bound-on-undeclared-column", "objective-coefficient-not-one",
          "objective-on-two-columns", "row-declared-twice", "ranges-entry",
          "second-objective-row", "data-line-before-any-section",
-         "unreadable-name", "name-with-k-below-one"],
+         "unreadable-name", "name-with-k-below-one", "column-value-inf",
+         "column-value-1e400", "column-value-nan", "bound-inf", "bound-1e400",
+         "bound-nan", "unreadable-rhs-value"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))
