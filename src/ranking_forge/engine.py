@@ -8,15 +8,18 @@
   neighbors that already arrived.
 
 All three produce the same matching for the same order; ``views_agree``
-checks that on concrete instances.  ``matching_sizes`` is a fourth, batched
-implementation of the vertex-iterative view over numpy arrays, for sampling
-many orders at once; it returns sizes only and is checked against
-``matching_for_order``.  The sweep's mutation arm is the vertex-iterative
-loop with its neighbor scan reversed.  Removing a vertex set S is realized by
-marking it unavailable from the start (``frozen``), which keeps the probe
-timeline aligned with the full run -- the device the structural checks rely
-on.  Orders whose domain is a strict subset of the graph's vertices are
-accepted; missing vertices are treated as frozen.
+checks that on concrete instances.  Every other run goes through one of two
+cores: the greedy-probing replay (``_replay``) for one order, which backs
+``matching_for_order``, the partial states and the structural checkers; and
+``matching_sizes``, a batched implementation of the vertex-iterative view
+over numpy arrays for many orders at once, which returns sizes only and is
+checked row by row against the vertex-iterative view.  The sweep's mutation
+arm is the vertex-iterative loop with its neighbor scan reversed.  Removing
+a vertex set S is realized by marking it unavailable from the start
+(``frozen``), which keeps the probe timeline aligned with the full run --
+the device the structural checks rely on.  Orders whose domain is a strict
+subset of the graph's vertices are accepted; missing vertices are treated
+as frozen.
 """
 
 from __future__ import annotations
@@ -137,16 +140,6 @@ def _replay(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> _Timeli
     return _Timeline(schedule, accepted, matchings, takens)
 
 
-def greedy_probe_events(
-    g: Graph, pos: Mapping[int, int], frozen: frozenset[int]
-) -> list[ProbeEvent]:
-    """First probes of every in-domain edge, in ascending lexicographic time."""
-    timeline = _replay(g, pos, frozen)
-    return [
-        ProbeEvent(t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted)
-    ]
-
-
 def _vertex_iterative(g, pos, frozen, latest_first=False):
     # ``latest_first`` scans neighbors in descending rank, so each vertex
     # grabs its last free neighbor: the sweep's deliberately wrong mutation arm.
@@ -174,8 +167,11 @@ def _vertex_iterative(g, pos, frozen, latest_first=False):
 
 
 def _greedy_probing(g, pos, frozen):
-    events = greedy_probe_events(g, pos, frozen)
-    return {e.edge for e in events if e.accepted}, events
+    timeline = _replay(g, pos, frozen)
+    log = [
+        ProbeEvent(t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted)
+    ]
+    return timeline.matchings[-1], log
 
 
 def _restricted_arrival(g, pos, frozen):
@@ -234,12 +230,8 @@ def matching_for_order(
     order: OrderLike,
     frozen: frozenset[int] | set[int] = frozenset(),
 ) -> frozenset[Edge]:
-    """Just the matching, no trace overhead (vertex-iterative core)."""
-    pos = position_map(order)
-    frozen = frozenset(frozen)
-    _check_domain(g, pos, frozen)
-    matching, _ = _vertex_iterative(g, pos, frozen)
-    return frozenset(matching)
+    """Just the matching: the final state of the greedy-probing replay."""
+    return _replay(g, position_map(order), frozenset(frozen)).matchings[-1]
 
 
 def matching_sizes(g: Graph, orders) -> np.ndarray:

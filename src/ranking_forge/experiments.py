@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial, sqrt
 from typing import Iterable, Optional
 
@@ -113,16 +113,20 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
 
 
 def exact_expected_ratio(g: Graph) -> Fraction:
-    """E|matching| / |maximum matching| by enumerating all vertex orders."""
+    """E|matching| / |maximum matching| by enumerating all vertex orders.
+
+    The orders go through ``matching_sizes`` in blocks of
+    ``MC_BLOCK_SLOTS // n`` rows, so memory stays bounded.
+    """
     m_star = maximum_matching_size(g)
     if m_star == 0:
         raise ValueError("graph has no edges; the ratio is undefined")
+    perms = permutations(range(g.n))
+    block = max(1, MC_BLOCK_SLOTS // g.n)
     total = 0
-    count = 0
-    for perm in permutations(range(g.n)):
-        total += len(matching_for_order(g, perm))
-        count += 1
-    return Fraction(total, count * m_star)
+    while rows := list(islice(perms, block)):
+        total += int(matching_sizes(g, rows).sum())
+    return Fraction(total, factorial(g.n) * m_star)
 
 
 # ---------------------------------------------------------------------------

@@ -404,13 +404,26 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    """Parse ``graph_to_text`` output; blank lines are skipped, and any other
+    line that is not exactly two integers raises ``ValueError`` naming it."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            u, v = map(int, fields)
+        except ValueError:
+            raise ValueError(
+                f"line {number}: expected two integers, got {line.strip()!r}"
+            ) from None
+        rows.append((u, v))
     if not rows:
         raise ValueError("empty graph text")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    if len(rows) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
-    return make_graph(n, [(int(r[0]), int(r[1])) for r in rows[1:]])
+    (n, m), edges = rows[0], rows[1:]
+    if len(edges) != m:
+        raise ValueError(f"header promises {m} edges, found {len(edges)}")
+    return make_graph(n, edges)
 
 
 def graph_to_json(g: Graph) -> str:

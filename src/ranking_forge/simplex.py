@@ -474,38 +474,22 @@ def brute_force_optimum(model: LpModel) -> float:
         raise ValueError(
             f"{n} variables exceeds the oracle limit {BRUTE_FORCE_MAX_VARS}"
         )
-    rows = []
-    rhs = []
-    senses = []
-    for row in model.rows:
-        a = np.zeros(n)
-        for j, coef in row.coeffs:
-            a[j] = float(coef)
-        rows.append(a)
-        rhs.append(float(row.rhs))
-        senses.append(row.sense)
-    lo = np.array([float(x) for x in model.lower])
-    up = np.array([INF if x is None else float(x) for x in model.upper])
-    G = []
-    h = []
-    for a, b_val in zip(rows, rhs):
-        G.append(a)
-        h.append(b_val)
+    sf = _standard_form(model)
+    A_rows = sf.A[:, :n].toarray()
+    b_rows = sf.b
+    eq_mask = sf.up[n:] == 0.0
+    lo, up, c = sf.lo[:n], sf.up[:n], sf.c[:n]
+    unit = np.eye(n)
+    G = list(A_rows)
+    h = list(b_rows)
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        G.append(e.copy())
+        G.append(unit[j])
         h.append(lo[j])
         if np.isfinite(up[j]):
-            G.append(e)
+            G.append(unit[j])
             h.append(up[j])
     G = np.asarray(G)
     h = np.asarray(h)
-    A_rows = np.asarray(rows)
-    b_rows = np.asarray(rhs)
-    eq_mask = np.array([s == "E" for s in senses])
-    c = np.zeros(n)
-    c[model.objective_var] = 1.0
 
     best = -INF
     combos = combinations(range(len(G)), n)

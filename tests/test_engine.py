@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranking_forge import engine, experiments
 from ranking_forge.engine import (
     VIEWS,
     _vertex_iterative,
@@ -19,7 +20,10 @@ from ranking_forge.engine import (
     trace_to_json,
     views_agree,
 )
+from ranking_forge.experiments import exact_expected_ratio
+from ranking_forge.gains import REFERENCE_TABLE_K3, audit_h_bounds
 from ranking_forge.graphs import generate_family, make_graph
+from ranking_forge.oracles import ClassLabel, compute_profile
 from ranking_forge.ranks import RankVector, remove_vertex, sample_ranks
 
 
@@ -105,6 +109,27 @@ def test_mutation_arm_takes_the_last_free_neighbor(p4):
     assert matching_for_order(p4, order) == {(0, 1), (2, 3)}
 
 
+def test_single_and_many_order_runs_bypass_the_vertex_iterative_view(monkeypatch, p4):
+    # Outside the three views, one order runs on the greedy-probing replay
+    # and many orders on ``matching_sizes``.
+    expected = {
+        order: run_ranking(p4, list(order)).matching for order in permutations(range(4))
+    }
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the vertex-iterative view ran")
+
+    monkeypatch.setattr(engine, "_vertex_iterative", unavailable)
+    monkeypatch.setitem(engine._VIEW_IMPLS, "vertex_iterative", unavailable)
+    for order, matching in expected.items():
+        assert matching_for_order(p4, order) == matching
+    vec = RankVector(2, {0: (1, 1), 1: (1, 2), 2: (2, 1), 3: (2, 2)})
+    assert compute_profile(p4, vec, 0)[1] == ClassLabel.MATCHED_NO_BACKUP
+    assert audit_h_bounds(p4, 0, 1, REFERENCE_TABLE_K3, 3) == []
+    monkeypatch.setattr(experiments, "matching_for_order", unavailable)
+    assert exact_expected_ratio(p4) == Fraction(7, 8)
+
+
 def test_frozen_vertices_are_never_matched(cex):
     trace = run_ranking(cex, [0, 1, 2, 3, 4], frozen={2})
     assert all(2 not in e for e in trace.matching)
@@ -169,7 +194,7 @@ def test_partial_states_are_prefixes_of_the_final_matching(case):
     # sits before t have been taken.
     g, order, frozen = case
     pos = {v: i + 1 for i, v in enumerate(order)}
-    final = matching_for_order(g, order, frozen)
+    final = run_ranking(g, order, "vertex_iterative", frozen).matching
     boundaries = [(t, 1) for t in range(1, len(order) + 2)]
     states = list(partial_states(g, order, boundaries, frozen))
     assert [state.t for state in states] == boundaries
@@ -223,7 +248,9 @@ def test_matching_sizes_match_vertex_iterative_rows(case):
     g, orders = case
     sizes = matching_sizes(g, orders)
     assert sizes.shape == (len(orders),)
-    assert sizes.tolist() == [len(matching_for_order(g, row.tolist())) for row in orders]
+    assert sizes.tolist() == [
+        len(run_ranking(g, row.tolist(), "vertex_iterative").matching) for row in orders
+    ]
     # B = 1 takes the same path as every row of a larger batch.
     assert matching_sizes(g, orders[:1]).tolist() == sizes[:1].tolist()
 

@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,7 +21,13 @@ from ranking_forge.experiments import (
     monte_carlo_ratio,
     reproduce_lp_table,
 )
-from ranking_forge.graphs import generate_family, graph_to_json, maximum_matching_size
+from ranking_forge.engine import run_ranking
+from ranking_forge.graphs import (
+    backup_counterexample_graph,
+    generate_family,
+    graph_to_json,
+    maximum_matching_size,
+)
 
 
 def test_connected_graph_census():
@@ -54,6 +61,21 @@ def test_exact_ratios():
     assert exact_expected_ratio(generate_family("complete", n=4)) == 1
     k2 = generate_family("path", n=2)
     assert exact_expected_ratio(k2) == 1
+
+
+def test_exact_ratios_match_the_vertex_iterative_view():
+    # The batched kernel against the mean size of the vertex-iterative view,
+    # order by order.
+    for g in [*connected_graphs_upto(5), backup_counterexample_graph()]:
+        if not g.edges:
+            continue
+        sizes = [
+            len(run_ranking(g, list(order), "vertex_iterative").matching)
+            for order in permutations(range(g.n))
+        ]
+        assert exact_expected_ratio(g) == Fraction(
+            sum(sizes), len(sizes) * maximum_matching_size(g)
+        )
 
 
 def test_monte_carlo_on_forced_graphs():

@@ -209,6 +209,16 @@ def test_text_serialization_round_trip(cex):
     assert g2.n == cex.n and g2.edges == cex.edges
 
 
+@pytest.mark.parametrize("text, line", [
+    ("3\n", 1),
+    ("2 1\n0\n", 2),
+    ("2 1\n0 1 7\n", 2),
+])
+def test_text_rejects_lines_that_are_not_two_integers(text, line):
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        graph_from_text(text)
+
+
 def test_json_serialization_round_trip(cex):
     g2 = graph_from_json(graph_to_json(cex))
     assert g2.edges == cex.edges and g2.m_star == cex.m_star
