@@ -13,9 +13,11 @@ cores: the greedy-probing replay (``_replay``) for one order, which backs
 ``matching_for_order``, the partial states and the structural checkers; and
 ``matching_sizes``, a batched implementation of the vertex-iterative view
 over numpy arrays for many orders at once, which returns sizes only and is
-checked row by row against the vertex-iterative view.  The sweep's mutation
-arm is the vertex-iterative loop with its neighbor scan reversed.  Removing
-a vertex set S is realized by marking it unavailable from the start
+checked row by row against the vertex-iterative view; on graphs with at
+most 64 vertices it packs each run's taken set into one ``uint64`` word,
+and larger graphs gather neighbor segments from the CSR view.  The sweep's
+mutation arm is the vertex-iterative loop with its neighbor scan reversed.
+Removing a vertex set S is realized by marking it unavailable from the start
 (``frozen``), which keeps the probe timeline aligned with the full run --
 the device the structural checks rely on.  Orders whose domain is a strict
 subset of the graph's vertices are accepted; missing vertices are treated
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import Edge, Graph, edge
 from .ranks import RankVector, induced_permutation
@@ -234,23 +237,63 @@ def matching_for_order(
     return _replay(g, position_map(order), frozenset(frozen)).matchings[-1]
 
 
+#: Largest vertex count whose taken set fits one ``uint64`` word per run.
+WORD_BITS = 64
+
+
 def matching_sizes(g: Graph, orders) -> np.ndarray:
     """Matching size of the vertex-iterative run for every row of ``orders``.
 
     ``orders`` is an int array of shape (B, n) whose rows list all of
     ``g``'s vertices in processing order.  Step ``t`` advances all B runs
-    at once: each row whose ``t``-th vertex is still free gathers that
-    vertex's neighbor segment from the CSR view, masks matched neighbors,
-    and takes the earliest-positioned survivor with a segment minimum.
-    Working memory is O(B * n + |E|).
+    at once: each row whose ``t``-th vertex is still free takes its
+    earliest-positioned free neighbor.  Graphs with at most ``WORD_BITS``
+    vertices keep each run's taken set as one ``uint64`` over positions
+    (working memory O(B * n)); larger graphs gather neighbor segments from
+    the CSR view (O(B * n + |E|)).
     """
     orders = np.asarray(orders, dtype=np.intp)
     n = g.n
     if orders.ndim != 2 or orders.shape[1] != n:
         raise ValueError(f"orders must have shape (B, {n}), got {orders.shape}")
-    b = orders.shape[0]
-    if b and (orders.min() < 0 or orders.max() >= n):
+    if orders.size and (orders.min() < 0 or orders.max() >= n):
         raise ValueError("orders mention a vertex outside the graph")
+    if n <= WORD_BITS:
+        return _word_sizes(g, orders)
+    return _csr_sizes(g, orders)
+
+
+def _word_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:
+    # Bit p of a run's word stands for the vertex at position p.  Cell
+    # v * B + r of ``bits`` is 1 << (v's position in row r); the neighbors'
+    # bits are distinct, so the sparse product's sums are exact ORs.
+    b, n = orders.shape
+    bits = np.zeros(n * b, dtype=np.uint64)
+    cells = orders.T * b + np.arange(b)
+    bits[cells] = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))[:, None]
+    if np.count_nonzero(bits) != bits.size:
+        raise ValueError("an order row repeats a vertex")
+    indptr, indices = g.csr
+    adjacency = sp.csr_matrix(
+        (np.ones(indices.size, dtype=np.uint64), indices, indptr), shape=(n, n)
+    )
+    words = (adjacency @ bits.reshape(n, b)).ravel()
+    one = np.uint64(1)
+    taken = np.zeros(b, dtype=np.uint64)
+    sizes = np.zeros(b, dtype=np.uint64)
+    for t in range(n):
+        free = ~taken
+        # Free neighbors of the vertex at position t, none if it is taken.
+        c = words[cells[t]] & free
+        c *= (free >> np.uint64(t)) & one
+        hit = np.minimum(c, one)
+        taken |= (c & (~c + one)) | (hit << np.uint64(t))
+        sizes += hit
+    return sizes.astype(np.int64)
+
+
+def _csr_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:
+    b, n = orders.shape
     indptr, indices = g.csr
     degree = np.diff(indptr)
     # Runs share one flat (B * n) array: row r's vertex v is cell r * n + v.

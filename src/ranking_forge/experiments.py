@@ -77,6 +77,9 @@ class RatioEstimate:
 
 #: Vertex slots per Monte Carlo block: a block holds max(1, 2**16 // n) trials.
 MC_BLOCK_SLOTS = 2**16
+#: Largest bucket count whose sort key, bucket * 2**53 + tie * 2**53, fits
+#: a ``uint64``.
+MC_MAX_BUCKETS = 2**11
 
 
 def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate:
@@ -84,13 +87,14 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
 
     Trials are drawn in blocks: per block, every vertex gets a uniform bucket
     in 0..k-1, then a uniform tie-break, and each row is ordered by bucket
-    first.  95% half-width by the normal approximation on the sample
-    variance.
+    first.  Every k gives a uniform random order; k only selects the random
+    stream, and is at most ``MC_MAX_BUCKETS``.  95% half-width by the normal
+    approximation on the sample variance.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if k < 1:
-        raise ValueError(f"bucket count k must be >= 1, got {k}")
+    if not 1 <= k <= MC_MAX_BUCKETS:
+        raise ValueError(f"bucket count k must be >= 1 and <= {MC_MAX_BUCKETS}, got {k}")
     m_star = maximum_matching_size(g)
     if m_star == 0:
         raise ValueError("graph has no edges; the ratio is undefined")
@@ -102,7 +106,10 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
         rows = min(block, trials - start)
         buckets = rng.integers(0, k, (rows, n))
         ties = rng.random((rows, n))
-        orders = np.lexsort((ties, buckets), axis=-1)
+        # ``random`` draws multiples of 2**-53, so the key is exact.
+        key = buckets.view(np.uint64) << np.uint64(53)
+        key |= (ties * 2.0**53).astype(np.uint64)
+        orders = np.argsort(key, axis=-1)
         sizes[start:start + rows] = matching_sizes(g, orders)
     ratios = sizes / m_star
     mean = float(ratios.mean())

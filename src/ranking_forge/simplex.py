@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -456,8 +457,8 @@ def solution_from_values(model: LpModel, values: dict[str, float]) -> LpSolution
 # Tiny-scale oracle: enumerate candidate vertices of the polytope directly.
 
 
-#: Structural-variable cap and vertex candidates per batch of the oracle.
-BRUTE_FORCE_MAX_VARS = 12
+#: Cap on the oracle's candidate subsets, and candidates per batch.
+BRUTE_FORCE_MAX_SUBSETS = 4_000_000
 BRUTE_FORCE_CHUNK = 65536
 
 
@@ -467,12 +468,15 @@ def brute_force_optimum(model: LpModel) -> float:
     Works in the structural-variable space: every vertex of the feasible
     polytope is the solution of n linearly independent active constraints
     drawn from the rows and the variable bounds.  Refuses models with more
-    than ``BRUTE_FORCE_MAX_VARS`` structural variables.
+    than ``BRUTE_FORCE_MAX_SUBSETS`` such subsets.
     """
     n = len(model.var_names)
-    if n > BRUTE_FORCE_MAX_VARS:
+    constraints = len(model.rows) + n + sum(u is not None for u in model.upper)
+    subsets = comb(constraints, n)
+    if subsets > BRUTE_FORCE_MAX_SUBSETS:
         raise ValueError(
-            f"{n} variables exceeds the oracle limit {BRUTE_FORCE_MAX_VARS}"
+            f"C({constraints}, {n}) = {subsets} candidate subsets exceeds "
+            f"the oracle limit {BRUTE_FORCE_MAX_SUBSETS}"
         )
     sf = _standard_form(model)
     A_rows = sf.A[:, :n].toarray()

@@ -159,6 +159,8 @@ def test_simulate_rejects_bad_inputs(capsys):
     assert "trials" in capsys.readouterr().err
     assert run_cli(["simulate", "--family", "path", "--n", "4", "--k", "0"]) == 2
     assert "bucket count" in capsys.readouterr().err
+    assert run_cli(["simulate", "--family", "path", "--n", "4", "--k", "2049"]) == 2
+    assert "<= 2048" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("density", ["1.5", "-1"])

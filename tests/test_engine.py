@@ -231,15 +231,25 @@ def test_trace_json(p4):
 
 @st.composite
 def graphs_and_orders(draw):
-    # Graphs on up to 10 vertices, often with isolated vertices, and 1..6
-    # orders each.
-    n = draw(st.integers(1, 10))
+    # Graphs on up to 10 vertices, often with isolated vertices, or on 60..70
+    # vertices, either side of the word-packed kernel's 64-vertex limit;
+    # 1..6 orders each.
+    n = draw(st.one_of(st.integers(1, 10), st.integers(60, 70)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if n <= 10:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    else:
+        density = draw(st.sampled_from([0.01, 0.05, 0.3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = rng.random(len(pairs)) < density
     g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
     rows = draw(st.integers(1, 6))
     orders = [draw(st.permutations(range(n))) for _ in range(rows)]
     return g, np.array(orders, dtype=np.int64).reshape(rows, n)
+
+
+def _vertex_iterative_sizes(g, orders):
+    return [len(run_ranking(g, row.tolist(), "vertex_iterative").matching) for row in orders]
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,9 +258,7 @@ def test_matching_sizes_match_vertex_iterative_rows(case):
     g, orders = case
     sizes = matching_sizes(g, orders)
     assert sizes.shape == (len(orders),)
-    assert sizes.tolist() == [
-        len(run_ranking(g, row.tolist(), "vertex_iterative").matching) for row in orders
-    ]
+    assert sizes.tolist() == _vertex_iterative_sizes(g, orders)
     # B = 1 takes the same path as every row of a larger batch.
     assert matching_sizes(g, orders[:1]).tolist() == sizes[:1].tolist()
 
@@ -267,13 +275,46 @@ def test_matching_sizes_on_wide_graphs():
     assert matching_sizes(kab, orders).tolist() == [1000] * 4
 
 
-def test_matching_sizes_rejects_bad_orders(p4):
-    with pytest.raises(ValueError, match="shape"):
-        matching_sizes(p4, [0, 1, 2, 3])
-    with pytest.raises(ValueError, match="shape"):
-        matching_sizes(p4, [[0, 1, 2]])
-    with pytest.raises(ValueError, match="outside"):
-        matching_sizes(p4, [[0, 1, 2, 4]])
-    with pytest.raises(ValueError, match="repeats"):
-        matching_sizes(p4, [[0, 1, 2, 3], [0, 1, 1, 3]])
-    assert matching_sizes(p4, np.empty((0, 4), dtype=int)).tolist() == []
+def test_matching_sizes_rejects_bad_orders():
+    # Both kernels: words up to 64 vertices, CSR segments above.
+    for n in (4, 64, 65):
+        g = generate_family("path", n=n)
+        row = list(range(n))
+        with pytest.raises(ValueError, match="shape"):
+            matching_sizes(g, row)
+        with pytest.raises(ValueError, match="shape"):
+            matching_sizes(g, [row[:-1]])
+        with pytest.raises(ValueError, match="outside"):
+            matching_sizes(g, [row[:-1] + [n]])
+        with pytest.raises(ValueError, match="outside"):
+            matching_sizes(g, [[-1] + row[1:]])
+        with pytest.raises(ValueError, match="repeats"):
+            matching_sizes(g, [row, [0, 1, 1] + row[3:]])
+        assert matching_sizes(g, np.empty((0, n), dtype=int)).tolist() == []
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_matching_sizes_at_the_word_boundary(n):
+    # A planted graph with three or four isolated vertices after it, and a
+    # path that uses position 63 at n = 64, under identity, reversed and
+    # random orders.
+    rng = np.random.default_rng(n)
+    planted = generate_family(
+        "random_with_perfect_matching", n=(n - 3) // 2 * 2, density=0.1, seed=n
+    )
+    for g in (make_graph(n, planted.edges), generate_family("path", n=n)):
+        orders = np.array(
+            [np.arange(n), np.arange(n)[::-1], *(rng.permutation(n) for _ in range(30))]
+        )
+        assert matching_sizes(g, orders).tolist() == _vertex_iterative_sizes(g, orders)
+
+
+def test_matching_sizes_picks_the_kernel_by_vertex_count(monkeypatch):
+    def unavailable(*args):
+        raise AssertionError("the other kernel ran")
+
+    monkeypatch.setattr(engine, "_csr_sizes", unavailable)
+    assert matching_sizes(generate_family("path", n=64), [range(64)]).tolist() == [32]
+    monkeypatch.undo()
+    monkeypatch.setattr(engine, "_word_sizes", unavailable)
+    assert matching_sizes(generate_family("path", n=65), [range(65)]).tolist() == [32]

@@ -11,6 +11,7 @@ from ranking_forge import simplex
 from ranking_forge.experiments import (
     KNOWN_OPTIMA,
     MC_BLOCK_SLOTS,
+    MC_MAX_BUCKETS,
     SWEEP_STAGES,
     SweepConfig,
     connected_graphs_upto,
@@ -115,6 +116,33 @@ def test_monte_carlo_determinism_across_partial_blocks():
 def test_monte_carlo_rejects_bad_inputs(trials, k):
     with pytest.raises(ValueError, match=">= 1"):
         monte_carlo_ratio(generate_family("path", n=4), trials, k, seed=0)
+
+
+def test_monte_carlo_estimates_are_pinned():
+    # mean.hex() and half_width.hex() of planted graphs on 16..24 vertices,
+    # across a block boundary (3 000 trials > 2 730 per block at n = 24),
+    # as drawn before the single sort key and the word-packed kernel.
+    digest = hashlib.sha256()
+    for n, density, graph_seed in ((16, 0.3, 1), (20, 0.5, 2), (24, 0.3, 3)):
+        g = generate_family(
+            "random_with_perfect_matching", n=n, density=density, seed=graph_seed
+        )
+        for k in (1, 10, 2048):
+            for seed in (0, 1, 2):
+                est = monte_carlo_ratio(g, 3000, k, seed)
+                digest.update(f"{est.mean.hex()} {est.half_width.hex()}\n".encode())
+    assert digest.hexdigest() == (
+        "e81fa134fbfd0f06bb44f975091952a9594bda8022ad302261a43a539c0c58eb"
+    )
+
+
+def test_monte_carlo_bucket_ceiling():
+    # The sort key holds the bucket above a 53-bit tie-break in one uint64.
+    g = generate_family("path", n=6)
+    assert MC_MAX_BUCKETS == 2048
+    assert 0 < monte_carlo_ratio(g, 100, 2048, seed=0).mean <= 1
+    with pytest.raises(ValueError, match="<= 2048"):
+        monte_carlo_ratio(g, 100, 2049, seed=0)
 
 
 def test_reproduce_records_solver_failures(monkeypatch):

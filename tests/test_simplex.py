@@ -253,12 +253,21 @@ def test_brute_force_oracle_on_smallest_lp():
     assert brute_force_optimum(m) == pytest.approx(solve(m).alpha, abs=1e-6)
 
 
-def test_brute_force_oracle_refuses_large_models():
-    # At two buckets the model already has 25 structural variables, past the
-    # vertex-enumeration oracle's reach; the scipy cross-check below covers
-    # those sizes instead.
-    with pytest.raises(ValueError, match="oracle limit"):
-        brute_force_optimum(build_lp(2))
+def test_brute_force_oracle_refuses_large_models(monkeypatch):
+    # The k = 1 naive and compact forms have more candidate subsets than the
+    # substituted form's 3 108 105, and at two buckets the model is far past
+    # the oracle's reach; the scipy cross-check below covers those sizes
+    # instead.  The refusal comes before any work.
+    models = [
+        (build_lp(1, "naive"), "C(31, 9) = 20160075 "),
+        (build_lp(1, "compact"), "C(30, 11) = 54627300 "),
+        (build_lp(2), "oracle limit"),
+    ]
+    monkeypatch.setattr(simplex, "_standard_form", None)
+    for model, message in models:
+        with pytest.raises(ValueError, match="oracle limit") as refusal:
+            brute_force_optimum(model)
+        assert message in str(refusal.value)
 
 
 def test_scipy_linprog_cross_check():
