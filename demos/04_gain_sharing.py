@@ -39,6 +39,6 @@ print("  match-with-backup, buckets (2, 1, b=3, u*=2):", h_value(
 
 print("\nExhaustive audit (every rank vector and insertion slot):")
 for u, u_star in sorted(g.m_star):
-    violations = audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3, 3)
+    violations = audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
     print(f"  pair ({u}, {u_star}): {len(violations)} violations")
     assert not violations

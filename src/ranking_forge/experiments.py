@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import simplex
+from . import ranks, simplex
 from .engine import (
     _vertex_iterative,
     matching_for_order,
@@ -32,6 +32,7 @@ from .engine import (
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
+    SizeLimitError,
     backup_counterexample_graph,
     designated_pairs,
     edge,
@@ -77,6 +78,8 @@ class RatioEstimate:
 
 #: Vertex slots per Monte Carlo block: a block holds max(1, 2**16 // n) trials.
 MC_BLOCK_SLOTS = 2**16
+#: Most vertices ``exact_expected_ratio`` enumerates the n! orders of.
+EXACT_RATIO_MAX_N = 8
 #: Largest bucket count whose sort key, bucket * 2**53 + tie * 2**53, fits
 #: a ``uint64``.
 MC_MAX_BUCKETS = 2**11
@@ -93,7 +96,8 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= k <= MC_MAX_BUCKETS:
+    ranks.check_bucket_count(k)
+    if k > MC_MAX_BUCKETS:
         raise ValueError(f"bucket count k must be >= 1 and <= {MC_MAX_BUCKETS}, got {k}")
     m_star = maximum_matching_size(g)
     if m_star == 0:
@@ -123,8 +127,11 @@ def exact_expected_ratio(g: Graph) -> Fraction:
     """E|matching| / |maximum matching| by enumerating all vertex orders.
 
     The orders go through ``matching_sizes`` in blocks of
-    ``MC_BLOCK_SLOTS // n`` rows, so memory stays bounded.
+    ``MC_BLOCK_SLOTS // n`` rows, so memory stays bounded.  Past
+    ``EXACT_RATIO_MAX_N`` vertices it raises ``SizeLimitError`` at once.
     """
+    if g.n > EXACT_RATIO_MAX_N:
+        raise SizeLimitError(f"{g.n} vertices, above the exact limit {EXACT_RATIO_MAX_N}")
     m_star = maximum_matching_size(g)
     if m_star == 0:
         raise ValueError("graph has no edges; the ratio is undefined")
@@ -433,7 +440,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]
         and g.edges
     ):
         for pair in designated_pairs(g):
-            viols = audit_h_bounds(g, pair.u, pair.u_star, REFERENCE_TABLE_K3, 3)
+            viols = audit_h_bounds(g, pair.u, pair.u_star, REFERENCE_TABLE_K3)
             bump("h-bound-audit")
             for v in viols:
                 record(**v)

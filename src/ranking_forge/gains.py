@@ -25,6 +25,7 @@ from .oracles import (
 )
 from .ranks import (
     RankVector,
+    check_bucket_count,
     enumerate_rank_vectors,
     insertion_slots,
     move_vertex,
@@ -53,8 +54,7 @@ class PriceTable:
     __slots__ = ("k", "_rows")
 
     def __init__(self, k: int, rows: Iterable[Iterable[float]]):
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValueError(f"bucket count k must be an int >= 1, got {k!r}")
+        check_bucket_count(k)
         grid = [list(map(float, row)) for row in rows]
         if len(grid) == k:
             grid = _pad(grid)
@@ -252,21 +252,19 @@ def audit_h_bounds(
     u: int,
     u_star: int,
     table: PriceTable,
-    k: int,
     check_table: bool = True,
 ) -> list[dict]:
     """Check ``h <= gain(u) + gain(u_star)`` on every realization.
 
-    Enumerates every rank vector on the graph without ``u_star`` (at most
-    ``AUDIT_BUDGET`` of them) and every insertion slot for it, always
-    conditioning on ``u`` being a buyer.  Returns violation records; an
+    Enumerates every rank vector on the graph without ``u_star`` over the
+    table's k buckets (at most ``AUDIT_BUDGET`` of them) and every insertion
+    slot for it, always conditioning on ``u`` being a buyer.  Returns violation records; an
     empty list is a pass.
 
     ``check_table=False`` lets a deliberately non-monotone table through, to
     demonstrate that the audit actually catches bound violations.
     """
-    if table.k != k:
-        raise ValueError(f"table has k={table.k}, audit asked for k={k}")
+    k = table.k
     if check_table:
         table.require_monotonic()
     if g.m_star is None or edge(u, u_star) not in g.m_star:

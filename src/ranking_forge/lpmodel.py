@@ -35,6 +35,7 @@ from typing import Iterator, Optional
 
 from .gains import H_value, PriceTable, h_forms
 from .oracles import ClassLabel
+from .ranks import check_bucket_count
 
 Coef = tuple[int, Fraction]
 
@@ -87,8 +88,7 @@ def build_lp(k: int, form: str = "substituted") -> LpModel:
     The optimum is a certified lower bound on the greedy matcher's
     approximation ratio.  See the module docstring for the three forms.
     """
-    if k < 1:
-        raise ValueError("bucket count k must be >= 1")
+    check_bucket_count(k)
     if form not in ("substituted", "naive", "compact"):
         raise ValueError(f"unknown form {form!r}")
     return _build(k, form)
@@ -646,23 +646,11 @@ def _parse_model_name(name: str) -> tuple[int, str]:
 # the exporter would produce for the parsed model, but never materializes
 # anything, so very large bucket counts stay within memory and time budgets.
 
-#: A streamed chunk is cut once this many characters have queued up.  One
-#: piece (a column, or the rows of one (i, xv) pair) can run past it.
-_CHUNK_CHARS = 1 << 20
-
-
 def compact_mps_chunks(k: int) -> Iterator[str]:
-    """Yield the compact-form MPS for ``k`` buckets as text chunks."""
-    buf: list[str] = []
-    size = 0
-    for piece in _compact_pieces(k):
-        buf.append(piece)
-        size += len(piece)
-        if size >= _CHUNK_CHARS:
-            yield "".join(buf)
-            buf, size = [], 0
-    if buf:
-        yield "".join(buf)
+    """The compact-form MPS for ``k`` buckets as text pieces: a section
+    part, a column or an (i, xv) block each.  ``k`` is checked at the call."""
+    check_bucket_count(k)
+    return _compact_pieces(k)
 
 
 def _compact_pieces(k: int) -> Iterator[str]:
@@ -893,13 +881,14 @@ def write_compact_mps(k: int, destination) -> dict:
     import time as _time
 
     start = _time.perf_counter()
+    pieces = compact_mps_chunks(k)
     nbytes = 0
     nlines = 0
     with open(destination, "w", buffering=4 * 1024 * 1024) as fh:
-        for chunk in compact_mps_chunks(k):
-            fh.write(chunk)
-            nbytes += len(chunk)
-            nlines += chunk.count("\n")
+        for piece in pieces:
+            fh.write(piece)
+            nbytes += len(piece)
+            nlines += piece.count("\n")
     return {
         "k": k,
         "bytes": nbytes,

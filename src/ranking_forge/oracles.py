@@ -112,20 +112,26 @@ def _backup(
     return matched_partner(matching_for_order(g, order, frozenset(frozen) | {v}), u)
 
 
+def _roles(g: Graph, order, u: int) -> tuple[Optional[int], Optional[int], ClassLabel]:
+    """``u``'s match, its backup (``None`` when absent) and its class label
+    under ``order``: the one place the label rule is written."""
+    v = matched_partner(matching_for_order(g, order), u)
+    if v is None:
+        return None, None, ClassLabel.UNMATCHED
+    b = _backup(g, order, u, v)
+    if b is None:
+        return v, None, ClassLabel.MATCHED_NO_BACKUP
+    return v, b, ClassLabel.MATCHED_WITH_BACKUP
+
+
 def compute_profile(
     g: Graph, rank_vector_minus_ustar: RankVector, u: int
 ) -> tuple[Profile, ClassLabel]:
     """Buckets of ``u``, its match, and its backup, plus the class label."""
     vec = rank_vector_minus_ustar
-    matching = matching_for_order(g, vec)
-    x_u = vec.bucket(u)
-    v = matched_partner(matching, u)
-    if v is None:
-        return Profile(x_u, None, None), ClassLabel.UNMATCHED
-    b = _backup(g, vec, u, v)
-    if b is None:
-        return Profile(x_u, vec.bucket(v), None), ClassLabel.MATCHED_NO_BACKUP
-    return Profile(x_u, vec.bucket(v), vec.bucket(b)), ClassLabel.MATCHED_WITH_BACKUP
+    v, b, label = _roles(g, vec, u)
+    x_v, x_b = (None if w is None else vec.bucket(w) for w in (v, b))
+    return Profile(vec.bucket(u), x_v, x_b), label
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +291,7 @@ def check_insertion_claims(
     if u_star in vec:
         raise ValueError(f"u_star {u_star} must be absent from the rank vector")
     report = ClaimReport()
-    base = matching_for_order(g, vec)
-    v = matched_partner(base, u)
+    v, b, _ = _roles(g, vec, u)
     sigma = move_vertex(vec, u_star, target)
     pos = position_map(sigma)
     full = matching_for_order(g, sigma)
@@ -345,7 +350,6 @@ def check_insertion_claims(
     else:
         report.add("worse-off-compensation", "skipped", reason="u not worse off")
 
-    b = _backup(g, vec, u, v)
     if b is not None:
         base_pos = position_map(vec)
         ok1 = base_pos[v] < base_pos[b]
@@ -379,11 +383,9 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
     outcome there is recorded, never asserted.
     """
     vec = rank_vector
-    base = matching_for_order(g, vec)
-    v = matched_partner(base, u)
+    v, b, _ = _roles(g, vec, u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
-    b = _backup(g, vec, u, v)
     report = ClaimReport()
     v_slot = vec.rank(v)
     base_pos = position_map(vec)
@@ -454,11 +456,9 @@ def enumerate_equivalence_class(
     precedes the backup (with backup).  Raises on mismatch.
     """
     vec = generator_vector
-    v = matched_partner(matching_for_order(g, vec), u)
+    v, b, label = _roles(g, vec, u)
     if v is None:
-        return {vec}, ClassStructure(ClassLabel.UNMATCHED, None, None, None, ())
-    b = _backup(g, vec, u, v)
-    label = ClassLabel.MATCHED_NO_BACKUP if b is None else ClassLabel.MATCHED_WITH_BACKUP
+        return {vec}, ClassStructure(label, None, None, None, ())
     red = remove_vertex(vec, v)
     slots = insertion_slots(red)
     members: dict[tuple[int, int], RankVector] = {}

@@ -38,7 +38,7 @@ class RankVector:
     __slots__ = ("k", "_order", "_buckets")
 
     def __init__(self, k: int, ranks: Mapping[int, Slot]):
-        _check_k(k)
+        check_bucket_count(k)
         m: dict[int, Slot] = {int(v): (int(x), int(y)) for v, (x, y) in ranks.items()}
         for v, (x, _) in m.items():
             if not 1 <= x <= k:
@@ -97,7 +97,8 @@ class RankVector:
         return f"RankVector(k={self.k}, {{{inner}}})"
 
 
-def _check_k(k: int) -> None:
+def check_bucket_count(k: int) -> None:
+    """The one bucket-count rule: ``ValueError`` unless k is an int >= 1, not a bool."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"bucket count k must be >= 1 and an int, got {k!r}")
 
@@ -116,7 +117,7 @@ def sample_ranks(vertices: Iterable[int], k: int, seed: int) -> RankVector:
     Uses the PCG64 stream, so identical ``(vertices, k, seed)`` reproduce the
     identical vector.
     """
-    _check_k(k)
+    check_bucket_count(k)
     vs = _distinct_sorted(vertices)
     rng = np.random.default_rng(seed)
     members: dict[int, list[int]] = {}
@@ -191,7 +192,7 @@ def enumerate_rank_vectors(
     permutation probability), as an exact rational.  Weights sum to 1.
     The arguments are checked at the call, before anything is yielded.
     """
-    _check_k(k)
+    check_bucket_count(k)
     vs = _distinct_sorted(vertices)
     n = len(vs)
     if k**n * factorial(n) > budget:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -425,7 +425,7 @@ def verify_solution(model: LpModel, solution: LpSolution, tol: float = 1e-8) -> 
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
-    """Read a ``name=value`` per line assignment (external solver output)."""
+    """Read ``name=value`` lines of finite values (external solver output)."""
     values: dict[str, float] = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -434,7 +434,10 @@ def parse_solution_text(text: str) -> dict[str, float]:
         name, _, raw = line.partition("=")
         if not _:
             raise ValueError(f"expected 'name=value', got {line!r}")
-        values[name.strip()] = float(raw)
+        value = float(raw)
+        if not isfinite(value):
+            raise ValueError(f"value in {line!r} is not a finite number")
+        values[name.strip()] = value
     return values
 
 

@@ -161,19 +161,19 @@ def test_criterion_6_gain_sharing_soundness():
     total_audits = 0
     violations = []
 
-    violations += audit_h_bounds(cex_plus, 0, 5, REFERENCE_TABLE_K3, 3)
+    violations += audit_h_bounds(cex_plus, 0, 5, REFERENCE_TABLE_K3)
     total_audits += 1
     for g, u, us in pairs:
-        violations += audit_h_bounds(g, u, us, REFERENCE_TABLE_K3, 3)
+        violations += audit_h_bounds(g, u, us, REFERENCE_TABLE_K3)
         total_audits += 1
     for k in (2, 3, 5):
         for trial in range(25):
             table = _random_monotone_table(k, seed=1000 * k + trial)
             for g, u, us in pairs:
-                violations += audit_h_bounds(g, u, us, table, k)
+                violations += audit_h_bounds(g, u, us, table)
                 total_audits += 1
     # The backup-counterexample instance, exhaustively at five buckets.
-    violations += audit_h_bounds(cex_plus, 0, 5, _random_monotone_table(5, 77), 5)
+    violations += audit_h_bounds(cex_plus, 0, 5, _random_monotone_table(5, 77))
     total_audits += 1
     report(
         "6 gain-sharing soundness",

@@ -125,7 +125,7 @@ def test_single_and_many_order_runs_bypass_the_vertex_iterative_view(monkeypatch
         assert matching_for_order(p4, order) == matching
     vec = RankVector(2, {0: (1, 1), 1: (1, 2), 2: (2, 1), 3: (2, 2)})
     assert compute_profile(p4, vec, 0)[1] == ClassLabel.MATCHED_NO_BACKUP
-    assert audit_h_bounds(p4, 0, 1, REFERENCE_TABLE_K3, 3) == []
+    assert audit_h_bounds(p4, 0, 1, REFERENCE_TABLE_K3) == []
     monkeypatch.setattr(experiments, "matching_for_order", unavailable)
     assert exact_expected_ratio(p4) == Fraction(7, 8)
 

@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from ranking_forge import simplex
+from ranking_forge import experiments, simplex
 from ranking_forge.experiments import (
     KNOWN_OPTIMA,
     MC_BLOCK_SLOTS,
@@ -24,6 +24,7 @@ from ranking_forge.experiments import (
 )
 from ranking_forge.engine import run_ranking
 from ranking_forge.graphs import (
+    SizeLimitError,
     backup_counterexample_graph,
     generate_family,
     graph_to_json,
@@ -62,6 +63,15 @@ def test_exact_ratios():
     assert exact_expected_ratio(generate_family("complete", n=4)) == 1
     k2 = generate_family("path", n=2)
     assert exact_expected_ratio(k2) == 1
+
+
+def test_exact_ratio_refuses_more_than_eight_vertices(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated orders past the size cap")
+
+    monkeypatch.setattr(experiments, "matching_sizes", forbidden)
+    with pytest.raises(SizeLimitError, match="9 vertices"):
+        exact_expected_ratio(generate_family("path", n=9))
 
 
 def test_exact_ratios_match_the_vertex_iterative_view():

@@ -173,18 +173,18 @@ def test_gain_monotonicity_inequalities():
 
 def test_audit_clean_on_pendant_path():
     g = make_graph(3, [(0, 1), (1, 2)], m_star=[(0, 1)])
-    assert audit_h_bounds(g, 0, 1, PriceTable.constant(2, 0.5), 2) == []
-    assert audit_h_bounds(g, 1, 0, PriceTable.constant(2, 0.5), 2) == []
+    assert audit_h_bounds(g, 0, 1, PriceTable.constant(2, 0.5)) == []
+    assert audit_h_bounds(g, 1, 0, PriceTable.constant(2, 0.5)) == []
 
 
 def test_audit_detects_corrupted_table():
     g = make_graph(3, [(0, 1), (1, 2)], m_star=[(0, 1)])
     bad = PriceTable(2, [[0.1, 0.2], [0.9, 0.95]])
-    violations = audit_h_bounds(g, 0, 1, bad, 2, check_table=False)
+    violations = audit_h_bounds(g, 0, 1, bad, check_table=False)
     assert violations
     assert all(v["h"] > v["realized"] for v in violations if "h" in v)
     with pytest.raises(ValueError):
-        audit_h_bounds(g, 0, 1, bad, 2)
+        audit_h_bounds(g, 0, 1, bad)
 
 
 def _unmemoized_audit(g, u, u_star, table, k):
@@ -230,7 +230,7 @@ def test_audit_matches_the_unmemoized_loop(g):
     for a, b in sorted(g.m_star):
         for u, u_star in ((a, b), (b, a)):
             expected = _unmemoized_audit(g, u, u_star, bad, 2)
-            assert audit_h_bounds(g, u, u_star, bad, 2, check_table=False) == expected
+            assert audit_h_bounds(g, u, u_star, bad, check_table=False) == expected
             found += len(expected)
     assert found
 
@@ -241,9 +241,9 @@ def test_audit_refuses_to_sample_past_its_budget():
     g = generate_family("random_with_perfect_matching", n=8, density=0.3, seed=1)
     u, u_star = sorted(g.m_star)[0]
     with pytest.raises(EnumerationLimitError):
-        audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3, 3)
+        audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
 
 
 def test_audit_requires_designated_pair(p4):
     with pytest.raises(ValueError, match="designated"):
-        audit_h_bounds(p4, 0, 2, PriceTable.constant(2, 0.5), 2)
+        audit_h_bounds(p4, 0, 2, PriceTable.constant(2, 0.5))

@@ -204,8 +204,8 @@ def test_solver_path_is_pinned(form):
 
 
 def test_compact_chunks_stay_bounded():
-    # A chunk is cut by character count; one column rides over the cut, so
-    # streaming stays bounded even where a column is hundreds of KB (k = 100).
+    # A chunk is one section part, column or (i, xv) block, so streaming
+    # stays bounded even where a column is hundreds of KB (k = 100).
     assert max(len(chunk) for chunk in compact_mps_chunks(28)) <= 8 * 2**20
 
 

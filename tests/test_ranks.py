@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranking_forge.experiments import monte_carlo_ratio
+from ranking_forge.gains import PriceTable
+from ranking_forge.graphs import generate_family
+from ranking_forge.lpmodel import build_lp, compact_mps_chunks, write_compact_mps
 from ranking_forge.ranks import (
     EnumerationLimitError,
     RankVector,
@@ -184,6 +188,29 @@ def test_rank_vector_rejects_a_bucket_count_that_is_not_an_int_of_at_least_one(k
         sample_ranks(range(2), k, seed=0)
     with pytest.raises(ValueError, match="bucket count k"):
         enumerate_rank_vectors(range(2), k)
+
+
+BUCKET_COUNT_ENTRIES = {
+    "build_lp": lambda k, path: build_lp(k),
+    "compact_mps_chunks": lambda k, path: compact_mps_chunks(k),
+    "write_compact_mps": lambda k, path: write_compact_mps(k, path),
+    "PriceTable": lambda k, path: PriceTable(k, [[0.5]]),
+    "sample_ranks": lambda k, path: sample_ranks(range(2), k, seed=0),
+    "enumerate_rank_vectors": lambda k, path: enumerate_rank_vectors(range(2), k),
+    "monte_carlo_ratio": lambda k, path: monte_carlo_ratio(
+        generate_family("path", n=4), 10, k, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.0])
+@pytest.mark.parametrize("entry", sorted(BUCKET_COUNT_ENTRIES))
+def test_every_entry_refuses_a_bad_bucket_count_at_the_call(entry, k, tmp_path):
+    path = tmp_path / "model.mps"
+    with pytest.raises(ValueError) as caught:
+        BUCKET_COUNT_ENTRIES[entry](k, path)
+    assert str(caught.value) == f"bucket count k must be >= 1 and an int, got {k!r}"
+    assert not path.exists()
 
 
 def test_json_rejects_a_fractional_bucket_count():
