@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import Edge, Graph, edge
 from .ranks import RankVector, induced_permutation
@@ -265,8 +264,8 @@ def matching_sizes(g: Graph, orders) -> np.ndarray:
 
 def _word_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:
     # Bit p of a run's word stands for the vertex at position p.  Cell
-    # v * B + r of ``bits`` is 1 << (v's position in row r); the neighbors'
-    # bits are distinct, so the sparse product's sums are exact ORs.
+    # v * B + r of ``bits`` is 1 << (v's position in row r), and cell
+    # v * B + r of ``words`` ORs those of v's neighbors.
     b, n = orders.shape
     bits = np.zeros(n * b, dtype=np.uint64)
     cells = orders.T * b + np.arange(b)
@@ -274,10 +273,13 @@ def _word_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:
     if np.count_nonzero(bits) != bits.size:
         raise ValueError("an order row repeats a vertex")
     indptr, indices = g.csr
-    adjacency = sp.csr_matrix(
-        (np.ones(indices.size, dtype=np.uint64), indices, indptr), shape=(n, n)
-    )
-    words = (adjacency @ bits.reshape(n, b)).ravel()
+    bits = bits.reshape(n, b)
+    words = np.zeros((n, b), dtype=np.uint64)
+    for v in range(n):
+        lo, hi = indptr[v], indptr[v + 1]
+        if hi > lo:
+            np.bitwise_or.reduce(bits[indices[lo:hi]], axis=0, out=words[v])
+    words = words.ravel()
     one = np.uint64(1)
     taken = np.zeros(b, dtype=np.uint64)
     sizes = np.zeros(b, dtype=np.uint64)

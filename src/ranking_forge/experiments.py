@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations
@@ -336,6 +335,10 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
     )
     work = sorted(corpus, key=lambda c: c.name)
     if config.jobs > 1:
+        # Imported here: the process pool and multiprocessing cost every
+        # import of the package, and only a parallel sweep uses them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             partials = list(pool.map(_sweep_one, [(config, item) for item in work]))
     else:

@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isfinite
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .gains import PriceTable
 from .lpmodel import LpModel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INF = float("inf")
 
@@ -83,6 +84,9 @@ class _Basis:
         self.refactor()
 
     def refactor(self) -> None:
+        # Imported here so that importing the package loads no scipy.
+        import scipy.sparse.linalg as spla
+
         B = self.A[:, self.basis].tocsc()
         self.lu = spla.splu(B)
         self.etas.clear()
@@ -120,6 +124,9 @@ class _StandardForm:
 
 
 def _standard_form(model: LpModel) -> _StandardForm:
+    # Imported here so that importing the package loads no scipy.
+    import scipy.sparse as sp
+
     n = len(model.var_names)
     m = len(model.rows)
     data, rows_idx, cols_idx = [], [], []
@@ -434,8 +441,11 @@ def parse_solution_text(text: str) -> dict[str, float]:
         name, _, raw = line.partition("=")
         if not _:
             raise ValueError(f"expected 'name=value', got {line!r}")
-        value = float(raw)
-        if not isfinite(value):
+        try:
+            value = float(raw)
+        except ValueError:
+            value = None
+        if value is None or not isfinite(value):
             raise ValueError(f"value in {line!r} is not a finite number")
         values[name.strip()] = value
     return values

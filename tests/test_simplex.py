@@ -238,6 +238,12 @@ def test_parse_solution_text_rejects_a_value_that_is_not_a_finite_number(raw):
         parse_solution_text(f"f_1_1=0.25\nalpha={raw}\n")
 
 
+@pytest.mark.parametrize("raw", ["half", "", "0.5.1"])
+def test_parse_solution_text_names_the_line_of_a_value_that_is_not_a_number(raw):
+    with pytest.raises(ValueError, match=f"'alpha={raw}' is not a finite number"):
+        parse_solution_text(f"f_1_1=0.25\nalpha={raw}\n")
+
+
 def test_external_solution_round_trip():
     # Dump a solved assignment as name=value text, read it back, verify.
     m = build_lp(3)
