@@ -14,7 +14,7 @@ from . import experiments, lpmodel, simplex
 from .gains import PriceTable
 from .graphs import FAMILIES, SizeLimitError, generate_family
 from .lpmodel import build_lp, evaluate_price_table, export_mps, write_compact_mps
-from .ranks import EnumerationLimitError
+from .ranks import EnumerationLimitError, check_bucket_count
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -98,10 +98,20 @@ def _dispatch(args) -> int:
     }[args.command](args)
 
 
+def _invalid_bucket_count(k) -> bool:
+    """True, with the shared message on stderr, unless ``k`` is a valid
+    bucket count."""
+    try:
+        check_bucket_count(k)
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_solve_lp(args) -> int:
     k = args.k
-    if k < 1:
-        print("k must be >= 1", file=sys.stderr)
+    if _invalid_bucket_count(k):
         return EXIT_USAGE
     if k > args.max_k_in_process:
         # Beyond the budget nothing is built: an export streams the compact
@@ -169,8 +179,7 @@ def _cmd_verify_lemmas(args) -> int:
     if not str(jobs).isdecimal() or int(jobs) < 1:
         print(f"invalid input: {name}={jobs} is not a positive integer", file=sys.stderr)
         return EXIT_USAGE
-    if args.k < 1:
-        print(f"invalid input: --k={args.k} is below 1", file=sys.stderr)
+    if _invalid_bucket_count(args.k):
         return EXIT_USAGE
     config = experiments.SweepConfig(
         max_n=args.max_n,

@@ -22,19 +22,28 @@ Removing a vertex set S is realized by marking it unavailable from the start
 the device the structural checks rely on.  Orders whose domain is a strict
 subset of the graph's vertices are accepted; missing vertices are treated
 as frozen.
+
+A run is computed once per (graph, order, frozen set).  An order is reduced
+to its vertex sequence once, and its probe schedule, built from per-vertex
+int positions, is shared by every frozen set; the replay's timeline is kept
+per (order, frozen set).  The memo holds the last graph seen only (a new
+``Graph`` object empties it) and at most ``MEMO_PROBES`` probe states, and
+it keeps only orders and frozen sets that passed their checks.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .graphs import Edge, Graph, edge
-from .ranks import RankVector, induced_permutation
+from .ranks import RankVector, order_of
 
 Time = tuple[int, int]
 OrderLike = Union[RankVector, Mapping[int, int], Sequence[int]]
@@ -65,64 +74,160 @@ class PartialState:
     available: frozenset[int]
 
 
-def position_map(order: OrderLike) -> dict[int, int]:
-    """Normalize an order (rank vector, map, or sequence) to vertex -> 1..n."""
+def _vertices(order: OrderLike) -> tuple:
+    """An order's vertex sequence as given, before its checks: cheap for a
+    rank vector or a tuple, and the key the run memo looks up.  A mapping is
+    checked for being a bijection here, on every call."""
     if isinstance(order, RankVector):
-        return induced_permutation(order)
+        return order_of(order)
     if isinstance(order, Mapping):
         pos = {int(v): int(p) for v, p in order.items()}
         if sorted(pos.values()) != list(range(1, len(pos) + 1)):
             raise ValueError("order map is not a bijection onto 1..n")
-        return pos
-    seq = [int(v) for v in order]
+        return tuple(sorted(pos, key=pos.__getitem__))
+    return tuple(order)
+
+
+def _sequence(vertices: tuple) -> tuple[int, ...]:
+    """``_vertices``'s result as distinct int vertices."""
+    seq = tuple(int(v) for v in vertices)
     if len(set(seq)) != len(seq):
         raise ValueError("order sequence repeats a vertex")
-    return {v: i + 1 for i, v in enumerate(seq)}
+    return seq
 
 
-def _check_domain(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> None:
-    for v in pos:
+def _checked(g: Graph, vertices: tuple) -> tuple[int, ...]:
+    """``_sequence``, with every vertex checked to be one of ``g``'s."""
+    seq = _sequence(vertices)
+    for v in seq:
         if not 0 <= v < g.n:
             raise ValueError(f"order mentions vertex {v} outside the graph")
-    if not frozen <= set(pos):
-        raise ValueError(f"frozen vertices {sorted(frozen - set(pos))} not in order")
+    return seq
 
 
-def _probe_schedule(g: Graph, pos: Mapping[int, int]) -> list[tuple[Time, Edge]]:
-    """``(time, edge)`` of the first probe of every in-domain edge, ascending:
-    the times are the distinct probe boundaries of every run on ``pos``."""
-    schedule = []
-    for u, v in g.edges:
-        if u in pos and v in pos:
-            a, b = pos[u], pos[v]
-            schedule.append(((a, b) if a < b else (b, a), (u, v)))
-    schedule.sort()
-    return schedule
+def _check_frozen(seq: tuple[int, ...], frozen: frozenset[int]) -> None:
+    if not frozen <= set(seq):
+        raise ValueError(f"frozen vertices {sorted(frozen - set(seq))} not in order")
+
+
+def position_map(order: OrderLike) -> dict[int, int]:
+    """Normalize an order (rank vector, map, or sequence) to vertex -> 1..n."""
+    return {v: i for i, v in enumerate(_sequence(_vertices(order)), start=1)}
+
+
+class _Order(NamedTuple):
+    """One checked order on a graph.  ``seq`` lists its vertices by position,
+    ``rank[v]`` is vertex v's position 1..len(seq) (0 for a vertex off the
+    order), and ``schedule`` holds ``(time, edge)`` of the first probe of
+    every in-domain edge, ascending: the times are the distinct probe
+    boundaries of every run on the order, whatever is frozen."""
+
+    seq: tuple[int, ...]
+    rank: tuple[int, ...]
+    schedule: tuple[tuple[Time, Edge], ...]
 
 
 class _Timeline(NamedTuple):
-    """One greedy-probing run.  ``schedule`` and ``accepted`` hold each
-    probe and its outcome; ``matchings[i]`` and ``taken[i]`` are the state
-    before probe ``i``, and index ``len(schedule)`` is the final state.
-    ``taken`` is a bitmask of the frozen and matched vertices.  A probe that
-    is turned down leaves the state as it was, and the next index reuses the
-    same objects."""
+    """One greedy-probing run of ``order``.  ``accepted`` holds each probe's
+    outcome; ``matchings[i]`` and ``taken[i]`` are the state before probe
+    ``i``, and index ``len(schedule)`` is the final state.  ``taken`` is a
+    bitmask of the frozen and matched vertices.  A probe that is turned down
+    leaves the state as it was, and the next index reuses the same objects.
+    The run memo shares timelines between callers, so every field is a
+    tuple."""
 
-    schedule: list[tuple[Time, Edge]]
-    accepted: list[bool]
-    matchings: list[frozenset[Edge]]
-    taken: list[int]
+    order: _Order
+    accepted: tuple[bool, ...]
+    matchings: tuple[frozenset[Edge], ...]
+    taken: tuple[int, ...]
+
+    @property
+    def schedule(self) -> tuple[tuple[Time, Edge], ...]:
+        return self.order.schedule
 
     def before(self, t: Time) -> int:
         """Index of the state after all probes at times < ``t``."""
-        return bisect_left(self.schedule, (t,))
+        return bisect_left(self.order.schedule, (t,))
 
 
-def _replay(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> _Timeline:
-    """The greedy-probing loop: walk the probe schedule once, committing
-    every probe whose endpoints are both free."""
-    _check_domain(g, pos, frozen)
-    schedule = _probe_schedule(g, pos)
+#: Most probe states the run memo holds: past it the memo starts over, and a
+#: single order or run longer than this is never kept.
+MEMO_PROBES = 1 << 14
+
+
+class _RunMemo(threading.local):
+    """The orders and runs computed on the last graph seen, so a run is
+    computed once per (graph, order, frozen set).  A different ``Graph``
+    object (by identity) empties it.  ``probes`` counts the schedule
+    entries of the kept orders and the states of the kept runs.  Each
+    thread has its own memo, so one thread's reset never mixes graphs in
+    another's."""
+
+    def __init__(self) -> None:
+        self.reset(None)
+
+    def reset(self, g: Graph | None) -> None:
+        self.graph = g
+        self.orders: dict[tuple[int, ...], _Order] = {}
+        self.runs: dict[tuple[tuple[int, ...], frozenset[int]], _Timeline] = {}
+        self.probes = 0
+
+    def admit(self, size: int) -> bool:
+        """Make room for ``size`` probe states; False if they never fit."""
+        if size > MEMO_PROBES:
+            return False
+        if self.probes + size > MEMO_PROBES:
+            self.reset(self.graph)
+        self.probes += size
+        return True
+
+
+_MEMO = _RunMemo()
+
+
+def _order(g: Graph, order: OrderLike) -> _Order:
+    """The checked order with its probe schedule, built once per order on
+    ``g``; the checks run again for an order the memo does not hold."""
+    if _MEMO.graph is not g:
+        _MEMO.reset(g)
+    vertices = _vertices(order)
+    known = _MEMO.orders.get(vertices)
+    if known is not None:
+        return known
+    seq = _checked(g, vertices)
+    rank = [0] * g.n
+    for i, v in enumerate(seq, start=1):
+        rank[v] = i
+    # Each probe leads with its time (a, b) as the int a * stride + b: the
+    # sort then compares one int per pair, not nested tuples.
+    stride = g.n + 1
+    keyed = []
+    for u, v in g.edges:
+        a, b = rank[u], rank[v]
+        if a > b:
+            a, b = b, a
+        if a:
+            keyed.append((a * stride + b, (a, b), (u, v)))
+    keyed.sort()
+    schedule = tuple([(t, e) for _, t, e in keyed])
+    known = _Order(seq, tuple(rank), schedule)
+    if _MEMO.admit(len(schedule) + 1):
+        _MEMO.orders[seq] = known
+    return known
+
+
+def _replay(g: Graph, order: OrderLike, frozen: frozenset[int]) -> _Timeline:
+    """The greedy-probing loop: walk the order's probe schedule once,
+    committing every probe whose endpoints are both free.  Each (graph,
+    order, frozen set) is replayed once while the memo holds it."""
+    if _MEMO.graph is not g:
+        _MEMO.reset(g)
+    vertices = _vertices(order)
+    timeline = _MEMO.runs.get((vertices, frozen))
+    if timeline is not None:
+        return timeline
+    o = _order(g, vertices)
+    _check_frozen(o.seq, frozen)
     matching: frozenset[Edge] = frozenset()
     taken = 0
     for v in frozen:
@@ -130,7 +235,7 @@ def _replay(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> _Timeli
     accepted: list[bool] = []
     matchings = [matching]
     takens = [taken]
-    for _, (u, v) in schedule:
+    for _, (u, v) in o.schedule:
         pair = 1 << u | 1 << v
         ok = not taken & pair
         if ok:
@@ -139,7 +244,10 @@ def _replay(g: Graph, pos: Mapping[int, int], frozen: frozenset[int]) -> _Timeli
         accepted.append(ok)
         matchings.append(matching)
         takens.append(taken)
-    return _Timeline(schedule, accepted, matchings, takens)
+    timeline = _Timeline(o, tuple(accepted), tuple(matchings), tuple(takens))
+    if _MEMO.admit(len(takens)):
+        _MEMO.runs[o.seq, frozen] = timeline
+    return timeline
 
 
 def _vertex_iterative(g, pos, frozen, latest_first=False):
@@ -220,10 +328,10 @@ def run_ranking(
     """
     if view not in _VIEW_IMPLS:
         raise ValueError(f"unknown view {view!r}; choose one of {VIEWS}")
-    pos = position_map(order)
+    seq = _checked(g, _vertices(order))
     frozen = frozenset(frozen)
-    _check_domain(g, pos, frozen)
-    matching, log = _VIEW_IMPLS[view](g, pos, frozen)
+    _check_frozen(seq, frozen)
+    matching, log = _VIEW_IMPLS[view](g, position_map(seq), frozen)
     return RankingTrace(frozenset(matching), tuple(log), view)
 
 
@@ -233,7 +341,7 @@ def matching_for_order(
     frozen: frozenset[int] | set[int] = frozenset(),
 ) -> frozenset[Edge]:
     """Just the matching: the final state of the greedy-probing replay."""
-    return _replay(g, position_map(order), frozenset(frozen)).matchings[-1]
+    return _replay(g, order, frozenset(frozen)).matchings[-1]
 
 
 #: Largest vertex count whose taken set fits one ``uint64`` word per run.
@@ -339,8 +447,7 @@ def partial_states(
     (matching and availability after all probes at times < t).  ``times``
     must strictly ascend; ``ValueError`` otherwise.
     """
-    pos = position_map(order)
-    timeline = _replay(g, pos, frozenset(frozen))
+    timeline = _replay(g, order, frozenset(frozen))
     previous = None
     for t in times:
         if previous is not None and t <= previous:
@@ -348,7 +455,7 @@ def partial_states(
         previous = t
         i = timeline.before(t)
         taken = timeline.taken[i]
-        available = frozenset(v for v in pos if not taken >> v & 1)
+        available = frozenset(v for v in timeline.order.seq if not taken >> v & 1)
         yield PartialState(t, timeline.matchings[i], available)
 
 

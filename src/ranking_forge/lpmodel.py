@@ -123,6 +123,22 @@ def _h_cases(k: int) -> Iterator[HCase]:
                     yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
 
 
+def _two_arm_cases(k: int) -> Iterator[HCase]:
+    """The cases of ``_h_cases`` whose bound is a minimum of two arms, in the
+    same order: a match bucket and a new-vertex bucket both at most ``x_u``
+    (the only cases the compact form gives a variable)."""
+    buckets = range(1, k + 1)
+    for i in buckets:
+        for xv in range(1, i + 1):
+            for xus in range(1, i + 1):
+                yield ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus
+    for i in buckets:
+        for xv in range(1, i + 1):
+            for xb in range(xv + 1, k + 2):
+                for xus in range(1, i + 1):
+                    yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
+
+
 def _windows(k: int) -> Iterator[tuple[str, int, list[HCase]]]:
     """Each averaging row of the direct forms as ``(name, i, cases)``:
     ``alpha_i`` is at most the average of h over the cases."""
@@ -221,15 +237,16 @@ def _build(k: int, form: str) -> LpModel:
     # A case gets a variable in the naive form, and in the other two when
     # its bound is a minimum of two arms.  Each arm is an upper-bounding row:
     # maximization presses the variable onto its smaller arm.  The direct
-    # forms fold every other case, affine, straight into the averaging rows.
+    # forms fold every other case, affine, straight into the averaging rows;
+    # the compact form telescopes them away, so it walks the two-arm cases
+    # alone.
     aux_0 = len(names)
     aux: dict[HCase, int] = {}
     inlined: dict[HCase, tuple] = {}
-    for case in _h_cases(k):
+    for case in _two_arm_cases(k) if compact else _h_cases(k):
         arms = h_forms(*case)
         if len(arms) == 1 and not naive:
-            if not compact:
-                inlined[case] = arms[0]
+            inlined[case] = arms[0]
             continue
         idx = len(names)
         if not compact:
@@ -636,8 +653,10 @@ def _parse_model_name(name: str) -> tuple[int, str]:
     if match is None:
         raise ValueError(f"model name {name!r} is not ranking_lp_k<k>_<form>")
     k = int(match[1])
-    if k < 1:
-        raise ValueError(f"model name {name!r} gives bucket count {k} < 1")
+    try:
+        check_bucket_count(k)
+    except ValueError as exc:
+        raise ValueError(f"model name {name!r} gives bucket count {k}: {exc}") from None
     return k, match[2]
 
 

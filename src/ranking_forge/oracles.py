@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .engine import Time, _replay, _Timeline, matching_for_order, position_map
+from .engine import Time, _order, _replay, _Timeline, matching_for_order, position_map
 from .graphs import Edge, Graph, edge, matched_partner
 from .ranks import RankVector, insertion_slots, move_vertex, remove_vertex
 
@@ -183,7 +183,6 @@ def _arrange_path(diff: set[Edge], start: int) -> list[int]:
 
 
 def _verify_path_properties(
-    pos: dict[int, int],
     u_star: int,
     full: _Timeline,
     minus: _Timeline,
@@ -192,6 +191,7 @@ def _verify_path_properties(
 ) -> AlternatingPath:
     """Check the path properties on state ``i`` of the run and of the run
     with ``u_star`` removed; ``context()`` builds the witness for a raise."""
+    seq, rank = full.order.seq, full.order.rank
     full_matching, minus_matching = full.matchings[i], minus.matchings[i]
     path = _arrange_path(set(full_matching ^ minus_matching), u_star)
     sources = []
@@ -206,11 +206,11 @@ def _verify_path_properties(
             )
         sources.append(source)
     for j in range(len(path) - 2):
-        if not pos[path[j]] < pos[path[j + 2]]:
+        if not rank[path[j]] < rank[path[j + 2]]:
             raise ClaimViolation(
                 "alt-path-monotonicity",
                 {**context(), "path": path,
-                 "ranks": [pos[v] for v in path], "index": j},
+                 "ranks": [rank[v] for v in path], "index": j},
             )
     # Both runs take their vertices from the same domain, so the available
     # sets differ exactly where the taken sets do.
@@ -218,14 +218,15 @@ def _verify_path_properties(
         raise ClaimViolation(
             "alt-path-availability",
             {**context(), "path": path,
-             "available_full": _available(pos, full.taken[i]),
-             "available_minus": _available(pos, minus.taken[i])},
+             "available_full": _available(seq, full.taken[i]),
+             "available_minus": _available(seq, minus.taken[i])},
         )
     return AlternatingPath(tuple(path), tuple(sources))
 
 
-def _available(pos: dict[int, int], taken: int) -> list[int]:
-    return sorted(v for v in pos if not taken >> v & 1)
+def _available(seq: tuple[int, ...], taken: int) -> list[int]:
+    return sorted(v for v in seq if not taken >> v & 1)
+
 
 
 def extract_alternating_path(
@@ -235,12 +236,13 @@ def extract_alternating_path(
     ``u_star`` at probe time ``t``, arranged and verified as an alternating
     path.  Raises :class:`ClaimViolation` if any path property fails.
     """
-    pos = position_map(order)
-    full = _replay(g, pos, frozenset())
-    minus = _replay(g, pos, frozenset({u_star}))
+    full = _replay(g, order, frozenset())
+    seq = full.order.seq
+    minus = _replay(g, seq, frozenset({u_star}))
     return _verify_path_properties(
-        pos, u_star, full, minus, full.before(t),
-        lambda: {"graph": sorted(g.edges), "u_star": u_star, "t": t, "order": pos},
+        u_star, full, minus, full.before(t),
+        lambda: {"graph": sorted(g.edges), "u_star": u_star, "t": t,
+                 "order": position_map(seq)},
     )
 
 
@@ -250,11 +252,11 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     Returns the number of checkpoints verified (probe times plus the final
     state); raises on the first violation.
     """
-    pos = position_map(order)
-    full = _replay(g, pos, frozenset())
-    minus = _replay(g, pos, frozenset({u_star}))
+    full = _replay(g, order, frozenset())
+    seq = full.order.seq
+    minus = _replay(g, seq, frozenset({u_star}))
     times = [t for t, _ in full.schedule]
-    times.append((len(pos) + 1, len(pos) + 1))  # the final state
+    times.append((len(seq) + 1, len(seq) + 1))  # the final state
     checked = None
     for i, t in enumerate(times):
         state = (full.matchings[i], full.taken[i], minus.matchings[i], minus.taken[i])
@@ -262,8 +264,9 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
         # and so the verdict, are the ones already checked.
         if state != checked:
             _verify_path_properties(
-                pos, u_star, full, minus, i,
-                lambda: {"graph": sorted(g.edges), "u_star": u_star, "order": pos, "t": t},
+                u_star, full, minus, i,
+                lambda: {"graph": sorted(g.edges), "u_star": u_star,
+                         "order": position_map(seq), "t": t},
             )
             checked = state
     return len(times)
@@ -293,8 +296,8 @@ def check_insertion_claims(
     report = ClaimReport()
     v, b, _ = _roles(g, vec, u)
     sigma = move_vertex(vec, u_star, target)
-    pos = position_map(sigma)
     full = matching_for_order(g, sigma)
+    pos = _order(g, sigma).rank
     has_pair_edge = g.has_edge(u, u_star)
 
     def partner_pos(matching, w) -> Optional[int]:
@@ -351,7 +354,7 @@ def check_insertion_claims(
         report.add("worse-off-compensation", "skipped", reason="u not worse off")
 
     if b is not None:
-        base_pos = position_map(vec)
+        base_pos = _order(g, vec).rank
         ok1 = base_pos[v] < base_pos[b]
         report.add(
             "backup-rank-dominance", "pass" if ok1 else "fail",
@@ -388,12 +391,12 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
     report = ClaimReport()
     v_slot = vec.rank(v)
-    base_pos = position_map(vec)
+    base_pos = _order(g, vec).rank
     for slot in insertion_slots(vec, v):
         moved = move_vertex(vec, v, slot)
         moved_match = matching_for_order(g, moved)
         new_partner = matched_partner(moved_match, u)
-        pos = position_map(moved)
+        pos = _order(g, moved).rank
         if b is None:
             if slot >= v_slot:
                 still_v = new_partner == v
@@ -554,16 +557,16 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     stays available.  Every downstream use of the fact sits at ``t <=
     pos(v)``.
     """
-    pos = position_map(order)
-    n = len(pos)
     report = ClaimReport()
-    full = _replay(g, pos, frozenset())
-    minus = _replay(g, pos, frozenset({v}))
+    full = _replay(g, order, frozenset())
+    seq = full.order.seq
+    n = len(seq)
+    minus = _replay(g, seq, frozenset({v}))
+    pos = position_map(seq)
     demoted = None
     if pos[v] < n:
-        swapped = dict(pos)
-        w = next(u for u, p in pos.items() if p == pos[v] + 1)
-        swapped[v], swapped[w] = swapped[w], swapped[v]
+        p = pos[v]  # v is seq[p - 1]; swap it with seq[p], the next vertex
+        swapped = seq[: p - 1] + (seq[p], v) + seq[p + 1 :]
         demoted = _replay(g, swapped, frozenset())
     # Every run takes its vertices from the same domain, so comparing the
     # available sets apart from ``v`` is comparing the taken sets with ``v``.

@@ -140,7 +140,16 @@ def test_verify_lemmas_rejects_k_below_one(monkeypatch, capsys):
     for k in ("0", "-1"):
         assert run_cli(["verify-lemmas", "--max-n", "2", "--k", k, "--exhaustive",
                         "--skip-random-eight"]) == 2
-        assert f"invalid input: --k={k} is below 1" in capsys.readouterr().err
+        assert (f"invalid input: bucket count k must be >= 1 and an int, got {k}"
+                in capsys.readouterr().err)
+
+
+def test_solve_lp_rejects_k_below_one(capsys):
+    for k in ("0", "-3"):
+        assert run_cli(["solve-lp", "--k", k]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: bucket count k must be >= 1 and an int, got {k}\n"
+        )
 
 
 def test_simulate_exact_and_sampled(capsys):

@@ -222,6 +222,105 @@ def test_domain_errors(p4):
         run_ranking(p4, [0, 1, 2, 3], view="sideways")
 
 
+def _reference_timeline(g, pos, frozen):
+    # The replay written out without the memo or int positions: sort the
+    # in-domain edges by probe time and commit every probe whose endpoints
+    # are both free.
+    schedule = sorted(
+        (tuple(sorted((pos[u], pos[v]))), (u, v))
+        for u, v in g.edges
+        if u in pos and v in pos
+    )
+    matching, taken = frozenset(), sum(1 << v for v in frozen)
+    accepted, matchings, takens = [], [matching], [taken]
+    for _, (u, v) in schedule:
+        ok = not taken & (1 << u | 1 << v)
+        if ok:
+            taken |= 1 << u | 1 << v
+            matching = matching | {(u, v)}
+        accepted.append(ok)
+        matchings.append(matching)
+        takens.append(taken)
+    return schedule, accepted, matchings, takens
+
+
+def _order_as(form, order):
+    if form == "vector":
+        return RankVector(1, {v: (1, i + 1) for i, v in enumerate(order)})
+    if form == "map":
+        return {v: i + 1 for i, v in enumerate(order)}
+    return list(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases(), st.sampled_from(["list", "vector", "map"]))
+def test_memoized_runs_equal_a_fresh_replay(case, form):
+    g, order, frozen = case
+    engine._MEMO.reset(None)
+    given_order = _order_as(form, order)
+    first = engine._replay(g, given_order, frozen)
+    again = engine._replay(g, given_order, frozen)
+    assert again is first  # the second call is served from the memo
+    assert engine._replay(g, tuple(order), frozen) is first
+    for field in ("accepted", "matchings", "taken"):
+        assert type(getattr(first, field)) is tuple
+    pos = position_map(order)
+    expected = _reference_timeline(g, pos, frozen)
+    assert (list(first.schedule), list(first.accepted),
+            list(first.matchings), list(first.taken)) == expected
+    # Every other frozen set reuses the order's schedule, not its run.
+    unfrozen = engine._replay(g, given_order, frozenset())
+    assert unfrozen.order is first.order
+    assert list(unfrozen.taken) == _reference_timeline(g, pos, frozenset())[3]
+    assert matching_for_order(g, given_order, frozen) == first.matchings[-1]
+
+
+def test_invalid_orders_and_frozen_sets_raise_on_every_call(p4):
+    engine._MEMO.reset(None)
+    cases = [
+        ([0, 1, 1, 3], frozenset(), "repeats a vertex"),
+        ([0, 1, 2, 9], frozenset(), "outside the graph"),
+        ([0, -1, 2, 3], frozenset(), "outside the graph"),
+        ({0: 1, 1: 3, 2: 3, 3: 4}, frozenset(), "not a bijection"),
+        ([0, 1, 2], frozenset({3}), r"frozen vertices \[3\] not in order"),
+        (RankVector(1, {0: (1, 1), 1: (1, 2)}), frozenset({9}), "not in order"),
+    ]
+    for order, frozen, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                engine._replay(p4, order, frozen)
+            with pytest.raises(ValueError, match=message):
+                matching_for_order(p4, order, frozen)
+            with pytest.raises(ValueError, match=message):
+                run_ranking(p4, order, frozen=frozen)
+    assert all(len(set(o.seq)) == len(o.seq) for o in engine._MEMO.orders.values())
+    assert all(frozen <= set(seq) for seq, frozen in engine._MEMO.runs)
+    assert all(0 <= v < p4.n for seq in engine._MEMO.orders for v in seq)
+
+
+def test_the_memo_holds_one_graph_and_stays_under_its_cap(monkeypatch):
+    first, second = generate_family("cycle", n=6), generate_family("cycle", n=6)
+    matching_for_order(first, [0, 1, 2, 3, 4, 5])
+    matching_for_order(second, [0, 1, 2, 3, 4, 5], frozen={2})
+    # An equal graph that is a different object starts the memo over.
+    assert engine._MEMO.graph is second
+    assert list(engine._MEMO.runs) == [((0, 1, 2, 3, 4, 5), frozenset({2}))]
+    cap = 40
+    monkeypatch.setattr(engine, "MEMO_PROBES", cap)
+    engine._MEMO.reset(None)
+    for perm in permutations(range(6)):
+        matching_for_order(first, perm)
+        assert engine._MEMO.probes <= cap
+        held = sum(len(o.schedule) + 1 for o in engine._MEMO.orders.values())
+        held += sum(len(t.taken) for t in engine._MEMO.runs.values())
+        assert held == engine._MEMO.probes
+    # A run with more probe states than the cap is computed, never kept.
+    dense = generate_family("complete", n=10)
+    assert len(matching_for_order(dense, list(range(10)))) == 5
+    assert engine._MEMO.graph is dense and not engine._MEMO.runs
+    assert not engine._MEMO.orders
+
+
 def test_trace_json(p4):
     payload = json.loads(trace_to_json(run_ranking(p4, [0, 1, 2, 3])))
     assert payload["view"] == "vertex_iterative"

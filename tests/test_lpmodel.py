@@ -9,6 +9,7 @@ from ranking_forge.gains import (
     REFERENCE_TABLE_K3,
     REFERENCE_TABLE_K10,
     PriceTable,
+    h_forms,
 )
 from ranking_forge.lpmodel import (
     build_lp,
@@ -81,16 +82,31 @@ def test_direct_form_text_is_pinned(form, k):
     assert hashlib.sha256(text.encode()).hexdigest() == DIRECT_FORM_SHA256[form, k]
 
 
-def test_substituted_min_cases_match_compact():
-    # The compact writer hard-codes the min-case set; the builder takes it
-    # from the cases whose h_forms has two arms.  Both must give the same
-    # auxiliary variables.
+def test_substituted_min_cases_match_compact(monkeypatch):
+    # The compact writer and builder hard-code the min-case set; the
+    # substituted builder takes it from the cases whose h_forms has two arms.
+    # All must give the same auxiliary variables, and the compact builder
+    # asks h_forms about no other case.
     def aux(model):
         return [n for n in model.var_names if n.startswith(("hs_", "hb_"))]
 
+    arm_counts = []
+
+    def counted(*case):
+        arms = h_forms(*case)
+        arm_counts.append(len(arms))
+        return arms
+
     for k in range(1, 7):
+        two_arm = [c for c in lpmodel._h_cases(k) if len(h_forms(*c)) == 2]
+        assert list(lpmodel._two_arm_cases(k)) == two_arm
         streamed = parse_mps("".join(compact_mps_chunks(k)))
-        assert aux(build_lp(k)) == aux(build_lp(k, "compact")) == aux(streamed)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmodel, "h_forms", counted)
+            compact = build_lp(k, "compact")
+        assert arm_counts == [2] * len(two_arm)
+        arm_counts.clear()
+        assert aux(build_lp(k)) == aux(compact) == aux(streamed)
 
 
 def test_compact_form_same_optimum_and_byte_stable():
