@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from . import experiments, lpmodel, simplex
+from . import experiments
 from .gains import PriceTable
 from .graphs import FAMILIES, SizeLimitError, generate_family
 from .lpmodel import build_lp, evaluate_price_table, export_mps, write_compact_mps
@@ -131,9 +131,9 @@ def _cmd_solve_lp(args) -> int:
     if args.export:
         export_mps(model, args.export)
         print(f"exported {args.export}")
-    solution = simplex.solve(model)
-    if solution.status != "optimal":
-        print(f"solver status: {solution.status}", file=sys.stderr)
+    solution, status, error = experiments.judge_solve(model)
+    if error:
+        print(f"solver status: {status}: {error}", file=sys.stderr)
         return EXIT_VIOLATION
     print(
         f"alpha={solution.alpha:.5f} (k={k}, {solution.iterations} iterations, "
@@ -220,8 +220,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.k_max < 1:
-        print("k-max must be >= 1", file=sys.stderr)
+    if _invalid_bucket_count(args.k_max):
         return EXIT_USAGE
     if args.k_max > IN_PROCESS_K_LIMIT:
         print(

@@ -250,19 +250,18 @@ def _replay(g: Graph, order: OrderLike, frozen: frozenset[int]) -> _Timeline:
     return timeline
 
 
-def _vertex_iterative(g, pos, frozen, latest_first=False):
+def _vertex_iterative(g, seq, frozen, latest_first=False):
     # ``latest_first`` scans neighbors in descending rank, so each vertex
     # grabs its last free neighbor: the sweep's deliberately wrong mutation arm.
-    domain = set(pos)
-    by_rank = sorted(domain, key=pos.__getitem__)
+    pos = {v: i for i, v in enumerate(seq, start=1)}
     unavailable = set(frozen)
     log: list[ProbeEvent] = []
     matching: set[Edge] = set()
-    for v in by_rank:
+    for v in seq:
         if v in unavailable:
             continue  # every probe from a matched vertex is vacuous
         for u in sorted(
-            (u for u in g.neighbors(v) if u in domain),
+            (u for u in g.neighbors(v) if u in pos),
             key=pos.__getitem__,
             reverse=latest_first,
         ):
@@ -276,26 +275,22 @@ def _vertex_iterative(g, pos, frozen, latest_first=False):
     return matching, log
 
 
-def _greedy_probing(g, pos, frozen):
-    timeline = _replay(g, pos, frozen)
+def _greedy_probing(g, seq, frozen):
+    timeline = _replay(g, seq, frozen)
     log = [
         ProbeEvent(t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted)
     ]
     return timeline.matchings[-1], log
 
 
-def _restricted_arrival(g, pos, frozen):
+def _restricted_arrival(g, seq, frozen):
     # Arrival i probes the pairs (i, 1), (i, 2), ..., (i, i-1) in order:
     # only neighbors that already arrived are visible.
-    domain = set(pos)
-    by_rank = {p: v for v, p in pos.items()}
     unavailable = set(frozen)
     log: list[ProbeEvent] = []
     matching: set[Edge] = set()
-    for i in range(1, len(domain) + 1):
-        v = by_rank[i]
-        for j in range(1, i):
-            u = by_rank[j]
+    for i, v in enumerate(seq, start=1):
+        for j, u in enumerate(seq[: i - 1], start=1):
             if not g.has_edge(u, v):
                 continue
             ok = u not in unavailable and v not in unavailable
@@ -324,14 +319,15 @@ def run_ranking(
 
     ``frozen`` vertices stay unavailable from the start and are never
     matched; this realizes the run on the order with those vertices removed,
-    without re-indexing anyone else.
+    without re-indexing anyone else.  The order is checked here, once, and
+    every view runs on the checked vertex sequence.
     """
     if view not in _VIEW_IMPLS:
         raise ValueError(f"unknown view {view!r}; choose one of {VIEWS}")
     seq = _checked(g, _vertices(order))
     frozen = frozenset(frozen)
     _check_frozen(seq, frozen)
-    matching, log = _VIEW_IMPLS[view](g, position_map(seq), frozen)
+    matching, log = _VIEW_IMPLS[view](g, seq, frozen)
     return RankingTrace(frozenset(matching), tuple(log), view)
 
 

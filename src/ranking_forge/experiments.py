@@ -21,13 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import ranks, simplex
-from .engine import (
-    _vertex_iterative,
-    matching_for_order,
-    matching_sizes,
-    position_map,
-    views_agree,
-)
+from .engine import _vertex_iterative, matching_for_order, matching_sizes, views_agree
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
@@ -165,26 +159,36 @@ class LpTableRow:
         return abs(self.alpha - self.expected) <= 1e-4
 
 
+def judge_solve(model) -> tuple[Optional[simplex.LpSolution], str, Optional[str]]:
+    """Solve ``model`` and judge the outcome: ``(solution, status, error)``.
+
+    ``error`` is None for an optimal solve and says what went wrong
+    otherwise: a numerical stall gives no solution and status 'error', and a
+    solve that stops short of optimal keeps its own status.
+    """
+    try:
+        solution = simplex.solve(model)
+    except simplex.SimplexStall as exc:
+        return None, "error", f"stall: {exc}"
+    status, error = solution.status, None
+    if status != "optimal":
+        error = f"solver stopped with status {status!r} after {solution.iterations} iterations"
+    return solution, status, error
+
+
 def reproduce_lp_table(k_list: Iterable[int]) -> list[LpTableRow]:
     """Solve the factor-revealing LP for each k.
 
-    A solve that stops short of optimal, or stalls numerically, is recorded
-    as a row with NaN alpha, its status and the reason, and the run goes on
-    with the next k.  Any other exception propagates.
+    A solve that ``judge_solve`` finds wanting is recorded as a row with NaN
+    alpha, its status and the reason, and the run goes on with the next k.
+    Any other exception propagates.
     """
     rows = []
     for k in k_list:
         start = time.perf_counter()
-        try:
-            solution = simplex.solve(build_lp(k))
-        except simplex.SimplexStall as exc:
-            alpha, iters, status, error = float("nan"), 0, "error", f"stall: {exc}"
-        else:
-            iters, status = solution.iterations, solution.status
-            alpha, error = solution.alpha, None
-            if status != "optimal":
-                alpha = float("nan")
-                error = f"solver stopped with status {status!r} after {iters} iterations"
+        solution, status, error = judge_solve(build_lp(k))
+        alpha = float("nan") if error else solution.alpha
+        iters = solution.iterations if solution else 0
         rows.append(
             LpTableRow(
                 k, alpha, time.perf_counter() - start, iters, KNOWN_OPTIMA.get(k),
@@ -406,9 +410,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]
             record("views-agree", order=order, divergence=report.divergence)
         if config.corrupt_engine:
             ref = report.matchings["greedy_probing"]
-            corrupted, _ = _vertex_iterative(
-                g, position_map(order), frozenset(), latest_first=True
-            )
+            corrupted, _ = _vertex_iterative(g, order, frozenset(), latest_first=True)
             if corrupted != ref:
                 record("views-agree-corrupted", order=order)
     lap("views")

@@ -38,6 +38,32 @@ def test_solve_lp_export_still_solves(tmp_path, capsys, monkeypatch):
     assert built == ["substituted", "naive", "compact"]
 
 
+def test_solve_lp_reports_a_stall(monkeypatch, capsys):
+    from ranking_forge import simplex
+
+    def stall(model):
+        raise simplex.SimplexStall("no blocking variable; model must be bounded")
+
+    monkeypatch.setattr(simplex, "solve", stall)
+    assert run_cli(["solve-lp", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "solver status: error: stall: no blocking variable; model must be bounded\n"
+    )
+
+
+def test_solve_lp_reports_the_iteration_limit(monkeypatch, capsys):
+    # The same judgement as test_reproduce_reports_solver_failure's rows.
+    from ranking_forge import simplex
+
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 5)
+    assert run_cli(["solve-lp", "--k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "alpha=" not in captured.out
+    assert captured.err.startswith("solver status: limit: solver stopped with status")
+
+
 def test_solve_lp_resource_limit():
     assert run_cli(["solve-lp", "--k", "50"]) == 3
 
@@ -212,7 +238,9 @@ def test_reproduce_reports_solver_failure(monkeypatch, capsys):
 def test_reproduce_rejects_k_max_below_one(capsys):
     for k_max in ("0", "-3"):
         assert run_cli(["reproduce", "--table1", "--k-max", k_max]) == 2
-        assert "k-max must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"invalid input: bucket count k must be >= 1 and an int, got {k_max}\n"
+        )
 
 
 def test_reproduce_resource_limit():

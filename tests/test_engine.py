@@ -102,9 +102,7 @@ def test_mutation_arm_takes_the_last_free_neighbor(p4):
     # The sweep's corrupted arm: vertex 1 comes first and grabs its later
     # neighbor 2 instead of 0, which strands both ends of the path.
     order = [1, 0, 2, 3]
-    corrupted, _ = _vertex_iterative(
-        p4, position_map(order), frozenset(), latest_first=True
-    )
+    corrupted, _ = _vertex_iterative(p4, order, frozenset(), latest_first=True)
     assert corrupted == {(1, 2)}
     assert matching_for_order(p4, order) == {(0, 1), (2, 3)}
 
@@ -273,6 +271,34 @@ def test_memoized_runs_equal_a_fresh_replay(case, form):
     assert unfrozen.order is first.order
     assert list(unfrozen.taken) == _reference_timeline(g, pos, frozenset())[3]
     assert matching_for_order(g, given_order, frozen) == first.matchings[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases(), st.sampled_from(["list", "vector", "map"]))
+def test_views_run_on_the_checked_sequence(case, form):
+    # Whatever form the order comes in, run_ranking hands the views its
+    # checked vertex sequence, and the greedy-probing view replays that tuple.
+    g, order, frozen = case
+    received = []
+    replay = engine._replay
+
+    def spy(g, order, frozen):
+        received.append(order)
+        return replay(g, order, frozen)
+
+    given_order = _order_as(form, order)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_replay", spy)
+        traces = {view: run_ranking(g, given_order, view, frozen) for view in VIEWS}
+    assert [type(o) for o in received] == [tuple]
+    assert received == [tuple(order)]
+    assert len({trace.matching for trace in traces.values()}) == 1
+    pos = {v: i + 1 for i, v in enumerate(order)}
+    schedule, accepted, _, _ = _reference_timeline(g, pos, frozen)
+    log = traces["greedy_probing"].probe_log
+    assert [(ev.time, ev.edge, ev.accepted) for ev in log] == [
+        (t, e, ok) for (t, e), ok in zip(schedule, accepted)
+    ]
 
 
 def test_invalid_orders_and_frozen_sets_raise_on_every_call(p4):
