@@ -109,9 +109,26 @@ def _invalid_bucket_count(k) -> bool:
     return False
 
 
+def _unwritable(flag: str, path) -> bool:
+    """True, with the shared message on stderr, if ``path`` was given and no
+    file can be written there.  Checked before any work starts, so a long run
+    cannot end in a traceback; a file the check creates is removed again."""
+    if path is None:
+        return False
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        print(f"invalid input: cannot write {flag} {path}: {exc.strerror}", file=sys.stderr)
+        return True
+    if not existed:
+        os.remove(path)
+    return False
+
+
 def _cmd_solve_lp(args) -> int:
     k = args.k
-    if _invalid_bucket_count(k):
+    if _invalid_bucket_count(k) or _unwritable("--export", args.export):
         return EXIT_USAGE
     if k > args.max_k_in_process:
         # Beyond the budget nothing is built: an export streams the compact
@@ -179,7 +196,7 @@ def _cmd_verify_lemmas(args) -> int:
     if not str(jobs).isdecimal() or int(jobs) < 1:
         print(f"invalid input: {name}={jobs} is not a positive integer", file=sys.stderr)
         return EXIT_USAGE
-    if _invalid_bucket_count(args.k):
+    if _invalid_bucket_count(args.k) or _unwritable("--report", args.report):
         return EXIT_USAGE
     config = experiments.SweepConfig(
         max_n=args.max_n,
@@ -220,7 +237,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if _invalid_bucket_count(args.k_max):
+    if _invalid_bucket_count(args.k_max) or _unwritable("--csv", args.csv):
         return EXIT_USAGE
     if args.k_max > IN_PROCESS_K_LIMIT:
         print(

@@ -17,8 +17,10 @@ Three model forms share one optimum:
   text without building it.
 
 One builder makes all three forms in memory, in one walk over the
-pointwise-bound cases.  The writer and the builder are two independent
-sources of the compact model, and the tests hold their MPS text equal.
+pointwise-bound cases.  Every form's averaging rows and the price-table
+evaluator walk one list of windows, ``_windows``.  The writer and the
+builder are two independent sources of the compact model, and the tests
+hold their MPS text equal.
 
 Coefficients are exact rationals while a model is in memory; they become
 floats at solve and export time.
@@ -139,29 +141,34 @@ def _two_arm_cases(k: int) -> Iterator[HCase]:
                     yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
 
 
-def _windows(k: int) -> Iterator[tuple[str, int, list[HCase]]]:
-    """Each averaging row of the direct forms as ``(name, i, cases)``:
-    ``alpha_i`` is at most the average of h over the cases."""
+def _windows(k: int) -> Iterator[tuple]:
+    """Every window of the LP, once, in row order, as ``(label, i, c, d,
+    profiles)``: ``alpha_i`` is at most the average of h over the profiles
+    ``(x_v, x_b)``, each taken over every x_ustar.  The match range is c..d,
+    or c..k when d is None (single family); the backup bucket is d + 1.
+    Every form's averaging rows and the price-table evaluator walk this."""
     buckets = range(1, k + 1)
     for i in buckets:
-        yield f"abot_{i}", i, [
-            (ClassLabel.UNMATCHED, i, None, None, xus) for xus in buckets
-        ]
+        yield ClassLabel.UNMATCHED, i, None, None, [(None, None)]
     for i in buckets:
         for c in buckets:
-            yield f"as_{i}_{c}", i, [
-                (ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus)
-                for xv in range(c, k + 1)
-                for xus in buckets
+            yield ClassLabel.MATCHED_NO_BACKUP, i, c, None, [
+                (xv, None) for xv in range(c, k + 1)
             ]
     for i in buckets:
         for c in buckets:
             for d in range(c, k + 1):
-                yield f"ab_{i}_{c}_{d}", i, [
-                    (ClassLabel.MATCHED_WITH_BACKUP, i, xv, d + 1, xus)
-                    for xv in range(c, d + 1)
-                    for xus in buckets
+                yield ClassLabel.MATCHED_WITH_BACKUP, i, c, d, [
+                    (xv, d + 1) for xv in range(c, d + 1)
                 ]
+
+
+#: A window's row name in the direct forms.
+_DIRECT_ROW = {
+    ClassLabel.UNMATCHED: "abot_{i}",
+    ClassLabel.MATCHED_NO_BACKUP: "as_{i}_{c}",
+    ClassLabel.MATCHED_WITH_BACKUP: "ab_{i}_{c}_{d}",
+}
 
 
 class _Interned(dict):
@@ -262,93 +269,72 @@ def _build(k: int, form: str) -> LpModel:
             else:
                 rname = f"{name}_{arm}"
             rows.append(LinRow(rname, tuple(e), "L", frac[const, 1]))
+
+    if not compact:
+        # Averaging rows: each profile of a window is taken over every
+        # x_ustar, and a case enters through its variable if it has one,
+        # otherwise through its affine form.
+        for label, i, c, d, profiles in _windows(k):
+            counts: dict[int, int] = {}
+            const = 0
+            for xv, xb in profiles:
+                for xus in buckets:
+                    case = (label, i, xv, xb, xus)
+                    idx = aux.get(case)
+                    if idx is not None:
+                        counts[idx] = counts.get(idx, 0) + 1
+                        continue
+                    fconst, terms = inlined[case]
+                    const += fconst
+                    for coef, ij in terms:
+                        idx = f_idx[ij]
+                        counts[idx] = counts.get(idx, 0) + coef
+            n = len(profiles) * k
+            e = [entry[j, -v, n] for j, v in counts.items() if v]
+            e.append(entry[alpha_0 + i, 1, 1])
+            e.sort()
+            name = _DIRECT_ROW[label].format(i=i, c=c, d=d)
+            rows.append(LinRow(name, tuple(e), "L", frac[const, n]))
+    else:
+        # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Any
+        # other window has a nonnegative column V (Vs_i_c, Vb_i_c_d) and a
+        # row V <= V' + S - k alpha_i (vs_i_c, vb_i_c_d), where S sums h over
+        # the k cases of its first profile and V' belongs to the window
+        # without that profile, so V keeps the whole window.  S holds the
+        # variables of the cases with x_ustar <= i, which come in row order
+        # from h, i per row with c <= i; the rest is affine: k - i copies of
+        # 1 - f_i_c and, for c > i, the prefix Fp_i_(c-1), plus i copies of
+        # 1 - f_i_xb in the backup family.
+        h = aux_0
+        for label, i, c, d, profiles in _windows(k):
+            if label is ClassLabel.UNMATCHED:
+                e = (entry[alpha_0 + i, 1, 1], entry[fp_0 + i * k + k, -1, k])
+                rows.append(LinRow(f"abot_{i}", e, "L", zero))
+                continue
+            backup = label is ClassLabel.MATCHED_WITH_BACKUP
+            name = f"vb_{i}_{c}_{d}" if backup else f"vs_{i}_{c}"
+            col = len(names)
+            names.append("V" + name[1:])
+            e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
+            if backup and c > i:
+                e.append(entry[f_idx[i, profiles[0][1]], i, 1])
+            e.append(entry[alpha_0 + i, k, 1])
+            if c > i:
+                e.append(entry[fp_0 + i * k + c - 1, -1, 1])
+            else:
+                e += [entry[j, -1, 1] for j in range(h, h + i)]
+                h += i
+            e.append(entry[col, 1, 1])
+            if len(profiles) > 1:
+                # V' is the next column in the single family; in the backup
+                # family it is k - c columns on, past the windows c..d' with
+                # d' > d and c+1..d' with d' < d.
+                e.append(entry[col + (k - c if backup else 1), -1, 1])
+            rhs = frac[k, 1] if backup and c > i else frac[k - i, 1]
+            rows.append(LinRow(name, tuple(e), "L", rhs))
     # The arm rows cap the variables; the direct forms bound them by 2 too.
     upper = [frac[1, 1]] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
     upper += [None if compact else frac[2, 1]] * (len(names) - aux_0)
-
-    if not compact:
-        # Averaging rows: a case enters through its variable if it has one,
-        # otherwise through its affine form.
-        for name, i, cases in _windows(k):
-            counts: dict[int, int] = {}
-            const = 0
-            for case in cases:
-                idx = aux.get(case)
-                if idx is not None:
-                    counts[idx] = counts.get(idx, 0) + 1
-                    continue
-                fconst, terms = inlined[case]
-                const += fconst
-                for coef, ij in terms:
-                    idx = f_idx[ij]
-                    counts[idx] = counts.get(idx, 0) + coef
-            n = len(cases)
-            e = [entry[j, -c, n] for j, c in counts.items() if c]
-            e.append(entry[alpha_0 + i, 1, 1])
-            e.sort()
-            rows.append(LinRow(name, tuple(e), "L", frac[const, n]))
-    else:
-        # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Row
-        # vs_i_c reads Vs_i_c <= Vs_i_(c+1) + S - k alpha_i, where S sums h
-        # over the k cases with match bucket c, so the nonnegative Vs_i_c
-        # keeps the window c..k (vb_i_c_d likewise, with backup bucket
-        # d + 1).  S holds the variables of the cases with x_ustar <= i; the
-        # rest is affine: k - i copies of 1 - f_i_c and, for a match bucket
-        # above i, the prefix Fp_i_(c-1), plus i copies of 1 - f_i_(d+1) in
-        # the backup family.
-        vs_0 = len(names) - k - 1  # vs_0 + i * k + c is Vs_i_c
-        names += [f"Vs_{i}_{c}" for i in buckets for c in buckets]
-        names += [
-            f"Vb_{i}_{c}_{d}" for i in buckets for c in buckets for d in range(c, K1)
-        ]
-        upper += [None] * (len(names) - len(upper))
-        rows += [
-            LinRow(
-                f"abot_{i}",
-                (entry[alpha_0 + i, 1, 1], entry[fp_0 + i * k + k, -1, k]),
-                "L", zero,
-            )
-            for i in buckets
-        ]
-        # The variables are ordered (i, x_v[, x_b], x_ustar) and each window
-        # row with x_v = c <= i holds the next i of them, so the vs rows and
-        # then the vb rows take them in order from h.
-        h = aux_0
-        for i in buckets:
-            rest = frac[k - i, 1]
-            for c in buckets:
-                e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
-                e.append(entry[alpha_0 + i, k, 1])
-                if c > i:
-                    e.append(entry[fp_0 + i * k + c - 1, -1, 1])
-                else:
-                    e += [entry[j, -1, 1] for j in range(h, h + i)]
-                    h += i
-                col = vs_0 + i * k + c
-                e.append(entry[col, 1, 1])
-                if c < k:
-                    e.append(entry[col + 1, -1, 1])
-                rows.append(LinRow(f"vs_{i}_{c}", tuple(e), "L", rest))
-        col = vs_0 + k * k + k  # advanced to Vb_i_c_d below
-        for i in buckets:
-            rest = frac[k - i, 1]
-            for c in buckets:
-                for d in range(c, K1):
-                    col += 1
-                    e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
-                    if c > i:
-                        e.append(entry[f_idx[i, d + 1], i, 1])
-                        e.append(entry[alpha_0 + i, k, 1])
-                        e.append(entry[fp_0 + i * k + c - 1, -1, 1])
-                    else:
-                        e.append(entry[alpha_0 + i, k, 1])
-                        e += [entry[j, -1, 1] for j in range(h, h + i)]
-                        h += i
-                    e.append(entry[col, 1, 1])
-                    if c < d:
-                        e.append(entry[col + k - c, -1, 1])  # Vb_i_(c+1)_d
-                    rhs = rest if c <= i else frac[k, 1]
-                    rows.append(LinRow(f"vb_{i}_{c}_{d}", tuple(e), "L", rhs))
 
     e = [entry[alpha_0 + i, -1, k] for i in buckets]
     e.append(entry[alpha, 1, 1])
@@ -378,50 +364,41 @@ class EvalReport:
         )
 
 
+#: A window's family as ``EvalReport.binding`` names it, in tie order.
+_FAMILY = {
+    ClassLabel.UNMATCHED: "no_match",
+    ClassLabel.MATCHED_NO_BACKUP: "single",
+    ClassLabel.MATCHED_WITH_BACKUP: "backup",
+}
+_TIE_RANK = {label: rank for rank, label in enumerate(_FAMILY)}
+
+
 def evaluate_price_table(table: PriceTable) -> EvalReport:
     """Worst-case averaged bound achieved by a concrete monotone table.
 
-    For each bucket of u, takes the minimum over the three profile families
-    (their window averages over the match bucket), then averages over u's
-    bucket.  Raises on a non-monotone table, listing the offending pairs.
+    For each bucket of u, takes the minimum over the LP's windows of the
+    average H of the window's profiles (each profile's H is computed once),
+    then averages over u's bucket.  Raises on a non-monotone table, listing
+    the offending pairs.
     """
     table.require_monotonic()
     k = table.k
-    hs_avg = [
-        [H_value(ClassLabel.MATCHED_NO_BACKUP, table, i, xv) for xv in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    hb_avg = [
-        [
-            [
-                H_value(ClassLabel.MATCHED_WITH_BACKUP, table, i, xv, d + 1)
-                if xv <= d
-                else 0.0
-                for d in range(1, k + 1)
-            ]
-            for xv in range(1, k + 1)
-        ]
-        for i in range(1, k + 1)
-    ]
-    alpha_i = []
-    binding = []
-    for i in range(1, k + 1):
-        best = H_value(ClassLabel.UNMATCHED, table, i)
-        info = {"family": "no_match"}
-        for c in range(1, k + 1):
-            window = hs_avg[i - 1][c - 1 : k]
-            bound = sum(window) / len(window)
-            if bound < best:
-                best, info = bound, {"family": "single", "c": c}
-        for d in range(1, k + 1):
-            for c in range(1, d + 1):
-                window = [hb_avg[i - 1][xv - 1][d - 1] for xv in range(c, d + 1)]
-                bound = sum(window) / len(window)
-                if bound < best:
-                    best, info = bound, {"family": "backup", "c": c, "d": d}
-        alpha_i.append(best)
-        binding.append(info)
-    return EvalReport(k, sum(alpha_i) / k, tuple(alpha_i), tuple(binding))
+    H = _Interned(lambda label, i, xv, xb: H_value(label, table, i, xv, xb))
+    worst: dict[int, tuple] = {}
+    for label, i, c, d, profiles in _windows(k):
+        bound = sum([H[label, i, xv, xb] for xv, xb in profiles]) / len(profiles)
+        # Of tied windows the report names the first in the order no match,
+        # single by c, backup by d and then c, as it always has.  The walk
+        # takes the backup family by c and then d, and crossing (c, d) pairs
+        # do tie exactly (on dyadic tables, for one), so the key holds the
+        # order.
+        key = (bound, _TIE_RANK[label], d or 0, c or 0)
+        if i not in worst or key < worst[i][0]:
+            info = {"family": _FAMILY[label], "c": c, "d": d}
+            worst[i] = key, {name: v for name, v in info.items() if v is not None}
+    alpha_i = tuple(worst[i][0][0] for i in range(1, k + 1))
+    binding = tuple(worst[i][1] for i in range(1, k + 1))
+    return EvalReport(k, sum(alpha_i) / k, alpha_i, binding)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,8 @@ def solve(model: LpModel) -> LpSolution:
     the first row whose slack that start puts outside its bounds, before
     any pivot.
     """
+    # Loaded before the clock, so a process's first solve does not time it.
+    import scipy.sparse.linalg  # noqa: F401
     start = time.perf_counter()
     sf = _standard_form(model)
     standardized = time.perf_counter()

@@ -251,3 +251,34 @@ def test_usage_errors():
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["solve-lp"]) == 2
     assert run_cli([]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, work",
+    [
+        (["solve-lp", "--k", "2", "--export"], "build_lp"),
+        (["solve-lp", "--k", "2", "--max-k-in-process", "1", "--export"],
+         "write_compact_mps"),
+        (["verify-lemmas", "--max-n", "2", "--skip-random-eight", "--report"],
+         "lemma_sweep"),
+        (["reproduce", "--table1", "--k-max", "2", "--csv"], "reproduce_lp_table"),
+    ],
+)
+def test_unwritable_output_path_is_refused_first(tmp_path, monkeypatch, capsys,
+                                                 args, work):
+    # Refused before any solve, export or sweep starts: the work is not there.
+    for module in (cli, cli.experiments):
+        if hasattr(module, work):
+            monkeypatch.setattr(module, work, None)
+    path = tmp_path / "missing" / "out"
+    assert run_cli(args + [str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid input: cannot write {args[-1]} {path}: No such file or directory\n"
+    )
+
+
+def test_output_path_check_leaves_no_file(tmp_path):
+    # The check passes, then k-max is beyond the budget: nothing is written.
+    path = tmp_path / "table.csv"
+    assert run_cli(["reproduce", "--table1", "--k-max", "99", "--csv", str(path)]) == 3
+    assert not path.exists()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from ranking_forge import lpmodel
 from ranking_forge.gains import (
     REFERENCE_TABLE_K3,
     REFERENCE_TABLE_K10,
+    H_value,
     PriceTable,
     h_forms,
 )
@@ -20,6 +22,7 @@ from ranking_forge.lpmodel import (
     parse_mps,
     write_compact_mps,
 )
+from ranking_forge.oracles import ClassLabel
 from ranking_forge.simplex import solve, verify_solution
 
 
@@ -285,6 +288,93 @@ def test_evaluate_binding_report_shape():
     assert all(b["family"] in ("no_match", "single", "backup") for b in report.binding)
     payload = json.loads(report.to_json())
     assert payload["k"] == 3
+
+
+def _reference_evaluate(table):
+    """Reference evaluator with its own loops over c and d, independent of
+    ``lpmodel._windows``: ties keep the first minimum in the order no match,
+    single by c, backup by d and then c."""
+    table.require_monotonic()
+    k = table.k
+    hs_avg = [
+        [H_value(ClassLabel.MATCHED_NO_BACKUP, table, i, xv) for xv in range(1, k + 1)]
+        for i in range(1, k + 1)
+    ]
+    hb_avg = [
+        [
+            [
+                H_value(ClassLabel.MATCHED_WITH_BACKUP, table, i, xv, d + 1)
+                if xv <= d
+                else 0.0
+                for d in range(1, k + 1)
+            ]
+            for xv in range(1, k + 1)
+        ]
+        for i in range(1, k + 1)
+    ]
+    alpha_i = []
+    binding = []
+    for i in range(1, k + 1):
+        best = H_value(ClassLabel.UNMATCHED, table, i)
+        info = {"family": "no_match"}
+        for c in range(1, k + 1):
+            window = hs_avg[i - 1][c - 1 : k]
+            bound = sum(window) / len(window)
+            if bound < best:
+                best, info = bound, {"family": "single", "c": c}
+        for d in range(1, k + 1):
+            for c in range(1, d + 1):
+                window = [hb_avg[i - 1][xv - 1][d - 1] for xv in range(c, d + 1)]
+                bound = sum(window) / len(window)
+                if bound < best:
+                    best, info = bound, {"family": "backup", "c": c, "d": d}
+        alpha_i.append(best)
+        binding.append(info)
+    return lpmodel.EvalReport(k, sum(alpha_i) / k, tuple(alpha_i), tuple(binding))
+
+
+def _random_monotone(rng, k, values):
+    """A k x k table of the given values, made monotone: each row is raised
+    to the row below it, then each row to its running maximum."""
+    grid = [[rng.choice(values) for _ in range(k)] for _ in range(k)]
+    for i in range(k - 2, -1, -1):
+        grid[i] = [max(a, b) for a, b in zip(grid[i], grid[i + 1])]
+    for row in grid:
+        for j in range(1, k):
+            row[j] = max(row[j], row[j - 1])
+    return PriceTable(k, grid)
+
+
+# Bucket 4 has windows tied at its minimum; the report names backup (3, 3),
+# where a walk of the backup family by c and then d would name (2, 5).
+TIE_TABLE_K6 = PriceTable(6, [
+    [0.875, 0.875, 1, 1, 1, 1],
+    [0.75, 0.875, 1, 1, 1, 1],
+    [0.75, 0.875, 1, 1, 1, 1],
+    [0.5, 0.625, 0.75, 0.875, 0.875, 1],
+    [0.25, 0.25, 0.375, 0.5, 0.625, 0.875],
+    [0.25, 0.25, 0.25, 0.5, 0.5, 0.625],
+])
+
+
+def test_evaluator_matches_reference_on_many_tables():
+    rng = random.Random(2003)
+    # Ties at a bucket's minimum are common here, most on the dyadic grids;
+    # a tie between crossing backup windows is rare, so TIE_TABLE_K6 joins.
+    grids = [[0, 0.125, 0.25], [x / 8 for x in range(9)], [0, 0.5, 1]]
+    tables = [REFERENCE_TABLE_K3, REFERENCE_TABLE_K10, TIE_TABLE_K6]
+    tables += [solve(build_lp(k)).f_table for k in range(1, 8)]
+    for n in range(520):
+        values = grids[n % 4] if n % 4 < 3 else [rng.random() for _ in range(5)]
+        tables.append(_random_monotone(rng, 1 + n // 4 % 8, values))
+    for table in tables:
+        expected = _reference_evaluate(table).to_json()
+        assert evaluate_price_table(table).to_json() == expected
+
+
+def test_evaluator_keeps_the_tie_order():
+    binding = evaluate_price_table(TIE_TABLE_K6).binding
+    assert binding[3] == {"family": "backup", "c": 3, "d": 3}
 
 
 def test_compact_export_solved_by_independent_solver():
