@@ -21,7 +21,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-#: Largest bucket count built and solved in-process by default.
+#: Largest bucket count that ``solve-lp`` and ``reproduce`` solve in-process.
 IN_PROCESS_K_LIMIT = 12
 
 
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tolerance against the published value, if known")
     p.add_argument("--form", choices=("substituted", "naive", "compact"),
                    default="substituted")
-    p.add_argument("--max-k-in-process", type=int, default=IN_PROCESS_K_LIMIT)
 
     p = sub.add_parser("validate-f", help="evaluate a price table file")
     p.add_argument("--file", required=True)
@@ -130,13 +129,13 @@ def _cmd_solve_lp(args) -> int:
     k = args.k
     if _invalid_bucket_count(k) or _unwritable("--export", args.export):
         return EXIT_USAGE
-    if k > args.max_k_in_process:
+    if k > IN_PROCESS_K_LIMIT:
         # Beyond the budget nothing is built: an export streams the compact
         # form, whose size stays near the number of min-cases.
         if not args.export:
             print(
                 f"resource limit: k={k} beyond in-process budget "
-                f"{args.max_k_in_process}; use --export",
+                f"{IN_PROCESS_K_LIMIT}; use --export",
                 file=sys.stderr,
             )
             return EXIT_RESOURCE

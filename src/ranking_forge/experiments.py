@@ -46,7 +46,7 @@ from .oracles import (
     enumerate_equivalence_class,
     two_coloring,
 )
-from .ranks import RankVector, enumerate_rank_vectors, insertion_slots, remove_vertex
+from .ranks import enumerate_rank_vectors, insertion_slots, remove_vertex
 
 #: Published LP optima by bucket count (5 decimals), for regression checks.
 KNOWN_OPTIMA = {
@@ -78,6 +78,14 @@ EXACT_RATIO_MAX_N = 8
 MC_MAX_BUCKETS = 2**11
 
 
+def _ratio_denominator(g: Graph) -> int:
+    """|maximum matching| of ``g``; raises on a graph with no edges."""
+    m_star = maximum_matching_size(g)
+    if m_star == 0:
+        raise ValueError("graph has no edges; the ratio is undefined")
+    return m_star
+
+
 def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate:
     """Mean of |matching| / |maximum matching| over seeded bucketed draws.
 
@@ -92,9 +100,7 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
     ranks.check_bucket_count(k)
     if k > MC_MAX_BUCKETS:
         raise ValueError(f"bucket count k must be >= 1 and <= {MC_MAX_BUCKETS}, got {k}")
-    m_star = maximum_matching_size(g)
-    if m_star == 0:
-        raise ValueError("graph has no edges; the ratio is undefined")
+    m_star = _ratio_denominator(g)
     n = g.n
     block = max(1, MC_BLOCK_SLOTS // n)
     rng = np.random.default_rng(seed)
@@ -125,9 +131,7 @@ def exact_expected_ratio(g: Graph) -> Fraction:
     """
     if g.n > EXACT_RATIO_MAX_N:
         raise SizeLimitError(f"{g.n} vertices, above the exact limit {EXACT_RATIO_MAX_N}")
-    m_star = maximum_matching_size(g)
-    if m_star == 0:
-        raise ValueError("graph has no edges; the ratio is undefined")
+    m_star = _ratio_denominator(g)
     perms = permutations(range(g.n))
     block = max(1, MC_BLOCK_SLOTS // g.n)
     total = 0
@@ -464,8 +468,7 @@ def _sweep_insertion_claims(g, bump, record):
     n = g.n
     for u_star in range(n):
         others = sorted(set(range(n)) - {u_star})
-        for perm in permutations(others):
-            vec = RankVector(1, {v: (1, i + 1) for i, v in enumerate(perm)})
+        for vec, _w in enumerate_rank_vectors(others, 1):
             for target in insertion_slots(vec):
                 for u in others:
                     report = check_insertion_claims(g, vec, u, u_star, target)

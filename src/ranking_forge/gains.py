@@ -18,7 +18,6 @@ from .engine import matching_for_order
 from .graphs import Edge, Graph, edge
 from .oracles import (
     BUYER,
-    ITEM,
     ClassLabel,
     compute_profile,
     two_coloring,
@@ -287,7 +286,7 @@ def audit_h_bounds(
                 matching = matching_for_order(g, sigma)
                 chi = two_coloring(g, matching, g.m_star, 0)
                 if chi[u] != BUYER:
-                    chi = {v: (ITEM if c == BUYER else BUYER) for v, c in chi.items()}
+                    chi = two_coloring(g, matching, g.m_star, 1)
                 by_order[key] = matching, chi
             matching, chi = by_order[key]
             gains = share_gains(g, sigma, chi, table, matching=matching)

@@ -31,9 +31,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .gains import H_value, PriceTable, h_forms
 from .oracles import ClassLabel
@@ -100,10 +101,18 @@ def build_lp(k: int, form: str = "substituted") -> LpModel:
 #: argument order of ``h_forms``; absent buckets are ``None``.
 HCase = tuple[ClassLabel, int, Optional[int], Optional[int], int]
 
-_H_PREFIX = {
-    ClassLabel.UNMATCHED: "hbot",
-    ClassLabel.MATCHED_NO_BACKUP: "hs",
-    ClassLabel.MATCHED_WITH_BACKUP: "hb",
+
+class _Family(NamedTuple):
+    prefix: str  # of a pointwise-bound variable
+    row: str  # a window's row name in the direct forms
+    report: str  # the family as ``EvalReport.binding`` names it
+
+
+#: Every case and window family, in row order, which is also tie order.
+_FAMILIES = {
+    ClassLabel.UNMATCHED: _Family("hbot", "abot_{i}", "no_match"),
+    ClassLabel.MATCHED_NO_BACKUP: _Family("hs", "as_{i}_{c}", "single"),
+    ClassLabel.MATCHED_WITH_BACKUP: _Family("hb", "ab_{i}_{c}_{d}", "backup"),
 }
 
 
@@ -161,14 +170,6 @@ def _windows(k: int) -> Iterator[tuple]:
                 yield ClassLabel.MATCHED_WITH_BACKUP, i, c, d, [
                     (xv, d + 1) for xv in range(c, d + 1)
                 ]
-
-
-#: A window's row name in the direct forms.
-_DIRECT_ROW = {
-    ClassLabel.UNMATCHED: "abot_{i}",
-    ClassLabel.MATCHED_NO_BACKUP: "as_{i}_{c}",
-    ClassLabel.MATCHED_WITH_BACKUP: "ab_{i}_{c}_{d}",
-}
 
 
 class _Interned(dict):
@@ -258,7 +259,7 @@ def _build(k: int, form: str) -> LpModel:
         idx = len(names)
         if not compact:
             aux[case] = idx
-        parts = [_H_PREFIX[case[0]]] + [str(x) for x in case[1:] if x is not None]
+        parts = [_FAMILIES[case[0]].prefix] + [str(x) for x in case[1:] if x is not None]
         name = "_".join(parts)
         names.append(name)
         for arm, (const, terms) in enumerate(arms, start=1):
@@ -293,7 +294,7 @@ def _build(k: int, form: str) -> LpModel:
             e = [entry[j, -v, n] for j, v in counts.items() if v]
             e.append(entry[alpha_0 + i, 1, 1])
             e.sort()
-            name = _DIRECT_ROW[label].format(i=i, c=c, d=d)
+            name = _FAMILIES[label].row.format(i=i, c=c, d=d)
             rows.append(LinRow(name, tuple(e), "L", frac[const, n]))
     else:
         # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Any
@@ -364,15 +365,6 @@ class EvalReport:
         )
 
 
-#: A window's family as ``EvalReport.binding`` names it, in tie order.
-_FAMILY = {
-    ClassLabel.UNMATCHED: "no_match",
-    ClassLabel.MATCHED_NO_BACKUP: "single",
-    ClassLabel.MATCHED_WITH_BACKUP: "backup",
-}
-_TIE_RANK = {label: rank for rank, label in enumerate(_FAMILY)}
-
-
 def evaluate_price_table(table: PriceTable) -> EvalReport:
     """Worst-case averaged bound achieved by a concrete monotone table.
 
@@ -391,10 +383,11 @@ def evaluate_price_table(table: PriceTable) -> EvalReport:
         # single by c, backup by d and then c, as it always has.  The walk
         # takes the backup family by c and then d, and crossing (c, d) pairs
         # do tie exactly (on dyadic tables, for one), so the key holds the
-        # order.
-        key = (bound, _TIE_RANK[label], d or 0, c or 0)
+        # order: d is None outside the backup family, c only in the no-match
+        # family, and both are >= 1.
+        key = (bound, d or 0, c or 0)
         if i not in worst or key < worst[i][0]:
-            info = {"family": _FAMILY[label], "c": c, "d": d}
+            info = {"family": _FAMILIES[label].report, "c": c, "d": d}
             worst[i] = key, {name: v for name, v in info.items() if v is not None}
     alpha_i = tuple(worst[i][0][0] for i in range(1, k + 1))
     binding = tuple(worst[i][1] for i in range(1, k + 1))
@@ -404,6 +397,12 @@ def evaluate_price_table(table: PriceTable) -> EvalReport:
 # ---------------------------------------------------------------------------
 # MPS text: one canonical layout shared by the exporter, the parser, and the
 # streaming compact writer, so export -> parse -> export is byte-stable.
+
+#: A model's NAME, the fixed lines every model's text opens with, and the
+#: pattern the parser reads the NAME back with.
+_MODEL_NAME = "ranking_lp_k{k}_{form}"
+_HEADER = "NAME " + _MODEL_NAME + "\nOBJSENSE\n    MAX\nROWS\n N obj\n"
+_MODEL_NAME_RE = re.compile(_MODEL_NAME.format(k=r"(\d+)", form="([A-Za-z0-9]+)"))
 
 
 def _fmt(x: float) -> str:
@@ -429,18 +428,29 @@ def mps_text(model: LpModel) -> str:
     return "".join(_mps_chunks(model))
 
 
-def export_mps(model: LpModel, destination) -> None:
+def export_mps(model: LpModel, destination) -> dict:
     """Write the model as free-format MPS (objective sense, ROWS, COLUMNS,
-    RHS, BOUNDS)."""
-    with open(destination, "w") as fh:
-        for chunk in _mps_chunks(model):
-            fh.write(chunk)
+    RHS, BOUNDS).  Returns the statistics ``write_compact_mps`` returns."""
+    return _write_mps(model.k, _mps_chunks(model), destination)
+
+
+def _write_mps(k: int, pieces: Iterator[str], destination) -> dict:
+    """Write the text ``pieces`` of a model for ``k`` buckets to
+    ``destination`` through a 4 MiB buffer.  Returns ``k``, the bytes and
+    lines written and the elapsed seconds."""
+    start = time.perf_counter()
+    nbytes = nlines = 0
+    with open(destination, "w", buffering=4 * 1024 * 1024) as fh:
+        for piece in pieces:
+            fh.write(piece)
+            nbytes += len(piece)
+            nlines += piece.count("\n")
+    elapsed = time.perf_counter() - start
+    return {"k": k, "bytes": nbytes, "lines": nlines, "elapsed": elapsed}
 
 
 def _mps_chunks(model: LpModel) -> Iterator[str]:
-    yield f"NAME ranking_lp_k{model.k}_{model.form}\n"
-    yield "OBJSENSE\n    MAX\n"
-    yield "ROWS\n N obj\n"
+    yield _HEADER.format(k=model.k, form=model.form)
     yield "".join([f" {r.sense} {r.name}\n" for r in model.rows])
     # Column-major transpose; entries within a column keep row order.  Text
     # is kept per coefficient object: a parsed model shares one Fraction per
@@ -625,10 +635,11 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
 
 
 def _parse_model_name(name: str) -> tuple[int, str]:
-    """``(k, form)`` from the NAME ``ranking_lp_k{k}_{form}``."""
-    match = re.fullmatch(r"ranking_lp_k(\d+)_([A-Za-z0-9]+)", name)
+    """``(k, form)`` from a model's NAME."""
+    match = _MODEL_NAME_RE.fullmatch(name)
     if match is None:
-        raise ValueError(f"model name {name!r} is not ranking_lp_k<k>_<form>")
+        pattern = _MODEL_NAME.format(k="<k>", form="<form>")
+        raise ValueError(f"model name {name!r} is not {pattern}")
     k = int(match[1])
     try:
         check_bucket_count(k)
@@ -657,7 +668,7 @@ def _compact_pieces(k: int) -> Iterator[str]:
     # int, and the hb families below are O(k^4) entries.
     nums = [str(x) for x in range(K1 + 1)]
     neg_inv_k = "-" + (_fmt(1.0 / k) if k > 1 else "1")
-    yield f"NAME ranking_lp_k{k}_compact\nOBJSENSE\n    MAX\nROWS\n N obj\n"
+    yield _HEADER.format(k=k, form="compact")
 
     # --- ROWS section (order fixes the row indices used everywhere below).
     buckets, padded = range(1, k + 1), range(1, K1 + 1)
@@ -872,22 +883,7 @@ def _compact_rhs_blocks(k: int, nums: list[str]) -> Iterator[list[str]]:
 def write_compact_mps(k: int, destination) -> dict:
     """Stream the compact-form model for ``k`` buckets to ``destination``.
 
-    Returns basic statistics (bytes and lines written, elapsed seconds).
+    Returns basic statistics (``k``, bytes and lines written, elapsed
+    seconds).  ``k`` is checked before the file is opened.
     """
-    import time as _time
-
-    start = _time.perf_counter()
-    pieces = compact_mps_chunks(k)
-    nbytes = 0
-    nlines = 0
-    with open(destination, "w", buffering=4 * 1024 * 1024) as fh:
-        for piece in pieces:
-            fh.write(piece)
-            nbytes += len(piece)
-            nlines += piece.count("\n")
-    return {
-        "k": k,
-        "bytes": nbytes,
-        "lines": nlines,
-        "elapsed": _time.perf_counter() - start,
-    }
+    return _write_mps(k, compact_mps_chunks(k), destination)

@@ -257,8 +257,7 @@ def test_usage_errors():
     "args, work",
     [
         (["solve-lp", "--k", "2", "--export"], "build_lp"),
-        (["solve-lp", "--k", "2", "--max-k-in-process", "1", "--export"],
-         "write_compact_mps"),
+        (["solve-lp", "--k", "13", "--export"], "write_compact_mps"),
         (["verify-lemmas", "--max-n", "2", "--skip-random-eight", "--report"],
          "lemma_sweep"),
         (["reproduce", "--table1", "--k-max", "2", "--csv"], "reproduce_lp_table"),
@@ -275,6 +274,15 @@ def test_unwritable_output_path_is_refused_first(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == (
         f"invalid input: cannot write {args[-1]} {path}: No such file or directory\n"
     )
+
+
+def test_in_process_budget_is_not_an_option(tmp_path, capsys):
+    # Both commands read cli.IN_PROCESS_K_LIMIT; no flag restates it.
+    path = tmp_path / "k2.mps"
+    args = ["solve-lp", "--k", "2", "--max-k-in-process", "1", "--export", str(path)]
+    assert run_cli(args) == 2
+    assert "unrecognized arguments: --max-k-in-process" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_output_path_check_leaves_no_file(tmp_path):

@@ -1,11 +1,15 @@
 """Importing the package loads no scipy: only the built-in simplex needs it,
 and it loads it when a solve starts, before the solve's clock.  The test
-process already holds scipy, so the check runs in a fresh interpreter."""
+process already holds scipy, so the check runs in a fresh interpreter.  The
+package's version is held equal to pyproject's here too."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import ranking_forge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,3 +64,11 @@ def test_only_a_solve_loads_scipy():
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_version_matches_pyproject():
+    # A regex, not tomllib: the package supports Python 3.10, which has none.
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert match[1] == ranking_forge.__version__

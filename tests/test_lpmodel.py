@@ -257,6 +257,18 @@ def test_write_compact_matches_chunks(tmp_path):
     assert stats["lines"] == path.read_text().count("\n")
 
 
+def test_export_and_streaming_writer_agree(tmp_path):
+    # One file writer serves both: the same statistics and the same file.
+    for k in range(1, 5):
+        exported, streamed = tmp_path / f"export_{k}.mps", tmp_path / f"stream_{k}.mps"
+        by_export = export_mps(build_lp(k, "compact"), exported)
+        by_stream = write_compact_mps(k, streamed)
+        assert exported.read_bytes() == streamed.read_bytes()
+        for stat in ("k", "bytes", "lines"):
+            assert by_export[stat] == by_stream[stat], (k, stat)
+        assert by_export["bytes"] == len(exported.read_bytes())
+
+
 def test_solved_table_is_monotone_and_coherent():
     s = solve(build_lp(3))
     s.f_table.require_monotonic()
