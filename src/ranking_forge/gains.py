@@ -20,6 +20,7 @@ from .oracles import (
     BUYER,
     ClassLabel,
     compute_profile,
+    flip_coloring,
     two_coloring,
 )
 from .ranks import (
@@ -286,7 +287,7 @@ def audit_h_bounds(
                 matching = matching_for_order(g, sigma)
                 chi = two_coloring(g, matching, g.m_star, 0)
                 if chi[u] != BUYER:
-                    chi = two_coloring(g, matching, g.m_star, 1)
+                    chi = flip_coloring(chi)
                 by_order[key] = matching, chi
             matching, chi = by_order[key]
             gains = share_gains(g, sigma, chi, table, matching=matching)

@@ -535,9 +535,12 @@ def two_coloring(
                         f"odd cycle in matching union at vertex {nxt}; "
                         "inputs are not two matchings"
                     )
-    if coin:
-        colors = {v: (ITEM if c == BUYER else BUYER) for v, c in colors.items()}
-    return colors
+    return flip_coloring(colors) if coin else colors
+
+
+def flip_coloring(colors: dict[int, str]) -> dict[int, str]:
+    """The complement coloring: every buyer becomes an item and back."""
+    return {v: (ITEM if c == BUYER else BUYER) for v, c in colors.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Self-contained sparse revised simplex for the factor-revealing models.
 
 Bounded-variable primal simplex on the slack-augmented standard form, with
-a sparse LU factorization of the basis (refreshed periodically) and
-product-form eta updates in between.  One phase from the all-slack basis,
+a sparse LU factorization of the basis (refreshed periodically) and an eta
+file of the basis changes in between, applied to each solve as one
+lower-triangular system.  One phase from the all-slack basis,
 which must be feasible: it is for every model ``build_lp`` makes, and
 ``solve`` rejects any other.  Devex pricing (Harris 1973),
 falling back to Bland's rule after a run of degenerate pivots so
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isfinite
+from math import comb, isfinite, lcm
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -36,9 +37,10 @@ INF = float("inf")
 
 class SimplexStall(RuntimeError):
     """The ratio test found no finite step: the entering variable can grow
-    without bound and no basic variable blocks it.  The models ``build_lp``
-    makes are bounded, so this means an unbounded input model or numerical
-    breakdown; ``reproduce_lp_table`` records it as an error row."""
+    without bound and no basic variable blocks it; or the eta file's
+    triangular system is singular.  The models ``build_lp`` makes are
+    bounded, so this means an unbounded input model or numerical breakdown;
+    ``reproduce_lp_table`` records it as an error row."""
 
 
 #: Primal feasibility slack on bounds, and the step length below which a
@@ -73,13 +75,30 @@ class LpSolution:
 
 
 class _Basis:
-    """B = A[:, basis]; solves go through a sparse LU plus an eta file."""
+    """B = A[:, basis]; solves go through a sparse LU plus an eta file.
+
+    The eta file holds the ``count`` basis changes since the last
+    refactorization: entering column ``W[i]`` = B_i^-1 a (B_i the basis
+    before change i) replaced basic row ``R[i]``.  Applying the etas one by
+    one is a forward substitution, so ftran and btran apply all of them with
+    one lower-triangular solve in ``T``, where ``T[i, i] = W[i, R[i]]`` and
+    ``T[i, j] = W[j, R[i]] - [R[j] == R[i]]`` for j < i.
+    """
 
     def __init__(self, A: sp.csc_matrix, basis: np.ndarray):
+        # Imported here so that importing the package loads no scipy.
+        from scipy.linalg.lapack import dtrtrs
+
+        self.trtrs = dtrtrs
         self.A = A
         self.m = A.shape[0]
         self.basis = basis
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.W = np.empty((REFACTOR_EVERY, self.m))
+        self.R = np.empty(REFACTOR_EVERY, dtype=np.intp)
+        # Fortran order: T[:, :count] is the leading block with lda =
+        # REFACTOR_EVERY, handed to LAPACK without a copy.
+        self.T = np.zeros((REFACTOR_EVERY, REFACTOR_EVERY), order="F")
+        self.count = 0
         self.factorizations = 0
         self.refactor()
 
@@ -89,28 +108,41 @@ class _Basis:
 
         B = self.A[:, self.basis].tocsc()
         self.lu = spla.splu(B)
-        self.etas.clear()
+        self.count = 0
         self.factorizations += 1
+
+    def _eta_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        t, info = self.trtrs(self.T[:, : self.count], rhs, lower=1, trans=trans)
+        if info:
+            raise SimplexStall(f"singular eta file (LAPACK dtrtrs info {info})")
+        return t
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         z = self.lu.solve(v)
-        for r, w in self.etas:
-            zr = z[r] / w[r]
-            if zr != 0.0:
-                z = z - zr * w
-            z[r] = zr
+        R = self.R[: self.count]
+        t = self._eta_solve(z[R], 0)
+        z -= t @ self.W[: self.count]
+        np.add.at(z, R, t)
         return z
 
     def btran(self, v: np.ndarray) -> np.ndarray:
+        # W v over v's support: the solver's btran right-hand sides (e_r and
+        # c_B) have one nonzero, and reading all of W costs more at large m.
+        R = self.R[: self.count]
+        nz = np.flatnonzero(v)
+        s = self._eta_solve(v[R] - self.W[: self.count, nz] @ v[nz], 1)
         y = v.copy()
-        for r, w in reversed(self.etas):
-            yr = (y[r] - (y @ w - y[r] * w[r])) / w[r]
-            y[r] = yr
+        np.add.at(y, R, s)
         return self.lu.solve(y, trans="T")
 
     def replace(self, row: int, col: int, w: np.ndarray) -> None:
+        i = self.count
         self.basis[row] = col
-        self.etas.append((row, w))
+        self.W[i] = w
+        self.R[i] = row
+        self.T[i, :i] = self.W[:i, row] - (self.R[:i] == row)
+        self.T[i, i] = w[row]
+        self.count = i + 1
 
 
 @dataclass
@@ -293,7 +325,7 @@ class _Core:
         else:
             self.degenerate_run += 1
             self.degenerate_pivots += 1
-        if len(self.B.etas) >= REFACTOR_EVERY:
+        if self.B.count >= REFACTOR_EVERY:
             self.B.refactor()
             self.recompute_basics()
             self.price()
@@ -407,30 +439,55 @@ def verify_solution(model: LpModel, solution: LpSolution, tol: float = 1e-8) -> 
     """Recompute all residuals from the model's exact coefficients.
 
     Solution values convert to exact rationals, so the only approximation
-    left is whatever error the solver itself committed.
+    left is whatever error the solver itself committed.  The residuals are
+    Python ints over one common denominator: the lcm of the values'
+    denominators (powers of two, for floats) times the lcm of the model's
+    coefficient, right-hand side and bound denominators.
     """
-    values: list[Fraction] = []
+    ratios = []
     for name in model.var_names:
         if name not in solution.values:
             raise ValueError(f"solution is missing a value for variable {name}")
-        values.append(Fraction(solution.values[name]))
-    worst = Fraction(0)
+        ratios.append(_float_ratio(name, solution.values[name]))
+    alpha_num, alpha_den = _float_ratio("alpha", solution.alpha)
+    value_den = lcm(alpha_den, *{q for _, q in ratios})
+    values = [p * (value_den // q) for p, q in ratios]
+    numbers = [c for row in model.rows for _, c in row.coeffs]
+    numbers += [row.rhs for row in model.rows] + list(model.lower)
+    numbers += [u for u in model.upper if u is not None]
+    dens = {x.denominator for x in numbers}
+    model_den = lcm(*dens)
+    scale = {d: model_den // d for d in dens}
+
+    def scaled(x: Fraction) -> int:
+        """x * model_den, for a model number x."""
+        return x.numerator * scale[x.denominator]
+
+    # Each residual below is its exact value times model_den * value_den.
+    worst = 0
     worst_row = None
     for row in model.rows:
-        lhs = sum(Fraction(c) * values[j] for j, c in row.coeffs)
-        rhs = Fraction(row.rhs)
-        viol = abs(lhs - rhs) if row.sense == "E" else max(Fraction(0), lhs - rhs)
+        lhs = sum(c.numerator * scale[c.denominator] * values[j] for j, c in row.coeffs)
+        excess = lhs - scaled(row.rhs) * value_den
+        viol = abs(excess) if row.sense == "E" else excess
         if viol > worst:
             worst, worst_row = viol, row.name
-    bound_viol = Fraction(0)
-    for j, name in enumerate(model.var_names):
-        lo, up = Fraction(model.lower[j]), model.upper[j]
-        bound_viol = max(bound_viol, lo - values[j])
+    bound_viol = 0
+    for value, lo, up in zip(values, model.lower, model.upper):
+        bound_viol = max(bound_viol, scaled(lo) * value_den - value * model_den)
         if up is not None:
-            bound_viol = max(bound_viol, values[j] - Fraction(up))
-    gap = abs(values[model.objective_var] - Fraction(solution.alpha))
-    ok = max(worst, bound_viol, gap) <= Fraction(tol)
-    return VerifyReport(float(worst), float(bound_viol), float(gap), worst_row, ok)
+            bound_viol = max(bound_viol, value * model_den - scaled(up) * value_den)
+    alpha = alpha_num * (value_den // alpha_den)
+    gap = abs(values[model.objective_var] - alpha) * model_den
+    maxima = [Fraction(x, model_den * value_den) for x in (worst, bound_viol, gap)]
+    ok = max(maxima) <= Fraction(tol)
+    return VerifyReport(*map(float, maxima), worst_row, ok)
+
+
+def _float_ratio(name: str, value: float) -> tuple[int, int]:
+    if not isfinite(value):
+        raise ValueError(f"solution value {value!r} for variable {name} is not finite")
+    return value.as_integer_ratio()
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
@@ -510,10 +567,20 @@ def brute_force_optimum(model: LpModel) -> float:
     G = np.asarray(G)
     h = np.asarray(h)
 
+    # Every equality row is active at every feasible point, so at each
+    # vertex any independent set of them extends to n independent active
+    # constraints: fix one maximal such set and choose the rest among the
+    # inequality rows and the bounds.
+    fixed: list[int] = []
+    for i in np.flatnonzero(eq_mask):
+        if np.linalg.matrix_rank(A_rows[fixed + [i]]) > len(fixed):
+            fixed.append(int(i))
+    others = [i for i in range(len(G)) if i >= len(eq_mask) or not eq_mask[i]]
+    combos = combinations(others, n - len(fixed))
+
     best = -INF
-    combos = combinations(range(len(G)), n)
     while True:
-        batch = [list(cmb) for _, cmb in zip(range(BRUTE_FORCE_CHUNK), combos)]
+        batch = [(*fixed, *cmb) for _, cmb in zip(range(BRUTE_FORCE_CHUNK), combos)]
         if not batch:
             break
         idx = np.asarray(batch)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ranking_forge import gains
 from ranking_forge.gains import (
     REFERENCE_TABLE_K3,
     REFERENCE_TABLE_K10,
@@ -233,6 +234,26 @@ def test_audit_matches_the_unmemoized_loop(g):
             assert audit_h_bounds(g, u, u_star, bad, check_table=False) == expected
             found += len(expected)
     assert found
+
+
+def test_audit_colors_each_order_once(monkeypatch):
+    # One BFS per order: the coloring that makes u a buyer is the coin-0
+    # coloring or its complement, never a second BFS.
+    calls = {"matching": 0, "coloring": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gains, "matching_for_order", counted("matching", matching_for_order))
+    monkeypatch.setattr(gains, "two_coloring", counted("coloring", two_coloring))
+    g = backup_counterexample_graph()
+    for a, b in sorted(g.m_star):
+        for u, u_star in ((a, b), (b, a)):
+            audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
+    assert calls["coloring"] == calls["matching"] > 0
 
 
 def test_audit_refuses_to_sample_past_its_budget():

@@ -198,19 +198,19 @@ SOLVER_PATH = {
     "compact": [
         (7, "0x1.0000000000000p-1"),
         (28, "0x1.0000000000000p-1"),
-        (85, "0x1.01c71c71c71c6p-1"),
-        (208, "0x1.0562ecc562eccp-1"),
-        (427, "0x1.0851678a67824p-1"),
-        (876, "0x1.0a9697178e163p-1"),
-        (1459, "0x1.0c6629170725fp-1"),
+        (81, "0x1.01c71c71c71c6p-1"),
+        (202, "0x1.0562ecc562eccp-1"),
+        (470, "0x1.0851678a67822p-1"),
+        (851, "0x1.0a9697178e164p-1"),
+        (1367, "0x1.0c6629170725ep-1"),
     ],
     "substituted": [
         (6, "0x1.0000000000000p-1"),
         (21, "0x1.0000000000000p-1"),
-        (74, "0x1.01c71c71c71c6p-1"),
-        (165, "0x1.0562ecc562ecdp-1"),
-        (337, "0x1.0851678a67823p-1"),
-        (685, "0x1.0a9697178e163p-1"),
+        (66, "0x1.01c71c71c71c6p-1"),
+        (145, "0x1.0562ecc562eccp-1"),
+        (398, "0x1.0851678a67822p-1"),
+        (656, "0x1.0a9697178e163p-1"),
     ],
 }
 

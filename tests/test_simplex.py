@@ -1,13 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from ranking_forge import simplex
 from ranking_forge.lpmodel import LinRow, LpModel, build_lp, mps_text, parse_mps
 from ranking_forge.simplex import (
     OPTIMALITY_TOL,
+    SimplexStall,
+    VerifyReport,
+    _Basis,
     _Core,
     _standard_form,
     brute_force_optimum,
@@ -176,6 +181,58 @@ def test_devex_iteration_count():
     assert solve(build_lp(6)).iterations <= 1186
 
 
+def test_eta_file_solves_match_a_fresh_factorization():
+    # Scripted basis changes, reusing pivot rows, so the triangular eta
+    # solve has off-diagonal terms of both kinds (W[j, R[i]] and the -1 of
+    # a repeated row).
+    rng = np.random.default_rng(3)
+    m = 8
+    A = sp.csc_matrix(np.hstack([np.eye(m), rng.standard_normal((m, 12))]))
+    basis = _Basis(A, np.arange(m))
+    rows = [0, 3, 0, 5, 3, 7, 0]
+    for step, r in enumerate(rows):
+        e = m + step
+        w = basis.ftran(A[:, [e]].toarray().ravel())
+        assert abs(w[r]) > 0.1
+        basis.replace(r, e, w)
+        lu = splu(A[:, basis.basis].tocsc())
+        v = rng.standard_normal(m)
+        assert np.allclose(basis.ftran(v), lu.solve(v), rtol=0, atol=1e-10)
+        assert np.allclose(basis.btran(v), lu.solve(v, trans="T"), rtol=0, atol=1e-10)
+    assert basis.count == len(rows) and basis.factorizations == 1
+
+
+def test_singular_eta_file_stalls():
+    # Column 1 replacing basic row 0 repeats a basic column: w[0] = 0.
+    basis = _Basis(sp.csc_matrix(np.eye(3)), np.arange(3))
+    basis.replace(0, 1, np.array([0.0, 1.0, 0.0]))
+    for solve_with in (basis.ftran, basis.btran):
+        with pytest.raises(SimplexStall, match="singular eta file"):
+            solve_with(np.ones(3))
+
+
+#: The optimum for k = 1..8 as the eta-at-a-time product form solved it.
+#: Changing how the eta file is applied moves the pivot path (last-bit
+#: rounding picks among tied candidates) but must not move the optimum.
+ALPHA_BY_K = [
+    0.5,
+    0.5,
+    0.5034722222222221,
+    0.5105203619909503,
+    0.5162460667086218,
+    0.520680162072534,
+    0.5242169228182084,
+    0.5267380919705564,
+]
+
+
+def test_optimum_is_independent_of_the_eta_arithmetic():
+    for k, alpha in enumerate(ALPHA_BY_K, start=1):
+        solution = solve(build_lp(k))
+        assert solution.status == "optimal"
+        assert solution.alpha == pytest.approx(alpha, abs=1e-9), k
+
+
 def test_solution_stats(monkeypatch):
     counts = ("refactorizations", "bound_flips", "degenerate_pivots", "bland_fallback")
     a = solve(build_lp(4))
@@ -225,6 +282,64 @@ def test_verify_solution_requires_complete_assignment():
         verify_solution(m, solution_from_values(m, {"f_1_1": 0.5}))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_verify_solution_names_a_value_that_is_not_finite(bad):
+    m = build_lp(1)
+    values = {name: 0.0 for name in m.var_names}
+    values["f_2_1"] = bad
+    with pytest.raises(ValueError, match="for variable f_2_1 is not finite"):
+        verify_solution(m, solution_from_values(m, values))
+
+
+def _reference_verify(model, solution, tol=1e-8):
+    # Every residual in Fraction arithmetic: the reference that the integer
+    # residuals of verify_solution must reproduce field for field.
+    values = [Fraction(solution.values[name]) for name in model.var_names]
+    worst = Fraction(0)
+    worst_row = None
+    for row in model.rows:
+        lhs = sum(Fraction(c) * values[j] for j, c in row.coeffs)
+        rhs = Fraction(row.rhs)
+        viol = abs(lhs - rhs) if row.sense == "E" else max(Fraction(0), lhs - rhs)
+        if viol > worst:
+            worst, worst_row = viol, row.name
+    bound_viol = Fraction(0)
+    for j in range(len(model.var_names)):
+        lo, up = Fraction(model.lower[j]), model.upper[j]
+        bound_viol = max(bound_viol, lo - values[j])
+        if up is not None:
+            bound_viol = max(bound_viol, values[j] - Fraction(up))
+    gap = abs(values[model.objective_var] - Fraction(solution.alpha))
+    ok = max(worst, bound_viol, gap) <= Fraction(tol)
+    return VerifyReport(float(worst), float(bound_viol), float(gap), worst_row, ok)
+
+
+def test_integer_verify_matches_fraction_reference():
+    rng = np.random.default_rng(11)
+    models = [build_lp(k) for k in range(1, 7)]
+    models += [build_lp(k, form) for form in ("naive", "compact") for k in range(1, 4)]
+    for model in models:
+        solution = solve(model)
+        names = list(solution.values)
+        assignments = [solution.values]
+        for delta in (1e-9, 3e-7):
+            signs = rng.choice((-1.0, 1.0), len(names))
+            assignments.append(
+                {n: solution.values[n] + s * delta for n, s in zip(names, signs)}
+            )
+        for tiny in (5e-324, 1e-310, -0.0, 1e-300, -1e-300):
+            assignments.append(
+                {n: tiny if i % 3 == 0 else v for i, (n, v) in enumerate(solution.values.items())}
+            )
+        for values in assignments:
+            for candidate in (
+                dataclasses.replace(solution, values=values),
+                solution_from_values(model, values),
+            ):
+                report = verify_solution(model, candidate)
+                assert report == _reference_verify(model, candidate), (model.form, model.k)
+
+
 def test_parse_solution_text():
     text = "alpha = 0.5\nf_1_1=0.25  # comment\n\n# full line comment\n"
     assert parse_solution_text(text) == {"alpha": 0.5, "f_1_1": 0.25}
@@ -258,6 +373,14 @@ def test_external_solution_round_trip():
 def test_brute_force_oracle_on_hand_model():
     m = budget_model()
     assert brute_force_optimum(m) == pytest.approx(solve(m).alpha, abs=1e-9)
+
+
+def test_brute_force_oracle_with_dependent_equality_rows():
+    # Each model's equality row appears twice; the oracle keeps one of the
+    # pair in every candidate active set and still finds the optimum.
+    for model, optimum in ((equality_model(), 1.5), (pinned_model(), 0.5)):
+        model.rows.append(dataclasses.replace(model.rows[0], name="again"))
+        assert brute_force_optimum(model) == pytest.approx(optimum, abs=1e-12)
 
 
 def test_brute_force_oracle_on_smallest_lp():
