@@ -61,6 +61,15 @@ KNOWN_OPTIMA = {
 }
 
 
+def matches_published(k: int, alpha: float) -> Optional[bool]:
+    """Whether ``alpha`` matches the published optimum for ``k`` buckets to
+    within one unit of the fourth decimal; None when none is published."""
+    expected = KNOWN_OPTIMA.get(k)
+    if expected is None:
+        return None
+    return abs(alpha - expected) <= 1e-4
+
+
 @dataclass
 class RatioEstimate:
     mean: float
@@ -158,9 +167,7 @@ class LpTableRow:
 
     @property
     def within_tolerance(self) -> Optional[bool]:
-        if self.expected is None:
-            return None
-        return abs(self.alpha - self.expected) <= 1e-4
+        return matches_published(self.k, self.alpha)
 
 
 def judge_solve(model) -> tuple[Optional[simplex.LpSolution], str, Optional[str]]:
@@ -256,8 +263,6 @@ def connected_graphs_upto(max_n: int) -> list[Graph]:
 
 
 def _connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
     adj = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)
@@ -304,7 +309,7 @@ class SweepConfig:
     seed: int = 0
     jobs: int = 1
     with_random_eight: bool = True
-    permutation_budget: int = 120  # sampled orders for graphs beyond max_n
+    permutation_budget: int = 120  # all n! orders up to this many, else this many draws
     audit_max_n: int = 4  # run in-sweep h-bound audits up to this size
     corrupt_engine: bool = False  # mutation-test mode: must produce violations
 
@@ -393,10 +398,11 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]
         violations.append({"graph": item.name, "claim": claim, **detail})
 
     n = g.n
-    exhaustive_perms = config.exhaustive and (
-        n <= config.max_n + 1 or factorial(n) <= config.permutation_budget
-    )
-    if exhaustive_perms:
+    # Every order when there are few enough, or up to max_n + 1 vertices in
+    # an exhaustive sweep; seeded draws otherwise.
+    if factorial(n) <= config.permutation_budget or (
+        config.exhaustive and n <= config.max_n + 1
+    ):
         orders = [list(p) for p in permutations(range(n))]
     else:
         rng = np.random.default_rng(config.seed + g.n * 1009 + len(g.edges))
@@ -442,12 +448,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]
     if n <= config.max_n and config.exhaustive:
         _sweep_rank_vector_checks(g, config.k, bump, record)
         lap("rank-vector-checks")
-    if (
-        g.m_star is not None
-        and n <= config.audit_max_n + 1
-        and config.exhaustive
-        and g.edges
-    ):
+    if n <= config.audit_max_n + 1 and config.exhaustive:
         for pair in designated_pairs(g):
             viols = audit_h_bounds(g, pair.u, pair.u_star, REFERENCE_TABLE_K3)
             bump("h-bound-audit")
@@ -503,8 +504,6 @@ def _sweep_rank_vector_checks(g, k, bump, record):
 
 
 def _sweep_coloring(g, orders, bump, record):
-    if g.m_star is None:
-        return
     buyer_counts = {v: 0 for v in range(g.n)}
     total = 0
     for order in orders:

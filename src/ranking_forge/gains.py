@@ -171,9 +171,9 @@ def h_forms(
     raise ValueError(f"unknown class label {label!r}")
 
 
-def _check_bucket(name: str, value: Optional[int], k: int) -> None:
-    if value is not None and not 1 <= value <= k + 1:
-        raise ValueError(f"{name}={value} outside 1..{k + 1}")
+def _check_bucket(name: str, value: Optional[int], top: int) -> None:
+    if value is not None and not 1 <= value <= top:
+        raise ValueError(f"{name}={value} outside 1..{top}")
 
 
 def h_value(
@@ -185,8 +185,12 @@ def h_value(
     x_ustar: int,
 ) -> float:
     """Pointwise lower bound on gain(u) + gain(u_star) for one realization."""
-    for name, val in (("x_u", x_u), ("x_v", x_v), ("x_b", x_b), ("x_ustar", x_ustar)):
-        _check_bucket(name, val, table.k)
+    # Only the backup may sit in the padded item column k + 1.
+    k = table.k
+    for name, val, top in (
+        ("x_u", x_u, k), ("x_v", x_v, k), ("x_b", x_b, k + 1), ("x_ustar", x_ustar, k)
+    ):
+        _check_bucket(name, val, top)
     forms = h_forms(label, x_u, x_v, x_b, x_ustar)
     return min(
         const + sum(coef * table.value(i, j) for coef, (i, j) in terms)

@@ -85,9 +85,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)``: the neighbors of ``v`` are
@@ -382,7 +379,7 @@ def generate_family(
             rest = rest[rest != partner[u]]
             edges.update((u, int(v)) for v in rest[rng.random(rest.size) < density])
         return Graph(n, frozenset(edges), frozenset(planted))
-    if family in ("appendix_counterexample", "backup_counterexample"):
+    if family == "appendix_counterexample":
         return backup_counterexample_graph()
     raise ValueError(f"unknown family {family!r}; choose one of {FAMILIES}")
 

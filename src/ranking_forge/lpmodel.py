@@ -62,27 +62,8 @@ class LpModel:
     objective_var: int
 
     @property
-    def var_count(self) -> int:
-        return len(self.var_names)
-
-    @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    @property
-    def nonzeros(self) -> int:
-        return sum(len(r.coeffs) for r in self.rows)
-
-    def counts(self) -> dict[str, int]:
-        by_prefix: dict[str, int] = {}
-        for name in self.var_names:
-            by_prefix[name.split("_")[0]] = by_prefix.get(name.split("_")[0], 0) + 1
-        return {
-            "variables": self.var_count,
-            "rows": self.row_count,
-            "nonzeros": self.nonzeros,
-            **{f"vars_{p}": c for p, c in sorted(by_prefix.items())},
-        }
 
 
 def build_lp(k: int, form: str = "substituted") -> LpModel:
@@ -508,7 +489,7 @@ class _DeclaredRows(dict):
         raise ValueError(f"COLUMNS entry on row {name!r}, which ROWS does not declare")
 
 
-def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
+def parse_mps(source) -> LpModel:
     """Reference reader for the canonical layout written by this module.
 
     ``source`` is MPS text, or a path: an ``os.PathLike`` or a string without
@@ -621,8 +602,6 @@ def parse_mps(source, expect_form: Optional[str] = None) -> LpModel:
         for rname, sense in row_sense.items()
     ]
     k, form = _parse_model_name(name_line)
-    if expect_form is not None and form != expect_form:
-        raise ValueError(f"expected a {expect_form!r} model, parsed {form!r}")
     return LpModel(
         k,
         form,

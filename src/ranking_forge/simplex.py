@@ -380,26 +380,12 @@ def solve(model: LpModel) -> LpSolution:
     # One clean refactorization before reading the answer off.
     core.B.refactor()
     core.recompute_basics()
-    return _package(model, core, status, start, standardized)
-
-
-def _package(model, core, status, start, standardized) -> LpSolution:
     solved = time.perf_counter()
     names = model.var_names
     values = {names[j]: float(core.x[j]) for j in range(len(names))}
-    alpha = values.get("alpha", float(core.x[model.objective_var]))
-    k = model.k
-    alpha_i = tuple(values.get(f"alpha_{i}", 0.0) for i in range(1, k + 1))
-    f_table = _extract_table(model, values)
-    return LpSolution(
-        alpha=alpha,
-        alpha_i=alpha_i,
-        f_table=f_table,
-        status=status,
-        iterations=core.iterations,
-        elapsed=time.perf_counter() - start,
-        values=values,
-        stats={
+    return _solution(
+        model, values, status, core.iterations, time.perf_counter() - start,
+        {
             "standardize_s": standardized - start,
             "solve_s": solved - standardized,
             "refactorizations": core.B.factorizations,
@@ -407,6 +393,24 @@ def _package(model, core, status, start, standardized) -> LpSolution:
             "degenerate_pivots": core.degenerate_pivots,
             "bland_fallback": core.bland,
         },
+    )
+
+
+def _solution(model, values, status, iterations=0, elapsed=0.0, stats=None) -> LpSolution:
+    """Read alpha (the objective column's value), the alpha_i and the price
+    table off an assignment of ``model``'s variables."""
+    objective = model.var_names[model.objective_var]
+    if objective not in values:
+        raise ValueError(f"solution is missing a value for variable {objective}")
+    return LpSolution(
+        alpha=values[objective],
+        alpha_i=tuple(values.get(f"alpha_{i}", 0.0) for i in range(1, model.k + 1)),
+        f_table=_extract_table(model, values),
+        status=status,
+        iterations=iterations,
+        elapsed=elapsed,
+        values=values,
+        stats=stats or {},
     )
 
 
@@ -511,18 +515,9 @@ def parse_solution_text(text: str) -> dict[str, float]:
 
 
 def solution_from_values(model: LpModel, values: dict[str, float]) -> LpSolution:
-    """Wrap an externally produced assignment for verification."""
-    alpha = values.get("alpha", 0.0)
-    alpha_i = tuple(values.get(f"alpha_{i}", 0.0) for i in range(1, model.k + 1))
-    return LpSolution(
-        alpha=alpha,
-        alpha_i=alpha_i,
-        f_table=_extract_table(model, values),
-        status="external",
-        iterations=0,
-        elapsed=0.0,
-        values=values,
-    )
+    """Wrap an externally produced assignment for verification; raises
+    ``ValueError`` when it gives the objective column no value."""
+    return _solution(model, values, "external")
 
 
 # ---------------------------------------------------------------------------

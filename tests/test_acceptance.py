@@ -218,10 +218,9 @@ def test_criterion_8_builder_evaluator_solver_coherence(solved_models):
             naive_gap,
             abs(solve(build_lp(k, form="naive")).alpha - solved[k][1].alpha),
         )
-    compact_gap = abs(
-        solve(parse_mps("".join(compact_mps_chunks(6)), expect_form="compact")).alpha
-        - solved[6][1].alpha
-    )
+    compact = parse_mps("".join(compact_mps_chunks(6)))
+    assert compact.form == "compact"
+    compact_gap = abs(solve(compact).alpha - solved[6][1].alpha)
     ok = worst_eval <= 1e-6 and verify_ok and naive_gap <= 1e-8 and compact_gap <= 1e-8
     report(
         "8 builder/evaluator/solver coherence",

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,42 @@ def test_in_process_budget_is_not_an_option(tmp_path, capsys):
     assert run_cli(args) == 2
     assert "unrecognized arguments: --max-k-in-process" in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_solve_lp_takes_no_tolerance(capsys):
+    # Published values are judged by one rule, experiments.matches_published.
+    assert run_cli(["solve-lp", "--k", "3", "--tol", "1e-4"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("published, code", [(0.50009, 0), (0.5002, 1)])
+def test_solve_lp_and_reproduce_share_the_published_rule(monkeypatch, capsys,
+                                                         published, code):
+    # alpha is 0.5 at k = 2; both commands allow 1e-4 around the table.
+    monkeypatch.setitem(cli.experiments.KNOWN_OPTIMA, 2, published)
+    assert run_cli(["solve-lp", "--k", "2"]) == code
+    assert run_cli(["reproduce", "--table1", "--k-max", "2"]) == code
+    captured = capsys.readouterr()
+    assert ("mismatch: published value is 0.50020" in captured.err) == bool(code)
+    assert ("MISMATCH" in captured.out) == bool(code)
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("ranking-forge ")
+    ]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            commands.add(parser.parse_args(argv).command)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert commands == {"solve-lp", "validate-f", "verify-lemmas", "simulate", "reproduce"}
 
 
 def test_output_path_check_leaves_no_file(tmp_path):

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +31,7 @@ from ranking_forge.graphs import (
     graph_to_json,
     maximum_matching_size,
 )
+from ranking_forge.oracles import ClaimReport, ClaimViolation
 
 
 def test_connected_graph_census():
@@ -248,3 +250,76 @@ def test_sweep_report_serializes():
     payload = json.loads(report.to_json())
     assert payload["instances_checked"] == report.instances_checked
     assert set(payload["seconds"]) == set(SWEEP_STAGES)
+
+
+def test_sampled_sweep_runs_every_order_of_a_small_graph(monkeypatch):
+    # Without --exhaustive a graph with at most permutation_budget orders
+    # gets each of them once; the others get that many seeded draws.
+    corpus = default_corpus(seed=7000, with_random_eight=False)
+    monkeypatch.setattr(experiments, "default_corpus", lambda **_: corpus)
+    seen = {id(c.graph): [] for c in corpus}
+    views_agree = experiments.views_agree
+
+    def recorded(g, order):
+        seen[id(g)].append(tuple(order))
+        return views_agree(g, order)
+
+    monkeypatch.setattr(experiments, "views_agree", recorded)
+    config = SweepConfig(exhaustive=False, with_random_eight=False)
+    report = lemma_sweep(config)
+    budget = config.permutation_budget
+    expected = sum(min(math.factorial(c.graph.n), budget) for c in corpus)
+    assert report.ok
+    assert report.claims_checked["views-agree"] == expected == 2967
+    for c in corpus:
+        orders = seen[id(c.graph)]
+        if math.factorial(c.graph.n) <= budget:
+            assert sorted(orders) == list(permutations(range(c.graph.n)))
+        else:
+            assert len(orders) == budget
+
+
+def test_every_sweep_stage_failure_reaches_the_report(monkeypatch):
+    corpus = default_corpus(seed=7000, with_random_eight=False)
+    names = {id(c.graph): c.name for c in corpus}
+    monkeypatch.setattr(experiments, "default_corpus", lambda **_: corpus)
+    failed = {}  # claim -> the corpus graph its stage failed on
+
+    def fail_once(attr, claim, failure):
+        real = getattr(experiments, attr)
+
+        def stage(g, *args):
+            if claim in failed:
+                return real(g, *args)
+            failed[claim] = names[id(g)]
+            return failure(claim)
+
+        monkeypatch.setattr(experiments, attr, stage)
+
+    def failing_report(claim):
+        report = ClaimReport()
+        report.add(claim, "fail")
+        return report
+
+    def violation(claim):
+        raise ClaimViolation(claim, {})
+
+    def coloring_error(claim):
+        raise RuntimeError("no proper coloring")
+
+    fail_once("views_agree", "views-agree",
+              lambda claim: SimpleNamespace(agree=False, divergence=None))
+    fail_once("alternating_path_sweep", "injected-alternating-path", violation)
+    fail_once("check_prefix_agreement", "injected-prefix-agreement", failing_report)
+    fail_once("check_insertion_claims", "injected-insertion", failing_report)
+    fail_once("check_monotonicity", "injected-monotonicity", failing_report)
+    fail_once("enumerate_equivalence_class", "injected-equivalence-class", violation)
+    fail_once("two_coloring", "two-coloring", coloring_error)
+    fail_once("audit_h_bounds", "injected-audit", lambda claim: [{"claim": claim}])
+    report = lemma_sweep(
+        SweepConfig(max_n=3, k=2, with_random_eight=False, audit_max_n=2)
+    )
+    assert len(failed) == 8
+    reported = {(v["graph"], v["claim"]) for v in report.violations}
+    for claim, graph in failed.items():
+        assert (graph, claim) in reported

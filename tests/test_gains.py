@@ -135,6 +135,15 @@ def test_h_validates_patterns_and_ranges():
         h_value(C_B, t, 1, 1, None, 1)
     with pytest.raises(ValueError):
         h_value(C_S, t, 1, 5, None, 1)
+    # Only the backup bucket may be k + 1, the padded item column.
+    with pytest.raises(ValueError, match="x_u=4 outside 1..3"):
+        h_value(C_BOT, t, 4, None, None, 1)
+    with pytest.raises(ValueError, match="x_u=4 outside 1..3"):
+        H_value(C_BOT, t, 4)
+    with pytest.raises(ValueError, match="x_v=4 outside 1..3"):
+        h_value(C_S, t, 2, 4, None, 4)
+    with pytest.raises(ValueError, match="x_ustar=4 outside 1..3"):
+        h_value(C_S, t, 2, 1, None, 4)
 
 
 def test_h_backup_bucket_may_be_k_plus_one():

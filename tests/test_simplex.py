@@ -282,6 +282,15 @@ def test_verify_solution_requires_complete_assignment():
         verify_solution(m, solution_from_values(m, {"f_1_1": 0.5}))
 
 
+def test_external_solution_needs_the_objective_value():
+    # alpha is read off the objective column, as for a solve; it is not
+    # silently 0.0.
+    m = build_lp(1)
+    values = {name: 0.0 for name in m.var_names if name != "alpha"}
+    with pytest.raises(ValueError, match="missing a value for variable alpha"):
+        solution_from_values(m, values)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_verify_solution_names_a_value_that_is_not_finite(bad):
     m = build_lp(1)
