@@ -76,10 +76,12 @@ class PartialState:
 
 def _vertices(order: OrderLike) -> tuple:
     """An order's vertex sequence as given, before its checks: cheap for a
-    rank vector or a tuple, and the key the run memo looks up.  A mapping is
-    checked for being a bijection here, on every call."""
+    rank vector, a tuple or a list, and the key the run memo looks up.  A
+    mapping is checked for being a bijection here, on every call."""
     if isinstance(order, RankVector):
         return order_of(order)
+    if isinstance(order, (tuple, list)):
+        return tuple(order)
     if isinstance(order, Mapping):
         pos = {int(v): int(p) for v, p in order.items()}
         if sorted(pos.values()) != list(range(1, len(pos) + 1)):

@@ -330,6 +330,8 @@ class SweepReport:
     wall_time: float
     #: Seconds per stage (``SWEEP_STAGES``), summed over graphs and workers.
     seconds: dict[str, float]
+    #: Seconds per corpus graph, by graph name, in the order the graphs ran.
+    graph_seconds: dict[str, float]
 
     @property
     def ok(self) -> bool:
@@ -360,7 +362,9 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
     violations: list[dict] = []
     instances = 0
     seconds = dict.fromkeys(SWEEP_STAGES, 0.0)
-    for counts, viols, n_inst, stage_s in partials:
+    graph_seconds: dict[str, float] = {}
+    for item, (counts, viols, n_inst, stage_s, graph_s) in zip(work, partials):
+        graph_seconds[item.name] = graph_s
         instances += n_inst
         violations.extend(viols)
         for key, val in counts.items():
@@ -374,11 +378,15 @@ def lemma_sweep(config: SweepConfig | None = None) -> SweepReport:
         violations=violations,
         wall_time=time.perf_counter() - start,
         seconds=seconds,
+        graph_seconds=graph_seconds,
     )
 
 
-def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]:
+def _sweep_one(
+    args,
+) -> tuple[dict[str, int], list[dict], int, dict[str, float], float]:
     config, item = args
+    start = time.perf_counter()
     g = item.graph
     counts: dict[str, int] = {}
     violations: list[dict] = []
@@ -455,7 +463,7 @@ def _sweep_one(args) -> tuple[dict[str, int], list[dict], int, dict[str, float]]
             for v in viols:
                 record(**v)
         lap("audit")
-    return counts, violations, len(orders), seconds
+    return counts, violations, len(orders), seconds, time.perf_counter() - start
 
 
 def _tally(key, report, bump, record):

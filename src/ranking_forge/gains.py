@@ -19,7 +19,8 @@ from .graphs import Edge, Graph, edge
 from .oracles import (
     BUYER,
     ClassLabel,
-    compute_profile,
+    Profile,
+    _roles,
     flip_coloring,
     two_coloring,
 )
@@ -28,8 +29,8 @@ from .ranks import (
     check_bucket_count,
     enumerate_rank_vectors,
     insertion_slots,
-    move_vertex,
     order_of,
+    slot_index,
 )
 
 
@@ -231,12 +232,31 @@ def share_gains(
         raise TypeError("gain sharing needs bucket values; pass a rank vector")
     if matching is None:
         matching = matching_for_order(g, order)
+    pairs = [_buyer_item(a, b, coloring) for a, b in matching]
+    bucket = {v: x for v, (x, _) in order.items()}
     gains = {v: 0.0 for v in g.vertices}
-    for a, b in matching:
-        if coloring[a] == coloring[b]:
-            raise ColoringError(f"matched edge ({a}, {b}) is monochromatic")
-        buyer, item = (a, b) if coloring[a] == BUYER else (b, a)
-        price = table.value(order.bucket(buyer), order.bucket(item))
+    gains.update(_shares(pairs, bucket, table.rows()))
+    return gains
+
+
+def _buyer_item(a: int, b: int, coloring: dict[int, str]) -> tuple[int, int]:
+    """The matched edge ``(a, b)`` as ``(buyer, item)``: the one rule for
+    which end is which.  ``ColoringError`` if both ends have one color."""
+    if coloring[a] == coloring[b]:
+        raise ColoringError(f"matched edge ({a}, {b}) is monochromatic")
+    return (a, b) if coloring[a] == BUYER else (b, a)
+
+
+def _shares(
+    pairs: Iterable[tuple[int, int]],
+    bucket: dict[int, int],
+    rows: tuple[tuple[float, ...], ...],
+) -> dict[int, float]:
+    """Each matched vertex's gain: the item end of a ``(buyer, item)`` pair
+    gets ``f(buyer bucket, item bucket)`` and the buyer end the rest."""
+    gains = {}
+    for buyer, item in pairs:
+        price = rows[bucket[buyer] - 1][bucket[item] - 1]
         gains[item] = price
         gains[buyer] = 1.0 - price
     return gains
@@ -274,29 +294,48 @@ def audit_h_bounds(
     if g.m_star is None or edge(u, u_star) not in g.m_star:
         raise ValueError(f"({u}, {u_star}) is not a designated-matching pair")
     others = sorted(set(g.vertices) - {u_star})
+    rows = table.rows()
     violations: list[dict] = []
-    # Realizations share vertex orders, and the matching and the coloring
-    # depend on the order alone: run each order once.
-    by_order: dict[tuple[int, ...], tuple[frozenset[Edge], dict[int, str]]] = {}
+    # A realization is a vector and an insertion slot for ``u_star``; its
+    # order is the vector's with ``u_star`` spliced in at the slot's index.
+    # The matching, the coloring and ``u``'s roles depend on an order alone,
+    # so each is computed once per order, and an h row once per profile.  A
+    # realization is then the price lookups for its (buyer, item) pairs.
+    by_order: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
+    roles_by_order: dict[tuple[int, ...], tuple] = {}
+    h_rows: dict[tuple[ClassLabel, Profile], tuple[float, ...]] = {}
     for vec, _weight in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
-        profile, label = compute_profile(g, vec, u)
-        h_by_bucket = {
-            x: h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
-            for x in range(1, k + 1)
-        }
+        order = order_of(vec)
+        bucket = {v: x for v, (x, _) in vec.items()}
+        # The profile is the buckets of u, its match and its backup; an
+        # absent match or backup (None) has no bucket.
+        roles = roles_by_order.get(order)
+        if roles is None:
+            roles = roles_by_order[order] = _roles(g, order, u)
+        match, backup, label = roles
+        profile = Profile(bucket[u], bucket.get(match), bucket.get(backup))
+        h_row = h_rows.get((label, profile))
+        if h_row is None:
+            h_row = h_rows[label, profile] = tuple(
+                h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
+                for x in range(1, k + 1)
+            )
         for slot in insertion_slots(vec):
-            sigma = move_vertex(vec, u_star, slot)
-            key = order_of(sigma)
-            if key not in by_order:
-                matching = matching_for_order(g, sigma)
+            j = slot_index(vec, slot)
+            key = order[:j] + (u_star,) + order[j:]
+            known = by_order.get(key)
+            if known is None:
+                matching = matching_for_order(g, key)
                 chi = two_coloring(g, matching, g.m_star, 0)
                 if chi[u] != BUYER:
                     chi = flip_coloring(chi)
-                by_order[key] = matching, chi
-            matching, chi = by_order[key]
-            gains = share_gains(g, sigma, chi, table, matching=matching)
-            total_u = gains[u] + gains[u_star]
-            hv = h_by_bucket[slot[0]]
+                pairs = tuple(_buyer_item(a, b, chi) for a, b in matching)
+                known = by_order[key] = len(matching), pairs
+            size, pairs = known
+            bucket[u_star] = slot[0]
+            gains = _shares(pairs, bucket, rows)
+            total_u = gains.get(u, 0.0) + gains.get(u_star, 0.0)
+            hv = h_row[slot[0] - 1]
             if hv > total_u + 1e-9:
                 violations.append(
                     {
@@ -309,14 +348,14 @@ def audit_h_bounds(
                     }
                 )
             mass = sum(gains.values())
-            if abs(mass - len(matching)) > 1e-9:
+            if abs(mass - size) > 1e-9:
                 violations.append(
                     {
                         "claim": "gain-conservation",
                         "vector": {str(v): list(s) for v, s in vec.items()},
                         "slot": list(slot),
                         "total_gain": mass,
-                        "matching_size": len(matching),
+                        "matching_size": size,
                     }
                 )
     return violations

@@ -293,6 +293,8 @@ def check_insertion_claims(
     vec = rank_vector_minus_ustar
     if u_star in vec:
         raise ValueError(f"u_star {u_star} must be absent from the rank vector")
+    if u not in vec:
+        raise ValueError(f"u {u} must be in the rank vector")
     report = ClaimReport()
     v, b, _ = _roles(g, vec, u)
     sigma = move_vertex(vec, u_star, target)
@@ -566,13 +568,16 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     n = len(seq)
     minus = _replay(g, seq, frozenset({v}))
     pos = position_map(seq)
+    p = pos[v]
     demoted = None
-    if pos[v] < n:
-        p = pos[v]  # v is seq[p - 1]; swap it with seq[p], the next vertex
+    if p < n:
+        # v is seq[p - 1]; swap it with seq[p], the next vertex
         swapped = seq[: p - 1] + (seq[p], v) + seq[p + 1 :]
         demoted = _replay(g, swapped, frozenset())
     # Every run takes its vertices from the same domain, so comparing the
     # available sets apart from ``v`` is comparing the taken sets with ``v``.
+    # A passing check keeps ``v`` and ``t``; only a failing one builds the
+    # witness.
     bit = 1 << v
     for t in range(1, n + 2):
         i = full.before((t, 1))
@@ -580,21 +585,25 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
         if taken & bit:
             break
         minus_matching = minus.matchings[i]
-        ok = matching == minus_matching and taken | bit == minus.taken[i]
-        report.add(
-            "prefix-agreement-removed", "pass" if ok else "fail",
-            v=v, t=(t, 1), order=pos,
-            full=sorted(matching),
-            minus=sorted(minus_matching),
-        )
-        if demoted is not None and t <= pos[v]:
-            j = demoted.before((t, 1))
-            demoted_matching = demoted.matchings[j]
-            ok = matching == demoted_matching and taken | bit == demoted.taken[j] | bit
+        if matching == minus_matching and taken | bit == minus.taken[i]:
+            report.add("prefix-agreement-removed", "pass", v=v, t=(t, 1))
+        else:
             report.add(
-                "prefix-agreement-demoted", "pass" if ok else "fail",
+                "prefix-agreement-removed", "fail",
                 v=v, t=(t, 1), order=pos,
                 full=sorted(matching),
-                demoted=sorted(demoted_matching),
+                minus=sorted(minus_matching),
             )
+        if demoted is not None and t <= p:
+            j = demoted.before((t, 1))
+            demoted_matching = demoted.matchings[j]
+            if matching == demoted_matching and taken | bit == demoted.taken[j] | bit:
+                report.add("prefix-agreement-demoted", "pass", v=v, t=(t, 1))
+            else:
+                report.add(
+                    "prefix-agreement-demoted", "fail",
+                    v=v, t=(t, 1), order=pos,
+                    full=sorted(matching),
+                    demoted=sorted(demoted_matching),
+                )
     return report

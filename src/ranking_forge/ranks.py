@@ -154,19 +154,28 @@ def move_vertex(r: RankVector, v: int, target: Slot) -> RankVector:
     bucket's occupants while preserving every other vertex's bucket and the
     pairwise relative order.
     """
-    x, y = target
+    base = remove_vertex(r, v) if v in r else r
+    j = slot_index(base, target)
+    o, b = base._order, base._buckets
+    x = target[0]
+    return RankVector._from_order(r.k, o[:j] + (v,) + o[j:], b[:j] + (x,) + b[j:])
+
+
+def slot_index(r: RankVector, slot: Slot) -> int:
+    """Index in ``order_of(r)`` at which a vertex inserted at ``slot`` lands:
+    the one slot-to-index rule.  ``ValueError`` for a bucket outside 1..k or
+    a position that would leave a gap in its bucket."""
+    x, y = slot
     if not 1 <= x <= r.k:
         raise ValueError(f"target bucket {x} outside 1..{r.k}")
-    base = remove_vertex(r, v) if v in r else r
-    occupancy = base.bucket_size(x)
+    first = bisect_left(r._buckets, x)
+    occupancy = bisect_right(r._buckets, x) - first
     if not 1 <= y <= occupancy + 1:
         raise ValueError(
             f"target position {y} breaks contiguity of bucket {x} "
             f"(occupancy {occupancy})"
         )
-    o, b = base._order, base._buckets
-    j = bisect_left(b, x) + y - 1
-    return RankVector._from_order(r.k, o[:j] + (v,) + o[j:], b[:j] + (x,) + b[j:])
+    return first + y - 1
 
 
 def insertion_slots(r: RankVector, v: int | None = None) -> list[Slot]:

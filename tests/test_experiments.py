@@ -222,6 +222,13 @@ def test_benchmark_sweep_claim_counts_are_pinned():
     assert list(report.seconds) == list(SWEEP_STAGES)
     assert all(s > 0 for s in report.seconds.values())
     assert sum(report.seconds.values()) <= report.wall_time
+    # One entry per corpus graph, in the order the graphs ran; each graph's
+    # time covers its stages.
+    corpus = default_corpus(seed=7000, with_random_eight=False)
+    assert list(report.graph_seconds) == sorted(c.name for c in corpus)
+    assert all(s > 0 for s in report.graph_seconds.values())
+    assert sum(report.seconds.values()) <= sum(report.graph_seconds.values())
+    assert sum(report.graph_seconds.values()) <= report.wall_time
 
 
 def test_sweep_parallel_matches_serial():
@@ -231,6 +238,7 @@ def test_sweep_parallel_matches_serial():
     assert serial.claims_checked == parallel.claims_checked
     assert serial.violations == parallel.violations
     assert list(parallel.seconds) == list(SWEEP_STAGES)
+    assert list(parallel.graph_seconds) == list(serial.graph_seconds)
 
 
 def test_sweep_detects_corrupted_engine():
@@ -250,6 +258,7 @@ def test_sweep_report_serializes():
     payload = json.loads(report.to_json())
     assert payload["instances_checked"] == report.instances_checked
     assert set(payload["seconds"]) == set(SWEEP_STAGES)
+    assert payload["graph_seconds"] == report.graph_seconds
 
 
 def test_sampled_sweep_runs_every_order_of_a_small_graph(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ranking_forge import gains
@@ -243,6 +244,50 @@ def test_audit_matches_the_unmemoized_loop(g):
             assert audit_h_bounds(g, u, u_star, bad, check_table=False) == expected
             found += len(expected)
     assert found
+
+
+def _random_table(k, seed, monotone):
+    # Uniform prices; the monotone one takes the running max along items,
+    # then the running min down buyers, which keeps the rows increasing.
+    grid = np.random.default_rng(seed).random((k, k))
+    if monotone:
+        grid = np.minimum.accumulate(np.maximum.accumulate(grid, axis=1), axis=0)
+    return PriceTable(k, grid.tolist())
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "raw"])
+def test_audit_matches_the_unmemoized_loop_with_crowded_buckets(monotone):
+    # Four vertices in three buckets: every vector puts several vertices in
+    # one bucket, so u_star's slot index depends on the bucket's occupants.
+    g = generate_family("cycle", n=5)
+    table = _random_table(3, 23, monotone)
+    assert (table.monotonicity_violations() == []) == monotone
+    found = 0
+    for a, b in sorted(g.m_star):
+        for u, u_star in ((a, b), (b, a)):
+            expected = _unmemoized_audit(g, u, u_star, table, 3)
+            assert audit_h_bounds(g, u, u_star, table, check_table=False) == expected
+            found += len(expected)
+    assert found or monotone
+
+
+def test_audit_builds_no_rank_vector_per_slot(monkeypatch):
+    # The enumeration builds each vector once; a realization splices u_star
+    # into the vector's order instead of building the moved vector.
+    g = backup_counterexample_graph()
+    u, u_star = sorted(g.m_star)[0]
+    others = sorted(set(g.vertices) - {u_star})
+    vectors = sum(1 for _ in enumerate_rank_vectors(others, 3))
+    built = []
+    from_order = RankVector._from_order.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return from_order(cls, *args)
+
+    monkeypatch.setattr(RankVector, "_from_order", classmethod(counted))
+    audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
+    assert len(built) == vectors
 
 
 def test_audit_colors_each_order_once(monkeypatch):

@@ -124,6 +124,15 @@ def test_insertion_claims_skip_without_pair_edge():
     assert report.ok
 
 
+def test_insertion_claims_reject_u_absent_from_the_vector():
+    # u must be a vertex of the vector: neither u_star nor one off the graph.
+    g = make_graph(3, [(0, 1), (0, 2)])
+    vec = RankVector(1, {0: (1, 1), 1: (1, 2)})
+    for u in (2, 7):
+        with pytest.raises(ValueError, match=f"u {u} must be in the rank vector"):
+            check_insertion_claims(g, vec, u, 2, (1, 1))
+
+
 def test_insertion_claims_backup_floor_on_counterexample(cex):
     # Attach u_star=5 next to v1=3: u keeps a match at or before v1 wherever
     # u_star lands.
@@ -319,7 +328,18 @@ def _assert_checkers_catch(monkeypatch, g, faulty_run):
     for v in range(g.n):
         with pytest.raises(ClaimViolation):
             alternating_path_sweep(g, natural, v)
-    assert any(check_prefix_agreement(g, natural, v).failures for v in range(g.n))
+    reports = [check_prefix_agreement(g, natural, v) for v in range(g.n)]
+    assert any(report.failures for report in reports)
+    # A passing check carries v and t only; a failing one the full witness.
+    witness = {"prefix-agreement-removed": "minus", "prefix-agreement-demoted": "demoted"}
+    for v, report in enumerate(reports):
+        for c in report.checks:
+            assert c.details["v"] == v and len(c.details["t"]) == 2
+            if c.status == "pass":
+                assert set(c.details) == {"v", "t"}
+            else:
+                assert set(c.details) == {"v", "t", "order", "full", witness[c.claim]}
+                assert c.details["order"] == {w: w + 1 for w in natural}
 
 
 def test_checkers_catch_a_faulty_removed_vertex_timeline(monkeypatch, cex):
