@@ -439,7 +439,7 @@ def _sweep_one(
             try:
                 bump("alt-path-checkpoints", alternating_path_sweep(g, order, u_star))
             except ClaimViolation as exc:
-                record(exc.claim, payload=exc.payload)
+                record(exc.claim, **exc.payload)
     lap("alternating-paths")
 
     # Prefix-agreement fact.
@@ -477,7 +477,7 @@ def _sweep_insertion_claims(g, bump, record):
     n = g.n
     for u_star in range(n):
         others = sorted(set(range(n)) - {u_star})
-        for vec, _w in enumerate_rank_vectors(others, 1):
+        for vec in enumerate_rank_vectors(others, 1):
             for target in insertion_slots(vec):
                 for u in others:
                     report = check_insertion_claims(g, vec, u, u_star, target)
@@ -488,7 +488,7 @@ def _sweep_rank_vector_checks(g, k, bump, record):
     n = g.n
     seen_classes: set = set()
     observed_matched_backup = 0
-    for vec, _w in enumerate_rank_vectors(range(n), k):
+    for vec in enumerate_rank_vectors(range(n), k):
         matching = matching_for_order(g, vec)
         for u in range(n):
             v = matched_partner(matching, u)

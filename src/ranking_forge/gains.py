@@ -304,7 +304,7 @@ def audit_h_bounds(
     by_order: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
     roles_by_order: dict[tuple[int, ...], tuple] = {}
     h_rows: dict[tuple[ClassLabel, Profile], tuple[float, ...]] = {}
-    for vec, _weight in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
+    for vec in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
         order = order_of(vec)
         bucket = {v: x for v, (x, _) in vec.items()}
         # The profile is the buckets of u, its match and its backup; an

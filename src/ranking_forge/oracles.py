@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .engine import Time, _order, _replay, _Timeline, matching_for_order, position_map
+from .engine import Time, _replay, _Timeline, matching_for_order, position_map
 from .graphs import Edge, Graph, edge, matched_partner
 from .ranks import RankVector, insertion_slots, move_vertex, remove_vertex
 
@@ -84,38 +84,58 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------------
+# Runs: every checker reaches a run through these, and a position through the
+# run's ``order.rank``.
+
+
+def _pair(g: Graph, order, x: int) -> tuple[_Timeline, _Timeline]:
+    """The run of ``order`` and the run with ``x`` frozen, both read through
+    ``_replay``."""
+    full = _replay(g, order, frozenset())
+    return full, _replay(g, full.order.seq, frozenset({x}))
+
+
+def _partner(g: Graph, order, u: int, frozen=frozenset()) -> Optional[int]:
+    """``u``'s partner in the run of ``order`` with ``frozen`` removed: the
+    one partner rule."""
+    return matched_partner(matching_for_order(g, order, frozen), u)
+
+
+def _demotions(g: Graph, vec: RankVector, u: int, v: int):
+    """Every move of ``u``'s match ``v`` to a slot, ascending, as (slot, moved
+    vector, ``u``'s partner in its run); the slot ``v`` holds is one of them."""
+    red = remove_vertex(vec, v)
+    for slot in insertion_slots(red):
+        moved = move_vertex(red, v, slot)
+        yield slot, moved, _partner(g, moved, u)
+
+
+# ---------------------------------------------------------------------------
 # Backups and profiles.
 
 
-def compute_backup(
-    g: Graph,
-    order_minus_ustar,
-    u: int,
-    frozen: frozenset[int] | set[int] = frozenset(),
-) -> Optional[int]:
+def compute_backup(g: Graph, order_minus_ustar, u: int) -> Optional[int]:
     """Who ``u`` would match if its current match were removed; None if nobody.
 
     Requires ``u`` to be matched under the given order (the notion is
     undefined otherwise).
     """
-    v = matched_partner(matching_for_order(g, order_minus_ustar, frozen), u)
+    v, b, _ = _roles(g, order_minus_ustar, u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; backup is undefined")
-    return _backup(g, order_minus_ustar, u, v, frozen)
+    return b
 
 
-def _backup(
-    g: Graph, order, u: int, v: int, frozen: frozenset[int] | set[int] = frozenset()
-) -> Optional[int]:
+def _backup(g: Graph, order, u: int, v: int) -> Optional[int]:
     """``u``'s partner in the run with its match ``v`` also frozen: the one
     definition of the backup, for callers that already hold ``v``."""
-    return matched_partner(matching_for_order(g, order, frozenset(frozen) | {v}), u)
+    return _partner(g, order, u, {v})
 
 
 def _roles(g: Graph, order, u: int) -> tuple[Optional[int], Optional[int], ClassLabel]:
     """``u``'s match, its backup (``None`` when absent) and its class label
     under ``order``: the one place the label rule is written."""
-    v = matched_partner(matching_for_order(g, order), u)
+    v = _partner(g, order, u)
     if v is None:
         return None, None, ClassLabel.UNMATCHED
     b = _backup(g, order, u, v)
@@ -183,50 +203,46 @@ def _arrange_path(diff: set[Edge], start: int) -> list[int]:
 
 
 def _verify_path_properties(
-    u_star: int,
-    full: _Timeline,
-    minus: _Timeline,
-    i: int,
-    context: Callable[[], dict],
+    g: Graph, u_star: int, full: _Timeline, minus: _Timeline, i: int, t: Time
 ) -> AlternatingPath:
-    """Check the path properties on state ``i`` of the run and of the run
-    with ``u_star`` removed; ``context()`` builds the witness for a raise."""
+    """Check the path properties on state ``i``, the state before time ``t``,
+    of the run and of the run with ``u_star`` removed."""
     seq, rank = full.order.seq, full.order.rank
     full_matching, minus_matching = full.matchings[i], minus.matchings[i]
     path = _arrange_path(set(full_matching ^ minus_matching), u_star)
+
+    def violation(claim: str, **found) -> ClaimViolation:
+        return ClaimViolation(claim, {
+            "edges": sorted(g.edges), "u_star": u_star, "t": t,
+            "order": position_map(seq), "path": path, **found,
+        })
+
     sources = []
     for j in range(len(path) - 1):
         e = edge(path[j], path[j + 1])
         expected = full_matching if j % 2 == 0 else minus_matching
         source = "full" if j % 2 == 0 else "minus"
         if e not in expected:
-            raise ClaimViolation(
-                "alt-path-alternation",
-                {**context(), "path": path, "edge": e, "expected_in": source},
-            )
+            raise violation("alt-path-alternation", edge=e, expected_in=source)
         sources.append(source)
     for j in range(len(path) - 2):
         if not rank[path[j]] < rank[path[j + 2]]:
-            raise ClaimViolation(
-                "alt-path-monotonicity",
-                {**context(), "path": path,
-                 "ranks": [rank[v] for v in path], "index": j},
+            raise violation(
+                "alt-path-monotonicity", ranks=[rank[v] for v in path], index=j
             )
     # Both runs take their vertices from the same domain, so the available
     # sets differ exactly where the taken sets do.
     if full.taken[i] ^ minus.taken[i] != 1 << path[-1]:
-        raise ClaimViolation(
+        raise violation(
             "alt-path-availability",
-            {**context(), "path": path,
-             "available_full": _available(seq, full.taken[i]),
-             "available_minus": _available(seq, minus.taken[i])},
+            available_full=_available(seq, full.taken[i]),
+            available_minus=_available(seq, minus.taken[i]),
         )
     return AlternatingPath(tuple(path), tuple(sources))
 
 
 def _available(seq: tuple[int, ...], taken: int) -> list[int]:
     return sorted(v for v in seq if not taken >> v & 1)
-
 
 
 def extract_alternating_path(
@@ -236,14 +252,8 @@ def extract_alternating_path(
     ``u_star`` at probe time ``t``, arranged and verified as an alternating
     path.  Raises :class:`ClaimViolation` if any path property fails.
     """
-    full = _replay(g, order, frozenset())
-    seq = full.order.seq
-    minus = _replay(g, seq, frozenset({u_star}))
-    return _verify_path_properties(
-        u_star, full, minus, full.before(t),
-        lambda: {"graph": sorted(g.edges), "u_star": u_star, "t": t,
-                 "order": position_map(seq)},
-    )
+    full, minus = _pair(g, order, u_star)
+    return _verify_path_properties(g, u_star, full, minus, full.before(t), t)
 
 
 def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
@@ -252,22 +262,17 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     Returns the number of checkpoints verified (probe times plus the final
     state); raises on the first violation.
     """
-    full = _replay(g, order, frozenset())
-    seq = full.order.seq
-    minus = _replay(g, seq, frozenset({u_star}))
+    full, minus = _pair(g, order, u_star)
+    n = len(full.order.seq)
     times = [t for t, _ in full.schedule]
-    times.append((len(seq) + 1, len(seq) + 1))  # the final state
+    times.append((n + 1, n + 1))  # the final state
     checked = None
     for i, t in enumerate(times):
         state = (full.matchings[i], full.taken[i], minus.matchings[i], minus.taken[i])
         # Neither run took a probe since the last checkpoint: the states,
         # and so the verdict, are the ones already checked.
         if state != checked:
-            _verify_path_properties(
-                u_star, full, minus, i,
-                lambda: {"graph": sorted(g.edges), "u_star": u_star,
-                         "order": position_map(seq), "t": t},
-            )
+            _verify_path_properties(g, u_star, full, minus, i, t)
             checked = state
     return len(times)
 
@@ -297,18 +302,17 @@ def check_insertion_claims(
         raise ValueError(f"u {u} must be in the rank vector")
     report = ClaimReport()
     v, b, _ = _roles(g, vec, u)
-    sigma = move_vertex(vec, u_star, target)
-    full = matching_for_order(g, sigma)
-    pos = _order(g, sigma).rank
+    run = _replay(g, move_vertex(vec, u_star, target), frozenset())
+    pos = run.order.rank
     has_pair_edge = g.has_edge(u, u_star)
 
-    def partner_pos(matching, w) -> Optional[int]:
-        p = matched_partner(matching, w)
+    def partner_pos(w) -> Optional[int]:
+        p = matched_partner(run.matchings[-1], w)
         return None if p is None else pos[p]
 
     if v is None:
         if has_pair_edge:
-            wp = partner_pos(full, u_star)
+            wp = partner_pos(u_star)
             ok = wp is not None and wp <= pos[u]
             report.add(
                 "no-match-fact", "pass" if ok else "fail",
@@ -321,7 +325,7 @@ def check_insertion_claims(
     # Claim family: u matched to v when u_star was absent.
     if pos[u_star] < pos[v]:
         if has_pair_edge:
-            wp = partner_pos(full, u_star)
+            wp = partner_pos(u_star)
             ok = wp is not None and wp <= pos[u]
             report.add(
                 "insert-before-match", "pass" if ok else "fail",
@@ -335,7 +339,7 @@ def check_insertion_claims(
         report.add("insert-before-match", "skipped", reason="u_star not before v")
 
     if pos[u_star] > pos[u]:
-        wp = partner_pos(full, u)
+        wp = partner_pos(u)
         ok = wp is not None and wp <= pos[v]
         report.add(
             "insert-after-u", "pass" if ok else "fail",
@@ -344,9 +348,9 @@ def check_insertion_claims(
     else:
         report.add("insert-after-u", "skipped", reason="u_star not after u")
 
-    u_match_pos = partner_pos(full, u)
+    u_match_pos = partner_pos(u)
     if u_match_pos is None or u_match_pos > pos[v]:
-        wp = partner_pos(full, u_star)
+        wp = partner_pos(u_star)
         ok = wp is not None and wp <= pos[v]
         report.add(
             "worse-off-compensation", "pass" if ok else "fail",
@@ -356,13 +360,13 @@ def check_insertion_claims(
         report.add("worse-off-compensation", "skipped", reason="u not worse off")
 
     if b is not None:
-        base_pos = _order(g, vec).rank
+        base_pos = _replay(g, vec, frozenset()).order.rank
         ok1 = base_pos[v] < base_pos[b]
         report.add(
             "backup-rank-dominance", "pass" if ok1 else "fail",
             u=u, v=v, b=b, v_pos=base_pos[v], b_pos=base_pos[b],
         )
-        wp = partner_pos(full, u)
+        wp = partner_pos(u)
         ok2 = wp is not None and wp <= pos[b]
         report.add(
             "backup-floor", "pass" if ok2 else "fail",
@@ -393,29 +397,30 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
     report = ClaimReport()
     v_slot = vec.rank(v)
-    base_pos = _order(g, vec).rank
-    for slot in insertion_slots(vec, v):
-        moved = move_vertex(vec, v, slot)
-        moved_match = matching_for_order(g, moved)
-        new_partner = matched_partner(moved_match, u)
-        pos = _order(g, moved).rank
+    base_pos = _replay(g, vec, frozenset()).order.rank
+    for slot, moved, new_partner in _demotions(g, vec, u, v):
         if b is None:
-            if slot >= v_slot:
-                still_v = new_partner == v
-                still_no_backup = still_v and _backup(g, moved, u, v) is None
-                report.add(
-                    "demote-no-backup",
-                    "pass" if (still_v and still_no_backup) else "fail",
-                    u=u, v=v, slot=slot, new_partner=new_partner,
-                    backup_after=None if still_no_backup else "appeared",
-                )
-            else:
+            if slot < v_slot:
                 report.add(
                     "demote-no-backup", "skipped",
                     reason="slot earlier than v", slot=slot,
                     observed_partner=new_partner,
                 )
+            elif new_partner == v:
+                # The backup is examined only while the match stays.
+                kept = _backup(g, moved, u, v) is None
+                report.add(
+                    "demote-no-backup", "pass" if kept else "fail",
+                    u=u, v=v, slot=slot, new_partner=new_partner,
+                    backup_after=None if kept else "appeared",
+                )
+            else:
+                report.add(
+                    "demote-no-backup", "fail",
+                    u=u, v=v, slot=slot, new_partner=new_partner,
+                )
         else:
+            pos = _replay(g, moved, frozenset()).order.rank
             if slot >= v_slot and pos[v] < pos[b]:
                 same_backup = new_partner == v and _backup(g, moved, u, v) == b
                 b_pos_kept = pos[b] == base_pos[b]
@@ -464,22 +469,17 @@ def enumerate_equivalence_class(
     v, b, label = _roles(g, vec, u)
     if v is None:
         return {vec}, ClassStructure(label, None, None, None, ())
-    red = remove_vertex(vec, v)
-    slots = insertion_slots(red)
-    members: dict[tuple[int, int], RankVector] = {}
-    for slot in slots:
-        cand = move_vertex(red, v, slot)
-        # With v frozen, a candidate's run is the run on ``red`` wherever v
-        # sits, so a candidate matched to v has the generator's backup and
-        # label.
-        if matched_partner(matching_for_order(g, cand), u) == v:
-            members[slot] = cand
+    # With v frozen, a candidate's run is the run without v wherever v sits,
+    # so a candidate matched to v has the generator's backup and label.
+    walk = list(_demotions(g, vec, u, v))
+    slots = [slot for slot, _, _ in walk]
+    members = {slot: cand for slot, cand, partner in walk if partner == v}
     member_slots = sorted(members)
     s0 = member_slots[0]
     if label is ClassLabel.MATCHED_NO_BACKUP:
         expected = [s for s in slots if s >= s0]
     else:
-        b_red_slot = red.rank(b)
+        b_red_slot = remove_vertex(vec, v).rank(b)
         expected = [s for s in slots if s0 <= s <= b_red_slot]
     if member_slots != expected:
         raise ClaimViolation(
@@ -563,12 +563,10 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     pos(v)``.
     """
     report = ClaimReport()
-    full = _replay(g, order, frozenset())
+    full, minus = _pair(g, order, v)
     seq = full.order.seq
     n = len(seq)
-    minus = _replay(g, seq, frozenset({v}))
-    pos = position_map(seq)
-    p = pos[v]
+    p = full.order.rank[v]
     demoted = None
     if p < n:
         # v is seq[p - 1]; swap it with seq[p], the next vertex
@@ -590,7 +588,7 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
         else:
             report.add(
                 "prefix-agreement-removed", "fail",
-                v=v, t=(t, 1), order=pos,
+                v=v, t=(t, 1), order=position_map(seq),
                 full=sorted(matching),
                 minus=sorted(minus_matching),
             )
@@ -602,7 +600,7 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
             else:
                 report.add(
                     "prefix-agreement-demoted", "fail",
-                    v=v, t=(t, 1), order=pos,
+                    v=v, t=(t, 1), order=position_map(seq),
                     full=sorted(matching),
                     demoted=sorted(demoted_matching),
                 )

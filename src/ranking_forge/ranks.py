@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, product
 from itertools import permutations as iter_permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -194,13 +194,9 @@ def insertion_slots(r: RankVector, v: int | None = None) -> list[Slot]:
 
 def enumerate_rank_vectors(
     vertices: Iterable[int], k: int, budget: int = 5_000_000
-) -> Iterator[tuple[RankVector, Fraction]]:
-    """Yield every valid vector once, with its exact probability weight.
-
-    The weight is (bucket assignment probability) x (within-bucket
-    permutation probability), as an exact rational.  Weights sum to 1.
-    The arguments are checked at the call, before anything is yielded.
-    """
+) -> Iterator[RankVector]:
+    """Yield every valid vector once.  The arguments are checked at the call,
+    before anything is yielded."""
     check_bucket_count(k)
     vs = _distinct_sorted(vertices)
     n = len(vs)
@@ -211,19 +207,22 @@ def enumerate_rank_vectors(
     return _rank_vectors(vs, k)
 
 
-def _rank_vectors(vs: list[int], k: int) -> Iterator[tuple[RankVector, Fraction]]:
-    assign_weight = Fraction(1, k ** len(vs))
+def _rank_vectors(vs: list[int], k: int) -> Iterator[RankVector]:
     for assignment in product(range(1, k + 1), repeat=len(vs)):
         members: dict[int, list[int]] = {}
         for v, x in zip(vs, assignment):
             members.setdefault(x, []).append(v)
-        weight = assign_weight
-        for ms in members.values():
-            weight /= factorial(len(ms))
         xs = sorted(members)
         buckets = tuple(x for x in xs for _ in members[x])
         for orders in product(*(iter_permutations(members[x]) for x in xs)):
-            yield RankVector._from_order(k, tuple(chain(*orders)), buckets), weight
+            yield RankVector._from_order(k, tuple(chain(*orders)), buckets)
+
+
+def _weight(r: RankVector) -> Fraction:
+    """The exact probability of drawing ``r``: 1/k^n for its bucket
+    assignment times 1/m! for the order within each bucket of m vertices."""
+    within = prod(factorial(r.bucket_size(x)) for x in set(r._buckets))
+    return Fraction(1, r.k ** len(r) * within)
 
 
 def distribution_audit(n: int, k: int) -> Fraction:
@@ -233,9 +232,9 @@ def distribution_audit(n: int, k: int) -> Fraction:
     must come out exactly zero.
     """
     totals: dict[tuple[int, ...], Fraction] = {}
-    for vec, weight in enumerate_rank_vectors(range(n), k):
+    for vec in enumerate_rank_vectors(range(n), k):
         key = order_of(vec)
-        totals[key] = totals.get(key, Fraction(0)) + weight
+        totals[key] = totals.get(key, Fraction(0)) + _weight(vec)
     target = Fraction(1, factorial(max(n, 1)))
     deviations = [abs(p - target) for p in totals.values()]
     if n >= 1 and len(totals) != factorial(n):

@@ -313,12 +313,15 @@ def test_every_sweep_stage_failure_reaches_the_report(monkeypatch):
     def violation(claim):
         raise ClaimViolation(claim, {})
 
+    def path_violation(claim):
+        raise ClaimViolation(claim, {"edges": [[0, 1]], "u_star": 0})
+
     def coloring_error(claim):
         raise RuntimeError("no proper coloring")
 
     fail_once("views_agree", "views-agree",
               lambda claim: SimpleNamespace(agree=False, divergence=None))
-    fail_once("alternating_path_sweep", "injected-alternating-path", violation)
+    fail_once("alternating_path_sweep", "injected-alternating-path", path_violation)
     fail_once("check_prefix_agreement", "injected-prefix-agreement", failing_report)
     fail_once("check_insertion_claims", "injected-insertion", failing_report)
     fail_once("check_monotonicity", "injected-monotonicity", failing_report)
@@ -332,3 +335,7 @@ def test_every_sweep_stage_failure_reaches_the_report(monkeypatch):
     reported = {(v["graph"], v["claim"]) for v in report.violations}
     for claim, graph in failed.items():
         assert (graph, claim) in reported
+    # A path witness is recorded flat: its fields sit next to the corpus name.
+    (path,) = [v for v in report.violations if v["claim"] == "injected-alternating-path"]
+    assert path["graph"] == failed["injected-alternating-path"]
+    assert path["edges"] == [[0, 1]] and path["u_star"] == 0

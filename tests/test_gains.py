@@ -202,7 +202,7 @@ def _unmemoized_audit(g, u, u_star, table, k):
     # The audit's loop with nothing shared between realizations: matching,
     # coloring and h are recomputed for every one.
     violations = []
-    for vec, _ in enumerate_rank_vectors(sorted(set(g.vertices) - {u_star}), k):
+    for vec in enumerate_rank_vectors(sorted(set(g.vertices) - {u_star}), k):
         profile, label = compute_profile(g, vec, u)
         for slot in insertion_slots(vec):
             sigma = move_vertex(vec, u_star, slot)

@@ -1,8 +1,10 @@
 """Importing the package loads no scipy: only the built-in simplex needs it,
 and it loads it when a solve starts, before the solve's clock.  The test
 process already holds scipy, so the check runs in a fresh interpreter.  The
-package's version is held equal to pyproject's here too."""
+package's version is held equal to pyproject's here too, and no module but
+the engine reaches the engine's order resolver."""
 
+import ast
 import os
 import re
 import subprocess
@@ -72,3 +74,22 @@ def test_package_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None
     assert match[1] == ranking_forge.__version__
+
+
+def test_only_the_engine_reaches_the_order_resolver():
+    # Positions have one access path outside the engine: a run's
+    # ``order.rank``.  No other module imports or names ``engine._order``.
+    offenders = []
+    for path in sorted((ROOT / "src" / "ranking_forge").glob("*.py")):
+        if path.stem == "engine":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = isinstance(node, ast.ImportFrom) and node.module in (
+                "engine", "ranking_forge.engine"
+            ) and any(alias.name == "_order" for alias in node.names)
+            named = isinstance(node, ast.Attribute) and node.attr == "_order" and (
+                isinstance(node.value, ast.Name) and node.value.id == "engine"
+            )
+            if imported or named:
+                offenders.append(path.stem)
+    assert offenders == []

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from ranking_forge import oracles
 from ranking_forge.engine import matching_for_order
+from ranking_forge.experiments import connected_graphs_upto
 from ranking_forge.graphs import make_graph, matched_partner
 from ranking_forge.oracles import (
     BUYER,
     ITEM,
     ClaimViolation,
     ClassLabel,
+    Profile,
     alternating_path_sweep,
     check_insertion_claims,
     check_monotonicity,
@@ -25,6 +27,7 @@ from ranking_forge.oracles import (
 )
 from ranking_forge.ranks import (
     RankVector,
+    enumerate_rank_vectors,
     insertion_slots,
     move_vertex,
     remove_vertex,
@@ -45,6 +48,30 @@ def test_backup_requires_matched_vertex():
     star = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ValueError, match="unmatched"):
         compute_backup(star, [0, 1, 2, 3], 2)  # leaf 2 loses the center
+
+
+def test_backup_and_profile_agree_with_the_roles_everywhere():
+    # Every vector at k = 2 on every connected graph with at most 4 vertices:
+    # the match and backup read straight off the engine's runs.
+    for g in connected_graphs_upto(4):
+        for vec in enumerate_rank_vectors(range(g.n), 2):
+            for u in range(g.n):
+                v = matched_partner(matching_for_order(g, vec), u)
+                b = None if v is None else matched_partner(
+                    matching_for_order(g, vec, {v}), u
+                )
+                roles = oracles._roles(g, vec, u)
+                assert roles[:2] == (v, b)
+                profile, label = compute_profile(g, vec, u)
+                assert label is roles[2]
+                assert profile == Profile(
+                    vec.bucket(u), *(None if w is None else vec.bucket(w) for w in (v, b))
+                )
+                if v is None:
+                    with pytest.raises(ValueError, match="unmatched"):
+                        compute_backup(g, vec, u)
+                else:
+                    assert compute_backup(g, vec, u) == b
 
 
 def test_profile_examples(k2, cex):
@@ -165,6 +192,24 @@ def test_monotonicity_counterexample(cex):
     ]
     assert changed
     assert all(c.details["observed_partner"] == 3 for c in changed)
+
+
+def test_monotonicity_witness_when_the_demoted_run_loses_the_match(monkeypatch, k2):
+    # A run that drops u's match at every demoted slot: the failure reports
+    # the lost partner and no backup, which was never examined.
+    vec = RankVector(2, {1: (1, 1), 0: (2, 1)})
+    real = oracles.matching_for_order
+
+    def losing(g, order, frozen=frozenset()):
+        return real(g, order, frozen) if order == vec else frozenset()
+
+    monkeypatch.setattr(oracles, "matching_for_order", losing)
+    report = check_monotonicity(k2, vec, 0)
+    lost = [c for c in report.checks if c.details["new_partner"] is None]
+    assert len(lost) == 2
+    for c in lost:
+        assert c.claim == "demote-no-backup" and c.status == "fail"
+        assert "backup_after" not in c.details
 
 
 def test_monotonicity_requires_match():
@@ -295,6 +340,25 @@ def test_violation_payload_is_json(cex):
     err = ClaimViolation("demo", {"graph": "cex", "witness": [1, 2]})
     payload = json.loads(err.to_json())
     assert payload["claim"] == "demo" and payload["witness"] == [1, 2]
+
+
+def test_path_witness_names_the_graph_edges(monkeypatch):
+    # A removed-vertex run whose taken sets are empty breaks availability.
+    # The witness lists the edges under ``edges``, so a sweep record keeps
+    # its corpus ``graph`` name next to them.
+    g = make_graph(3, [(1, 2)])
+    real = oracles._replay
+
+    def faulty(g, order, frozen):
+        timeline = real(g, order, frozen)
+        return timeline._replace(taken=(0,) * len(timeline.taken)) if frozen else timeline
+
+    monkeypatch.setattr(oracles, "_replay", faulty)
+    with pytest.raises(ClaimViolation) as caught:
+        alternating_path_sweep(g, [0, 1, 2], 0)
+    assert caught.value.claim == "alt-path-availability"
+    assert caught.value.payload["edges"] == [(1, 2)]
+    assert "graph" not in caught.value.payload
 
 
 def _forget_last_edge(timeline):

@@ -13,6 +13,7 @@ from ranking_forge.lpmodel import build_lp, compact_mps_chunks, write_compact_mp
 from ranking_forge.ranks import (
     EnumerationLimitError,
     RankVector,
+    _weight,
     distribution_audit,
     enumerate_rank_vectors,
     induced_permutation,
@@ -79,7 +80,7 @@ def test_move_examples():
 def test_removal_preserves_relative_order_exhaustively():
     # All vectors on 5 vertices with 3 buckets; removing any vertex induces
     # the order restriction.
-    for vec, _ in enumerate_rank_vectors(range(5), 3):
+    for vec in enumerate_rank_vectors(range(5), 3):
         full = order_of(vec)
         for v in range(5):
             reduced = order_of(remove_vertex(vec, v))
@@ -87,7 +88,7 @@ def test_removal_preserves_relative_order_exhaustively():
 
 
 def test_move_round_trip_exhaustively():
-    for vec, _ in enumerate_rank_vectors(range(4), 3, budget=10_000_000):
+    for vec in enumerate_rank_vectors(range(4), 3, budget=10_000_000):
         for v in range(4):
             home = vec.rank(v)
             for slot in insertion_slots(vec, v):
@@ -96,7 +97,7 @@ def test_move_round_trip_exhaustively():
 
 
 def test_move_preserves_bystander_buckets_and_order():
-    for vec, _ in enumerate_rank_vectors(range(4), 2):
+    for vec in enumerate_rank_vectors(range(4), 2):
         before = order_of(vec)
         for v in range(4):
             rest = tuple(u for u in before if u != v)
@@ -130,7 +131,7 @@ def _assert_round_trips(vec):
 
 
 def test_built_vectors_round_trip_through_the_mapping_constructor():
-    for vec, _ in enumerate_rank_vectors(range(4), 3):
+    for vec in enumerate_rank_vectors(range(4), 3):
         _assert_round_trips(vec)
         for v in range(4):
             _assert_round_trips(remove_vertex(vec, v))
@@ -144,7 +145,7 @@ def _digest(lines):
 
 def test_enumeration_is_pinned():
     vectors = enumerate_rank_vectors(range(4), 3)
-    lines = [f"{sorted(vec.items())} {w}" for vec, w in vectors]
+    lines = [f"{sorted(vec.items())} {_weight(vec)}" for vec in vectors]
     assert len(lines) == 360
     assert _digest(lines).startswith("14ef2b723e75b5eb")
 
@@ -163,9 +164,13 @@ def test_absent_vertex_raises_key_error():
 
 def test_enumeration_counts_and_weights():
     vecs = list(enumerate_rank_vectors(range(2), 2))
-    assert len(vecs) == 6
-    assert sum(w for _, w in vecs) == 1
-    assert all(isinstance(w, Fraction) for _, w in vecs)
+    assert len(vecs) == len(set(vecs)) == 6
+    assert all(isinstance(vec, RankVector) for vec in vecs)
+    weights = [_weight(vec) for vec in vecs]
+    assert sum(weights) == 1
+    assert all(isinstance(w, Fraction) for w in weights)
+    # One bucket of two vertices: 1/2^2 for the assignment, 1/2! within.
+    assert _weight(RankVector(2, {0: (1, 1), 1: (1, 2)})) == Fraction(1, 8)
 
 
 def test_enumeration_budget():
@@ -249,9 +254,9 @@ def test_distribution_audit_trivial_and_published_cases():
 
 def test_uniformity_for_three_vertices_two_buckets():
     totals = {}
-    for vec, w in enumerate_rank_vectors(range(3), 2):
+    for vec in enumerate_rank_vectors(range(3), 2):
         key = order_of(vec)
-        totals[key] = totals.get(key, Fraction(0)) + w
+        totals[key] = totals.get(key, Fraction(0)) + _weight(vec)
     assert len(totals) == 6
     assert set(totals.values()) == {Fraction(1, 6)}
     assert len(list(permutations(range(3)))) == len(totals)
