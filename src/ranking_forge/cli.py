@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from . import experiments
 from .gains import PriceTable
@@ -124,6 +125,17 @@ def _unwritable(flag: str, path) -> bool:
     return False
 
 
+def _export(write, source, path) -> Optional[dict]:
+    """``write(source, path)``'s statistics, or None, with the shared message
+    on stderr, if the file cannot be finished (a full disk, say); the writer
+    leaves no partial file."""
+    try:
+        return write(source, path)
+    except OSError as exc:
+        print(f"resource limit: cannot finish writing {path}: {exc.strerror}", file=sys.stderr)
+        return None
+
+
 def _cmd_solve_lp(args) -> int:
     k = args.k
     if _invalid_bucket_count(k) or _unwritable("--export", args.export):
@@ -138,13 +150,16 @@ def _cmd_solve_lp(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_RESOURCE
-        stats = write_compact_mps(k, args.export)
+        stats = _export(write_compact_mps, k, args.export)
+        if stats is None:
+            return EXIT_RESOURCE
         print(f"exported {args.export} (compact, {stats['lines']} lines)")
         print(f"k={k} beyond in-process budget; solve externally")
         return EXIT_OK
     model = build_lp(k, form=args.form)
     if args.export:
-        export_mps(model, args.export)
+        if _export(export_mps, model, args.export) is None:
+            return EXIT_RESOURCE
         print(f"exported {args.export}")
     solution, status, error = experiments.judge_solve(model)
     if error:

@@ -418,14 +418,21 @@ def export_mps(model: LpModel, destination) -> dict:
 def _write_mps(k: int, pieces: Iterator[str], destination) -> dict:
     """Write the text ``pieces`` of a model for ``k`` buckets to
     ``destination`` through a 4 MiB buffer.  Returns ``k``, the bytes and
-    lines written and the elapsed seconds."""
+    lines written and the elapsed seconds.  A write that fails leaves no
+    partial file: the destination is removed and the error re-raised."""
     start = time.perf_counter()
     nbytes = nlines = 0
-    with open(destination, "w", buffering=4 * 1024 * 1024) as fh:
-        for piece in pieces:
-            fh.write(piece)
-            nbytes += len(piece)
-            nlines += piece.count("\n")
+    fh = open(destination, "w", buffering=4 * 1024 * 1024)
+    try:
+        with fh:
+            for piece in pieces:
+                fh.write(piece)
+                nbytes += len(piece)
+                nlines += piece.count("\n")
+    except BaseException:
+        if os.path.isfile(destination):
+            os.remove(destination)
+        raise
     elapsed = time.perf_counter() - start
     return {"k": k, "bytes": nbytes, "lines": nlines, "elapsed": elapsed}
 
@@ -632,6 +639,72 @@ def _parse_model_name(name: str) -> tuple[int, str]:
 # the exporter would produce for the parsed model, but never materializes
 # anything, so very large bucket counts stay within memory and time budgets.
 
+#: Where a template is cut for a block's group prefix, where a line's head
+#: goes in a paired template (see ``_Paired``), and where a field that one
+#: template leaves to each column goes.
+_MARK, _HEAD, _FIELD = "\0", "\1", "\2"
+
+
+def _lines(head: str, entries: list[str], opened: bool = False) -> str:
+    """``entries`` two per line after ``head``, as ``_paired`` writes them.
+    ``opened``: the text goes on from a line that holds one entry.  An odd
+    last entry leaves its line open."""
+    return "".join([
+        f" {e}\n" if n % 2 else head + e for n, e in enumerate(entries, opened)
+    ])
+
+
+def _layouts(suffixes: list[str]) -> tuple[str, str]:
+    """The template of a paired block whose entries are a group prefix
+    followed by each of ``suffixes``: its text with ``_HEAD`` for each line's
+    head and ``_MARK`` for the prefix, once as it starts a line and once as
+    it goes on from an open one."""
+    marked = [_MARK + s for s in suffixes]
+    return _lines(_HEAD, marked), _lines(_HEAD, marked, True)
+
+
+class _Paired:
+    """The text of entries two per line after ``head``, built from literal
+    entries and from blocks of templated ones.  ``n`` counts the entries so
+    far: when it is odd the last line is open, and a block takes the layout
+    that goes on from there."""
+
+    def __init__(self, head: str):
+        self.head, self.parts, self.n = head, [], 0
+
+    def cut(self, layouts: tuple[str, str], field: str = "") -> tuple[list[str], list[str]]:
+        """Both layouts of a template under this head, with ``field`` for
+        ``_FIELD``, cut at the prefix."""
+        return tuple(
+            t.replace(_HEAD, self.head).replace(_FIELD, field).split(_MARK) for t in layouts
+        )
+
+    def add(self, entries: list[str]) -> None:
+        self.parts.append(_lines(self.head, entries, self.n % 2))
+        self.n += len(entries)
+
+    def blocks(self, prefixes: list[str], template, start: int = 0) -> None:
+        """The template's entries from the ``start``-th on after each prefix
+        in turn."""
+        if start:
+            template = [
+                [template[p][0]] + template[(p + start) % 2][start + 1 :] for p in (0, 1)
+            ]
+        n, count = self.n, len(template[0]) - 1
+        self.parts += [
+            prefix.join(template[(n + m * count) % 2]) for m, prefix in enumerate(prefixes)
+        ]
+        self.n = n + count * len(prefixes)
+
+    def take(self, last: bool = False) -> str:
+        """The text added since the last take; ``last`` ends an open line."""
+        if last and self.n % 2:
+            self.parts.append("\n")
+        text = "".join(self.parts)
+        self.parts.clear()
+        return text
+
+
 def compact_mps_chunks(k: int) -> Iterator[str]:
     """The compact-form MPS for ``k`` buckets as text pieces: a section
     part, a column or an (i, xv) block each.  ``k`` is checked at the call."""
@@ -641,55 +714,65 @@ def compact_mps_chunks(k: int) -> Iterator[str]:
 
 def _compact_pieces(k: int) -> Iterator[str]:
     """The compact-form MPS in order, one section part, column or (i, xv)
-    block at a time."""
-    K1 = k + 1
+    block at a time.
+
+    Most of the text is O(k^4) entries that come in blocks: a block's
+    entries share a group prefix such as ``hb_{i}_{xv}_{xb}_`` and differ
+    only after it, the same way in every block of bucket i.  So each bucket
+    gets one template per kind of block, its text cut where the prefix goes,
+    and a block is written as ``prefix.join(pieces)``."""
+    K1, M = k + 1, _MARK
     # nums[x] == str(x): an f-string splices a str faster than it formats an
-    # int, and the hb families below are O(k^4) entries.
+    # int.
     nums = [str(x) for x in range(K1 + 1)]
+    buckets, padded = range(1, k + 1), range(1, K1 + 1)
+    us = [nums[1 : i + 1] for i in range(K1)]  # bucket i's x_ustar values
+    cd = [(c, d) for c in buckets for d in nums[c : k + 1]]  # bucket i's vb_i_c_d
     neg_inv_k = "-" + (_fmt(1.0 / k) if k > 1 else "1")
     yield _HEADER.format(k=k, form="compact")
 
     # --- ROWS section (order fixes the row indices used everywhere below).
-    buckets, padded = range(1, k + 1), range(1, K1 + 1)
     yield "".join([f" L monB_{i}_{j}\n" for i in buckets for j in padded])
     yield "".join([f" L monI_{i}_{j}\n" for i in padded for j in buckets])
     yield "".join([f" E fp_{i}_{j}\n" for i in buckets for j in buckets])
-    for i in range(1, k + 1):
-        us = nums[1 : i + 1]
-        parts = []
+    # The two arm rows of every x_ustar of bucket i, after a group prefix.
+    arm_rows = ["".join([f" L {M}{u}_1\n L {M}{u}_2\n" for u in x]).split(M) for x in us]
+    for i in buckets:
+        yield "".join([f"hs_{i}_{xv}_".join(arm_rows[i]) for xv in range(1, i + 1)])
+    for i in buckets:
         for xv in range(1, i + 1):
-            p = f" L hs_{i}_{xv}_"
-            parts += [f"{p}{u}_1\n{p}{u}_2\n" for u in us]
-        yield "".join(parts)
-    for i in range(1, k + 1):
-        us = nums[1 : i + 1]
-        for xv in range(1, i + 1):
-            parts = []
-            for xb in range(xv + 1, K1 + 1):
-                p = f" L hb_{i}_{xv}_{xb}_"
-                parts += [f"{p}{u}_1\n{p}{u}_2\n" for u in us]
-            yield "".join(parts)
-    yield "".join([f" L abot_{i}\n" for i in range(1, k + 1)])
+            yield "".join([
+                f"hb_{i}_{xv}_{xb}_".join(arm_rows[i]) for xb in range(xv + 1, K1 + 1)
+            ])
+    yield "".join([f" L abot_{i}\n" for i in buckets])
     yield "".join([f" L vs_{i}_{c}\n" for i in buckets for c in buckets])
-    for i in range(1, k + 1):
-        yield "".join([
-            f" L vb_{i}_{c}_{d}\n" for c in range(1, k + 1) for d in nums[c : k + 1]
-        ])
+    vb_rows = "".join([f" L vb_{M}{c}_{d}\n" for c, d in cd]).split(M)
+    for i in buckets:
+        yield f"{i}_".join(vb_rows)
     yield " E aavg\n"
 
     # --- COLUMNS section, column-major in canonical variable order.
     yield "COLUMNS\n"
-    for a in range(1, K1 + 1):
-        for bb in range(1, K1 + 1):
-            yield _paired(f"    f_{a}_{bb} ", _f_column(k, a, bb, nums))
+    # Bucket a's first-arm and second-arm entries, one per x_ustar.
+    arms = [
+        (_layouts([f"{u}_1 1" for u in us[a]]), _layouts([f"{u}_2 1" for u in us[a]]))
+        for a in range(K1)
+    ]
+    xb_runs = [
+        _layouts([f"{xb}_{_FIELD}_{arm} -1" for xb in nums[2 : K1 + 1]]) for arm in "12"
+    ]
+    for a in padded:
+        for bb in padded:
+            yield _f_column(k, a, bb, nums, arms, xb_runs)
 
     # alpha_i columns, then alpha.
-    for i in range(1, k + 1):
-        e = [f"abot_{i} 1"]
-        e += [f"vs_{i}_{c} {k}" for c in range(1, k + 1)]
-        e += [f"vb_{i}_{c}_{d} {k}" for c in buckets for d in nums[c : k + 1]]
-        e.append(f"aavg {neg_inv_k}")
-        yield _paired(f"    alpha_{i} ", e)
+    vb_alpha = _layouts([f"{c}_{d} {k}" for c, d in cd])
+    for i in buckets:
+        col = _Paired(f"    alpha_{i} ")
+        col.add([f"abot_{i} 1"] + [f"vs_{i}_{c} {k}" for c in buckets])
+        col.blocks([f"vb_{i}_"], col.cut(vb_alpha))
+        col.add([f"aavg {neg_inv_k}"])
+        yield col.take(last=True)
     yield "    alpha obj 1 aavg 1\n"
 
     # Fp columns.
@@ -706,30 +789,29 @@ def _compact_pieces(k: int) -> Iterator[str]:
                 e += [f"vb_{a}_{bb + 1}_{d} -1" for d in nums[bb + 1 : k + 1]]
             yield _paired(f"    Fp_{a}_{bb} ", e)
 
-    # hs columns: two arm rows plus one vs row.
-    for i in range(1, k + 1):
-        us = nums[1 : i + 1]
-        parts = []
-        for xv in range(1, i + 1):
-            p = f"hs_{i}_{xv}_"
-            vs = f"vs_{i}_{xv} -1\n"
-            parts += [
-                f"    {p}{u} {p}{u}_1 1 {p}{u}_2 1\n    {p}{u} {vs}" for u in us
-            ]
-        yield "".join(parts)
+    # hs columns: two arm rows plus one vs row, all named for the group
+    # "{i}_{xv}".
+    for i in buckets:
+        cols = "".join([
+            f"    hs_{M}_{u} hs_{M}_{u}_1 1 hs_{M}_{u}_2 1\n    hs_{M}_{u} vs_{M} -1\n"
+            for u in us[i]
+        ]).split(M)
+        yield "".join([f"{i}_{xv}".join(cols) for xv in range(1, i + 1)])
 
-    # hb columns: two arm rows plus one vb row.
-    for i in range(1, k + 1):
-        us = nums[1 : i + 1]
+    # hb columns: two arm rows plus one vb row, all named for the group
+    # "{i}_{xv}_"; the vb row ends in xb - 1, so bucket i has a template per xb.
+    for i in buckets:
+        cols = [
+            "".join([
+                f"    hb_{M}{xb}_{u} hb_{M}{xb}_{u}_1 1 hb_{M}{xb}_{u}_2 1\n"
+                f"    hb_{M}{xb}_{u} vb_{M}{nums[xb - 1]} -1\n"
+                for u in us[i]
+            ]).split(M)
+            for xb in range(2, K1 + 1)
+        ]
         for xv in range(1, i + 1):
-            parts = []
-            for xb in range(xv + 1, K1 + 1):
-                p = f"hb_{i}_{xv}_{xb}_"
-                vb = f"vb_{i}_{xv}_{xb - 1} -1\n"
-                parts += [
-                    f"    {p}{u} {p}{u}_1 1 {p}{u}_2 1\n    {p}{u} {vb}" for u in us
-                ]
-            yield "".join(parts)
+            group = f"{i}_{xv}_"
+            yield "".join([group.join(pieces) for pieces in cols[xv - 1 :]])
 
     # Vs / Vb chain columns.
     yield "".join([
@@ -738,25 +820,33 @@ def _compact_pieces(k: int) -> Iterator[str]:
         for i in range(1, k + 1)
         for c in range(1, k + 1)
     ])
-    for i in range(1, k + 1):
-        yield "".join([
-            f"    Vb_{i}_{c}_{d} vb_{i}_{c - 1}_{d} -1 vb_{i}_{c}_{d} 1\n" if c >= 2
-            else f"    Vb_{i}_1_{d} vb_{i}_1_{d} 1\n"
-            for c in range(1, k + 1)
-            for d in nums[c : k + 1]
-        ])
+    chain = "".join([
+        f"    Vb_{M}{c}_{d} vb_{M}{c - 1}_{d} -1 vb_{M}{c}_{d} 1\n" if c >= 2
+        else f"    Vb_{M}1_{d} vb_{M}1_{d} 1\n"
+        for c, d in cd
+    ]).split(M)
+    for i in buckets:
+        yield f"{i}_".join(chain)
 
-    # --- RHS.  Nonzero right-hand sides, paired two per line, in row order;
-    # a block's odd last entry is carried over to open the next one.
+    # --- RHS.  Nonzero right-hand sides, paired two per line, in row order.
     yield "RHS\n"
-    carry: list[str] = []
-    for block in _compact_rhs_blocks(k, nums):
-        if carry:
-            block.insert(0, carry.pop())
-        if len(block) % 2:
-            carry.append(block.pop())
-        yield _paired("    RHS ", block)
-    yield _paired("    RHS ", carry)
+    rhs = _Paired("    RHS ")
+    # arm 2 of the no-backup family; arm 1 (the price branch) has rhs 0.
+    for i in buckets:
+        rhs.blocks([f"hs_{i}_{xv}_" for xv in range(1, i + 1)], rhs.cut(arms[i][1]))
+        yield rhs.take()
+    for i in buckets:
+        both = rhs.cut(_layouts([f"{u}_{arm} 1" for u in us[i] for arm in "12"]))
+        for xv in range(1, i + 1):
+            rhs.blocks([f"hb_{i}_{xv}_{xb}_" for xb in range(xv + 1, K1 + 1)], both)
+            yield rhs.take()
+    # Every vs and vb rhs of the last bucket is 0.
+    rhs.add([f"vs_{i}_{c} {k - i}" for i in range(1, k) for c in buckets])
+    yield rhs.take()
+    for i in range(1, k):
+        rhs.add([f"vb_{i}_{c}_{d} {k - i if c <= i else k}" for c, d in cd])
+        yield rhs.take()
+    yield rhs.take(last=True)
 
     # --- BOUNDS: price entries and the objective chain live in [0, 1]; the
     # auxiliary bound variables need no explicit upper bound (their arm rows
@@ -767,10 +857,14 @@ def _compact_pieces(k: int) -> Iterator[str]:
     yield " UP BND alpha 1\nENDATA\n"
 
 
-def _f_column(k: int, a: int, bb: int, nums: list[str]) -> list[str]:
-    """Entries of column ``f_a_bb`` in global row order: monB, monI, fp, hs
-    arms, hb arms, abot, vs, vb, aavg.  ``nums[x]`` is ``str(x)``."""
+def _f_column(k: int, a: int, bb: int, nums: list[str], arms, xb_runs) -> str:
+    """Column ``f_a_bb`` in global row order: monB, monI, fp, hs arms, hb
+    arms, abot, vs, vb, aavg.  ``nums[x]`` is ``str(x)``; ``arms[a]`` holds
+    the templates of bucket a's first-arm and second-arm entries, and
+    ``xb_runs`` those of the first-arm and second-arm entries ``{xb}_{bb}``
+    for xb = 2..k+1."""
     K1 = k + 1
+    col = _Paired(f"    f_{a}_{bb} ")
     e = []
     if a >= 2:
         e.append(f"monB_{a - 1}_{bb} 1")
@@ -781,7 +875,8 @@ def _f_column(k: int, a: int, bb: int, nums: list[str]) -> list[str]:
     if bb <= k:
         e.append(f"monI_{a}_{bb} 1")
     if a > k:
-        return e
+        col.add(e)
+        return col.take(last=True)
     if bb <= k:
         e.append(f"fp_{a}_{bb} -1")
     # Buckets i > a hold f_a_bb only in the price branch (first arm) of their
@@ -797,66 +892,36 @@ def _f_column(k: int, a: int, bb: int, nums: list[str]) -> list[str]:
         block.insert(-1, f"hs_{a}_{a}_{bb}_1 -1")
         e += block
     e += [f"hs_{i}_{a}_{bb}_1 -1" for i in later]
+    col.add(e)
     # hb arms ascend by (i, xv, xb, xus, arm); bucket i = a first.
-    for xv in range(1, min(a, bb - 1) + 1):
-        p = f"hb_{a}_{xv}_{bb}_"
-        e += [f"{p}{u}_1 1" for u in us]
+    first, second = (col.cut(t) for t in arms[a])
+    grid, run = (col.cut(t, nums[bb]) for t in xb_runs)
+    col.blocks([f"hb_{a}_{xv}_{bb}_" for xv in range(1, min(a, bb - 1) + 1)], first)
     if bb <= a:
         if bb < a:
-            for xb in range(bb + 1, K1 + 1):
-                p = f"hb_{a}_{bb}_{xb}_"
-                e += [f"{p}{u}_2 1" for u in us]
+            col.blocks([f"hb_{a}_{bb}_{xb}_" for xb in range(bb + 1, K1 + 1)], second)
             for xv in range(bb + 1, a):
-                p = f"hb_{a}_{xv}_"
-                e += [f"{p}{xb}_{bb}_2 -1" for xb in nums[xv + 1 : K1 + 1]]
+                col.blocks([f"hb_{a}_{xv}_"], run, xv - 1)  # xb = xv + 1..K1
         # xv = a: the first arm of (a, a, xb, bb) sorts just before its second.
-        second = "1" if bb == a else "-1"
-        for xb in range(a + 1, K1 + 1):
-            p = f"hb_{a}_{a}_{xb}_"
-            if bb == a:
-                e += [f"{p}{u}_2 1" for u in us[:-1]]
-            e.append(f"{p}{bb}_1 -1")
-            e.append(f"{p}{bb}_2 {second}")
-    suffixes = [f"_{a}_{xb}_{bb}_1 -1" for xb in nums[a + 1 : K1 + 1]]
-    e += [f"hb_{i}{s}" for i in later for s in suffixes]
+        if bb == a:
+            tail = [f"{u}_2 1" for u in us[:-1]] + [f"{bb}_1 -1", f"{bb}_2 1"]
+        else:
+            tail = [f"{bb}_1 -1", f"{bb}_2 -1"]
+        col.blocks(
+            [f"hb_{a}_{a}_{xb}_" for xb in range(a + 1, K1 + 1)], col.cut(_layouts(tail))
+        )
+    col.blocks([f"hb_{i}_{a}_" for i in later], grid, a - 1)  # xb = a + 1..K1
     # vs / vb rows (coefficient k - a vanishes for the last bucket).  vb rows
     # ascend by (c, d): the backup-column family sits at c < bb, the
     # match-column family at c = bb.
+    e = []
     if bb <= k and k - a > 0:
         e.append(f"vs_{a}_{bb} {k - a}")
     e += [f"vb_{a}_{c}_{bb - 1} {a}" for c in nums[a + 1 : bb]]
     if bb <= k and k - a > 0:
         e += [f"vb_{a}_{bb}_{d} {k - a}" for d in nums[bb : k + 1]]
-    return e
-
-
-def _compact_rhs_blocks(k: int, nums: list[str]) -> Iterator[list[str]]:
-    """The nonzero right-hand sides in row order, as lists of entries."""
-    K1 = k + 1
-    for i in range(1, k + 1):
-        # arm 1 (price branch) has rhs 0 for the no-backup family.
-        us = nums[1 : i + 1]
-        block = []
-        for xv in range(1, i + 1):
-            p = f"hs_{i}_{xv}_"
-            block += [f"{p}{u}_2 1" for u in us]
-        yield block
-    for i in range(1, k + 1):
-        us = nums[1 : i + 1]
-        for xv in range(1, i + 1):
-            block = []
-            for xb in range(xv + 1, K1 + 1):
-                p = f"hb_{i}_{xv}_{xb}_"
-                block += [f"{p}{u}_{arm} 1" for u in us for arm in "12"]
-            yield block
-    # Every vs and vb rhs of the last bucket is 0.
-    yield [f"vs_{i}_{c} {k - i}" for i in range(1, k) for c in range(1, k + 1)]
-    for i in range(1, k):
-        yield [
-            f"vb_{i}_{c}_{d} {k - i if c <= i else k}"
-            for c in range(1, k + 1)
-            for d in nums[c : k + 1]
-        ]
+    col.add(e)
+    return col.take(last=True)
 
 
 def write_compact_mps(k: int, destination) -> dict:

@@ -167,7 +167,9 @@ class AlternatingPath:
     sources: tuple[str, ...]
 
 
-def _arrange_path(diff: set[Edge], start: int) -> list[int]:
+def _arrange_path(diff: set[Edge], start: int, violation) -> list[int]:
+    """The edges of ``diff`` as one path from ``start``; otherwise raises
+    ``violation("alt-path-structure", ...)``."""
     if not diff:
         return [start]
     adj: dict[int, list[int]] = {}
@@ -175,10 +177,10 @@ def _arrange_path(diff: set[Edge], start: int) -> list[int]:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     if start not in adj or len(adj[start]) != 1:
-        raise ClaimViolation(
+        raise violation(
             "alt-path-structure",
-            {"reason": "difference does not start a path at the removed vertex",
-             "diff": sorted(diff), "start": start},
+            reason="difference does not start a path at the removed vertex",
+            diff=sorted(diff), start=start,
         )
     path = [start]
     prev = None
@@ -188,16 +190,16 @@ def _arrange_path(diff: set[Edge], start: int) -> list[int]:
         if not nxt:
             break
         if len(nxt) > 1 or len(adj[cur]) > 2:
-            raise ClaimViolation(
+            raise violation(
                 "alt-path-structure",
-                {"reason": "difference branches", "diff": sorted(diff), "at": cur},
+                reason="difference branches", diff=sorted(diff), at=cur,
             )
         prev, cur = cur, nxt[0]
         path.append(cur)
     if len(path) - 1 != len(diff):
-        raise ClaimViolation(
+        raise violation(
             "alt-path-structure",
-            {"reason": "difference is not a single path", "diff": sorted(diff)},
+            reason="difference is not a single path", diff=sorted(diff),
         )
     return path
 
@@ -206,35 +208,38 @@ def _verify_path_properties(
     g: Graph, u_star: int, full: _Timeline, minus: _Timeline, i: int, t: Time
 ) -> AlternatingPath:
     """Check the path properties on state ``i``, the state before time ``t``,
-    of the run and of the run with ``u_star`` removed."""
+    of the run and of the run with ``u_star`` removed.  Every violation
+    carries the witness that replays it: the graph's edges, ``u_star``,
+    ``t`` and the order."""
     seq, rank = full.order.seq, full.order.rank
     full_matching, minus_matching = full.matchings[i], minus.matchings[i]
-    path = _arrange_path(set(full_matching ^ minus_matching), u_star)
 
     def violation(claim: str, **found) -> ClaimViolation:
         return ClaimViolation(claim, {
             "edges": sorted(g.edges), "u_star": u_star, "t": t,
-            "order": position_map(seq), "path": path, **found,
+            "order": position_map(seq), **found,
         })
 
+    path = _arrange_path(set(full_matching ^ minus_matching), u_star, violation)
     sources = []
     for j in range(len(path) - 1):
         e = edge(path[j], path[j + 1])
         expected = full_matching if j % 2 == 0 else minus_matching
         source = "full" if j % 2 == 0 else "minus"
         if e not in expected:
-            raise violation("alt-path-alternation", edge=e, expected_in=source)
+            raise violation("alt-path-alternation", path=path, edge=e, expected_in=source)
         sources.append(source)
     for j in range(len(path) - 2):
         if not rank[path[j]] < rank[path[j + 2]]:
             raise violation(
-                "alt-path-monotonicity", ranks=[rank[v] for v in path], index=j
+                "alt-path-monotonicity", path=path, ranks=[rank[v] for v in path], index=j
             )
     # Both runs take their vertices from the same domain, so the available
     # sets differ exactly where the taken sets do.
     if full.taken[i] ^ minus.taken[i] != 1 << path[-1]:
         raise violation(
             "alt-path-availability",
+            path=path,
             available_full=_available(seq, full.taken[i]),
             available_minus=_available(seq, minus.taken[i]),
         )

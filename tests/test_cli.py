@@ -1,11 +1,13 @@
+import errno
 import json
+import os
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from ranking_forge import cli
+from ranking_forge import cli, lpmodel
 from ranking_forge.cli import run_cli
 from ranking_forge.gains import REFERENCE_TABLE_K3, PriceTable
 from ranking_forge.lpmodel import build_lp, mps_text
@@ -90,6 +92,28 @@ def test_solve_lp_export_just_beyond_budget_streams_compact(
     with open(path) as fh:
         assert fh.readline() == "NAME ranking_lp_k13_compact\n"
     assert "solve externally" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "k, pieces",
+    [(cli.IN_PROCESS_K_LIMIT + 1, "_compact_pieces"), (2, "_mps_chunks")],
+)
+def test_failed_export_leaves_no_file(tmp_path, monkeypatch, capsys, k, pieces):
+    # Both writers stop after their first piece, as on a full disk: the run
+    # is a resource limit, and no truncated file is left behind.
+    def full_disk(*args):
+        yield "NAME x\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(lpmodel, pieces, full_disk)
+    path = tmp_path / "out.mps"
+    assert run_cli(["solve-lp", "--k", str(k), "--export", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"resource limit: cannot finish writing {path}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert not path.exists()
 
 
 def test_validate_f_pass_and_mismatch(tmp_path, capsys):

@@ -375,20 +375,25 @@ def _forget_last_edge(timeline):
     return timeline._replace(matchings=matchings, taken=taken)
 
 
-def _assert_checkers_catch(monkeypatch, g, faulty_run):
-    # Both checkers read every timeline through ``_replay``; a timeline that
-    # forgets its last accepted edge must make both of them fail.
+def _forget_last_edge_in(monkeypatch, faulty_run):
+    # Every run whose frozen set ``faulty_run`` picks forgets its last edge.
     real = oracles._replay
-    natural = list(range(g.n))
 
     def faulty(g, pos, frozen):
         timeline = real(g, pos, frozen)
         return _forget_last_edge(timeline) if faulty_run(frozen) else timeline
 
+    monkeypatch.setattr(oracles, "_replay", faulty)
+
+
+def _assert_checkers_catch(monkeypatch, g, faulty_run):
+    # Both checkers read every timeline through ``_replay``; a timeline that
+    # forgets its last accepted edge must make both of them fail.
+    natural = list(range(g.n))
     for v in range(g.n):
         alternating_path_sweep(g, natural, v)
         assert check_prefix_agreement(g, natural, v).ok
-    monkeypatch.setattr(oracles, "_replay", faulty)
+    _forget_last_edge_in(monkeypatch, faulty_run)
     for v in range(g.n):
         with pytest.raises(ClaimViolation):
             alternating_path_sweep(g, natural, v)
@@ -412,3 +417,24 @@ def test_checkers_catch_a_faulty_removed_vertex_timeline(monkeypatch, cex):
 
 def test_checkers_catch_a_faulty_full_run_timeline(monkeypatch, cex):
     _assert_checkers_catch(monkeypatch, cex, lambda frozen: not frozen)
+
+
+@pytest.mark.parametrize("faulty_run", [bool, lambda frozen: not frozen],
+                         ids=["removed-vertex-run", "full-run"])
+def test_path_structure_witness_replays(monkeypatch, cex, faulty_run):
+    # A timeline that forgets its last accepted edge breaks the shape of the
+    # difference.  Each such violation carries the graph's edges, u_star, t
+    # and the order, and replaying them on a graph rebuilt from the edges
+    # raises the same claim with the same witness.
+    _forget_last_edge_in(monkeypatch, faulty_run)
+    for v in range(cex.n):
+        with pytest.raises(ClaimViolation) as caught:
+            alternating_path_sweep(cex, list(range(cex.n)), v)
+        claim, payload = caught.value.claim, caught.value.payload
+        assert claim == "alt-path-structure"
+        assert payload["edges"] == sorted(cex.edges) and payload["u_star"] == v
+        assert payload["order"] == {w: w + 1 for w in range(cex.n)}
+        g = make_graph(len(payload["order"]), payload["edges"])
+        with pytest.raises(ClaimViolation) as replayed:
+            extract_alternating_path(g, payload["order"], payload["u_star"], payload["t"])
+        assert (replayed.value.claim, replayed.value.payload) == (claim, payload)
