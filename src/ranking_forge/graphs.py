@@ -20,8 +20,6 @@ Edge = tuple[int, int]
 
 #: Vertex cap for the exhaustive (exponential-time) matching search.
 EXHAUSTIVE_LIMIT = 24
-#: Edge cap for the subset-enumeration matching oracle.
-BRUTEFORCE_MAX_EDGES = 18
 
 FAMILIES = (
     "path",
@@ -303,23 +301,6 @@ def _augmenting_path_end(adj, mate: list[int], root: int) -> tuple[int, list[int
 def maximum_matching_size(g: Graph) -> int:
     """Size of a maximum matching (see :func:`blossom_matching`)."""
     return len(blossom_matching(g))
-
-
-def matching_size_bruteforce(g: Graph) -> int:
-    """Independent oracle: try every subset of edges, keep the largest matching.
-
-    Only usable for small edge counts; meant to cross-check the other
-    searches, not for production use.
-    """
-    edges = sorted(g.edges)
-    if len(edges) > BRUTEFORCE_MAX_EDGES:
-        raise SizeLimitError(f"{len(edges)} edges is too many for subset enumeration")
-    best = 0
-    for r in range(len(edges), best, -1):
-        for subset in combinations(edges, r):
-            if is_matching(g, subset):
-                return r
-    return 0
 
 
 def backup_counterexample_graph() -> Graph:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb, isfinite, lcm
+from math import isfinite, lcm
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -126,12 +125,22 @@ class _Basis:
         return z
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        # W v over v's support: the solver's btran right-hand sides (e_r and
-        # c_B) have one nonzero, and reading all of W costs more at large m.
+        # W v over v's support: the solver's c_B has one nonzero, and
+        # reading all of W costs more at large m.
         R = self.R[: self.count]
         nz = np.flatnonzero(v)
         s = self._eta_solve(v[R] - self.W[: self.count, nz] @ v[nz], 1)
         y = v.copy()
+        np.add.at(y, R, s)
+        return self.lu.solve(y, trans="T")
+
+    def btran_unit(self, r: int) -> np.ndarray:
+        """``btran(e_r)``: for a unit vector, ``v[R] - W v`` is
+        ``[R == r] - W[:, r]``, bit for bit."""
+        R = self.R[: self.count]
+        s = self._eta_solve((R == r) - self.W[: self.count, r], 1)
+        y = np.zeros(self.m)
+        y[r] = 1.0
         np.add.at(y, R, s)
         return self.lu.solve(y, trans="T")
 
@@ -165,11 +174,18 @@ def _standard_form(model: LpModel) -> _StandardForm:
     b = np.zeros(m)
     slack_lo = np.zeros(m)
     slack_up = np.full(m, INF)
+    # The builder and the parser share one Fraction per distinct value, so
+    # each coefficient object converts once; the model keeps them all alive,
+    # so their ids stay distinct.
+    floats: dict[int, float] = {}
     for i, row in enumerate(model.rows):
         for j, coef in row.coeffs:
             rows_idx.append(i)
             cols_idx.append(j)
-            data.append(float(coef))
+            value = floats.get(id(coef))
+            if value is None:
+                value = floats[id(coef)] = float(coef)
+            data.append(value)
         b[i] = float(row.rhs)
         if row.sense == "E":
             slack_up[i] = 0.0
@@ -192,7 +208,18 @@ def _standard_form(model: LpModel) -> _StandardForm:
 
 
 class _Core:
-    """The basis, the basic values and the pricing state of one solve."""
+    """The basis, the basic values and the pricing state of one solve.
+
+    The pivot state lives in basis order: ``xB`` holds the basic values and
+    ``loB``, ``upB`` and ``refB`` their bounds and devex reference entries,
+    row by row, so a pivot updates them at the pivot row instead of
+    gathering them from full-length arrays.  The full ``x`` holds the
+    nonbasic values; its basic entries are stale until ``solve`` writes
+    ``xB`` back.  ``cand`` (nonbasic and not fixed) and ``sgn`` (-1 at the
+    upper bound, +1 otherwise) are kept cell by cell, so pricing tests
+    ``cand & (d * sgn > tol)``: negation is exact, so ``-d > tol`` holds
+    exactly when ``d < -tol``.
+    """
 
     def __init__(self, sf: _StandardForm):
         self.sf = sf
@@ -200,10 +227,16 @@ class _Core:
         total = sf.A.shape[1]
         self.m = m
         self.at_upper = np.zeros(total, dtype=bool)
+        self.sgn = np.ones(total)
         self.in_basis = np.zeros(total, dtype=bool)
         basis = np.arange(sf.n_struct, sf.n_struct + m)
         self.in_basis[basis] = True
+        # Nonbasic fixed variables (lo == up) can never improve anything.
+        self.movable = sf.lo != sf.up
+        self.cand = ~self.in_basis & self.movable
         self.x = np.where(np.isfinite(sf.lo), sf.lo, 0.0)
+        self.loB = sf.lo[basis]
+        self.upB = sf.up[basis]
         self.B = _Basis(sf.A, basis)
         self.AT = sf.A.T.tocsr()
         self.recompute_basics()
@@ -214,12 +247,13 @@ class _Core:
         # of the start as the reference framework.
         self.weights = np.ones(total)
         self.reference = np.where(self.in_basis, 0.0, 1.0)
+        self.refB = self.reference[basis]
         self.degenerate_run = 0
         self.bland = False
 
     def recompute_basics(self) -> None:
         rhs = self.sf.b - self.sf.A @ np.where(self.in_basis, 0.0, self.x)
-        self.x[self.B.basis] = self.B.ftran(rhs)
+        self.xB = self.B.ftran(rhs)
 
     def price(self) -> None:
         """Reduced costs from scratch: d = c - A^T B^-T c_B."""
@@ -238,58 +272,57 @@ class _Core:
         basis, never on the in-place updated ones.
         """
         tol = OPTIMALITY_TOL
-        # Nonbasic fixed variables (lo == up) can never improve anything.
-        movable = self.sf.lo != self.sf.up
         self.price()
-        while True:
-            if self.iterations >= MAX_ITERATIONS:
-                return "limit"
-            d = self.d
-            eligible = ~self.in_basis & movable & np.where(self.at_upper, d < -tol, d > tol)
-            idx = np.flatnonzero(eligible)
-            if idx.size == 0:
-                if self.fresh:
-                    return "optimal"
-                self.price()
-                continue
-            if self.bland:
-                e = int(idx[0])
-            else:
-                e = int(idx[np.argmax(d[idx] ** 2 / self.weights[idx])])
-            self._step(e)
-            self.iterations += 1
-            if not self.bland and self.degenerate_run > STALL_LIMIT:
-                self.bland = True
+        # The ratio test divides by pivot entries that np.where then drops.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                if self.iterations >= MAX_ITERATIONS:
+                    return "limit"
+                d = self.d
+                idx = np.flatnonzero(self.cand & (d * self.sgn > tol))
+                if idx.size == 0:
+                    if self.fresh:
+                        return "optimal"
+                    self.price()
+                    continue
+                if self.bland:
+                    e = int(idx[0])
+                else:
+                    e = int(idx[np.argmax(d[idx] ** 2 / self.weights[idx])])
+                self._step(e)
+                self.iterations += 1
+                if not self.bland and self.degenerate_run > STALL_LIMIT:
+                    self.bland = True
 
     def _step(self, e: int) -> None:
         sf = self.sf
-        sign = -1.0 if self.at_upper[e] else 1.0
         lo_e, hi_e = sf.A.indptr[e], sf.A.indptr[e + 1]
         col = np.zeros(self.m)
         col[sf.A.indices[lo_e:hi_e]] = sf.A.data[lo_e:hi_e]
         w = self.B.ftran(col)
-        basis = self.B.basis
-        xb = self.x[basis]
-        step_dir = sign * w
+        from_upper = self.at_upper[e]
+        step_dir = -w if from_upper else w
+        xB = self.xB
         feas = FEASIBILITY_TOL
         pivot_tol = 1e-10
 
         # Blocking ratios from basic variables: a basic variable moving down
         # (step_dir > 0) meets its lower bound, one moving up its upper bound
         # (an infinite one gives an infinite ratio).  Whole-array np.where:
-        # boolean-mask gathers over rows cost several times more.
-        limit = INF
+        # boolean-mask gathers over rows cost several times more.  No ratio
+        # is NaN (np.where keeps a quotient only where |step_dir| exceeds
+        # pivot_tol, and the lower bounds are finite), so some ratio is
+        # finite exactly when the smallest one is.
         leave_row = -1
-        bound = np.where(step_dir > 0, sf.lo[basis], sf.up[basis])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(np.abs(step_dir) > pivot_tol, (xb - bound) / step_dir, INF)
+        bound = np.where(step_dir > 0, self.loB, self.upB)
+        ratios = np.where(np.abs(step_dir) > pivot_tol, (xB - bound) / step_dir, INF)
         ratios = np.maximum(ratios, 0.0)
-        if np.any(np.isfinite(ratios)):
-            limit = float(ratios.min())
+        limit = float(ratios.min())
+        if limit < INF:
             blockers = np.nonzero(ratios <= limit + feas)[0]
             if self.bland:
                 # Smallest variable index among the blockers (Bland).
-                leave_row = int(blockers[np.argmin(basis[blockers])])
+                leave_row = int(blockers[np.argmin(self.B.basis[blockers])])
             else:
                 # Largest pivot magnitude for stability.
                 leave_row = int(blockers[np.argmax(np.abs(step_dir[blockers]))])
@@ -299,26 +332,35 @@ class _Core:
             # Bound flip: the entering variable crosses to its other bound.
             if not np.isfinite(span):
                 raise SimplexStall("unbounded direction; model must be bounded")
-            self.x[basis] = xb - step_dir * span
-            self.x[e] = sf.lo[e] if self.at_upper[e] else sf.up[e]
-            self.at_upper[e] = ~self.at_upper[e]
+            xB -= step_dir * span
+            self.x[e] = sf.lo[e] if from_upper else sf.up[e]
+            self.at_upper[e] = not from_upper
+            self.sgn[e] = -self.sgn[e]
             self.bound_flips += 1
             self.degenerate_run = 0 if span > feas else self.degenerate_run + 1
             return
         if leave_row < 0:
             raise SimplexStall("no blocking variable; model must be bounded")
         t = limit
-        leaving = int(basis[leave_row])
+        leaving = int(self.B.basis[leave_row])
         self._update_duals(e, leaving, leave_row, w)
-        self.x[basis] = xb - step_dir * t
-        self.x[e] = (sf.up[e] - t) if self.at_upper[e] else (sf.lo[e] + t)
-        # Leaving variable settles on the bound it hit.
-        hit_upper = step_dir[leave_row] < 0
-        self.x[leaving] = sf.up[leaving] if hit_upper else sf.lo[leaving]
-        self.at_upper[leaving] = bool(hit_upper)
+        xB -= step_dir * t
+        # Leaving variable settles on the bound it hit; the entering one
+        # takes its row.
+        hit_upper = bool(step_dir[leave_row] < 0)
+        self.x[leaving] = self.upB[leave_row] if hit_upper else self.loB[leave_row]
+        self.at_upper[leaving] = hit_upper
+        self.sgn[leaving] = -1.0 if hit_upper else 1.0
         self.in_basis[leaving] = False
+        self.cand[leaving] = self.movable[leaving]
+        xB[leave_row] = (sf.up[e] - t) if from_upper else (sf.lo[e] + t)
+        self.loB[leave_row] = sf.lo[e]
+        self.upB[leave_row] = sf.up[e]
+        self.refB[leave_row] = self.reference[e]
         self.in_basis[e] = True
+        self.cand[e] = False
         self.at_upper[e] = False
+        self.sgn[e] = 1.0
         self.B.replace(leave_row, e, w)
         if t > feas:
             self.degenerate_run = 0
@@ -336,9 +378,7 @@ class _Core:
         Both come from the pivot row alpha_r = (e_r^T B^-1) A of the basis
         before the exchange; ``w`` is the entering column B^-1 a_e.
         """
-        unit = np.zeros(self.m)
-        unit[r] = 1.0
-        ratio = self.AT @ self.B.btran(unit) / w[r]
+        ratio = self.AT @ self.B.btran_unit(r) / w[r]
         de = self.d[e]
         self.d -= de * ratio
         self.d[e] = 0.0
@@ -347,7 +387,7 @@ class _Core:
         # Devex (Harris 1973): w_j approximates the squared norm of nonbasic
         # j's edge direction restricted to the reference framework.  The
         # entering column gives that norm exactly for e, which floors w_e.
-        exact = self.reference[e] + float((w * w) @ self.reference[self.B.basis])
+        exact = self.reference[e] + float((w * w) @ self.refB)
         we = max(self.weights[e], exact)
         np.maximum(self.weights, ratio * ratio * we, out=self.weights)
         self.weights[leaving] = max(we / w[r] ** 2, 1.0)
@@ -366,9 +406,7 @@ def solve(model: LpModel) -> LpSolution:
     sf = _standard_form(model)
     standardized = time.perf_counter()
     core = _Core(sf)
-    basis = core.B.basis
-    xb = core.x[basis]
-    lo, up = sf.lo[basis], sf.up[basis]
+    xb, lo, up = core.xB, core.loB, core.upB
     violated = np.flatnonzero((xb < lo - FEASIBILITY_TOL) | (xb > up + FEASIBILITY_TOL))
     if violated.size:
         r = int(violated[0])
@@ -380,6 +418,7 @@ def solve(model: LpModel) -> LpSolution:
     # One clean refactorization before reading the answer off.
     core.B.refactor()
     core.recompute_basics()
+    core.x[core.B.basis] = core.xB
     solved = time.perf_counter()
     names = model.var_names
     values = {names[j]: float(core.x[j]) for j in range(len(names))}
@@ -495,7 +534,8 @@ def _float_ratio(name: str, value: float) -> tuple[int, int]:
 
 
 def parse_solution_text(text: str) -> dict[str, float]:
-    """Read ``name=value`` lines of finite values (external solver output)."""
+    """Read ``name=value`` lines of finite values (external solver output),
+    one line per name."""
     values: dict[str, float] = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -504,13 +544,18 @@ def parse_solution_text(text: str) -> dict[str, float]:
         name, _, raw = line.partition("=")
         if not _:
             raise ValueError(f"expected 'name=value', got {line!r}")
+        name = name.strip()
+        if not name:
+            raise ValueError(f"no variable name in {line!r}")
+        if name in values:
+            raise ValueError(f"variable {name} is given again in {line!r}")
         try:
             value = float(raw)
         except ValueError:
             value = None
         if value is None or not isfinite(value):
             raise ValueError(f"value in {line!r} is not a finite number")
-        values[name.strip()] = value
+        values[name] = value
     return values
 
 
@@ -518,83 +563,3 @@ def solution_from_values(model: LpModel, values: dict[str, float]) -> LpSolution
     """Wrap an externally produced assignment for verification; raises
     ``ValueError`` when it gives the objective column no value."""
     return _solution(model, values, "external")
-
-
-# ---------------------------------------------------------------------------
-# Tiny-scale oracle: enumerate candidate vertices of the polytope directly.
-
-
-#: Cap on the oracle's candidate subsets, and candidates per batch.
-BRUTE_FORCE_MAX_SUBSETS = 4_000_000
-BRUTE_FORCE_CHUNK = 65536
-
-
-def brute_force_optimum(model: LpModel) -> float:
-    """Exact optimum by enumerating active-constraint subsets.
-
-    Works in the structural-variable space: every vertex of the feasible
-    polytope is the solution of n linearly independent active constraints
-    drawn from the rows and the variable bounds.  Refuses models with more
-    than ``BRUTE_FORCE_MAX_SUBSETS`` such subsets.
-    """
-    n = len(model.var_names)
-    constraints = len(model.rows) + n + sum(u is not None for u in model.upper)
-    subsets = comb(constraints, n)
-    if subsets > BRUTE_FORCE_MAX_SUBSETS:
-        raise ValueError(
-            f"C({constraints}, {n}) = {subsets} candidate subsets exceeds "
-            f"the oracle limit {BRUTE_FORCE_MAX_SUBSETS}"
-        )
-    sf = _standard_form(model)
-    A_rows = sf.A[:, :n].toarray()
-    b_rows = sf.b
-    eq_mask = sf.up[n:] == 0.0
-    lo, up, c = sf.lo[:n], sf.up[:n], sf.c[:n]
-    unit = np.eye(n)
-    G = list(A_rows)
-    h = list(b_rows)
-    for j in range(n):
-        G.append(unit[j])
-        h.append(lo[j])
-        if np.isfinite(up[j]):
-            G.append(unit[j])
-            h.append(up[j])
-    G = np.asarray(G)
-    h = np.asarray(h)
-
-    # Every equality row is active at every feasible point, so at each
-    # vertex any independent set of them extends to n independent active
-    # constraints: fix one maximal such set and choose the rest among the
-    # inequality rows and the bounds.
-    fixed: list[int] = []
-    for i in np.flatnonzero(eq_mask):
-        if np.linalg.matrix_rank(A_rows[fixed + [i]]) > len(fixed):
-            fixed.append(int(i))
-    others = [i for i in range(len(G)) if i >= len(eq_mask) or not eq_mask[i]]
-    combos = combinations(others, n - len(fixed))
-
-    best = -INF
-    while True:
-        batch = [(*fixed, *cmb) for _, cmb in zip(range(BRUTE_FORCE_CHUNK), combos)]
-        if not batch:
-            break
-        idx = np.asarray(batch)
-        mats = G[idx]
-        rhs_b = h[idx]
-        dets = np.abs(np.linalg.det(mats))
-        good = dets > 1e-9
-        if not np.any(good):
-            continue
-        sols = np.linalg.solve(mats[good], rhs_b[good][..., None])[..., 0]
-        vals = A_rows @ sols.T
-        feas = np.all(vals <= b_rows[:, None] + 1e-9, axis=0)
-        feas &= np.all(
-            np.abs(vals[eq_mask] - b_rows[eq_mask, None]) <= 1e-9, axis=0
-        )
-        feas &= np.all(sols >= lo[None, :] - 1e-9, axis=1)
-        feas &= np.all(sols <= up[None, :] + 1e-9, axis=1)
-        if np.any(feas):
-            best = max(best, float((sols[feas] @ c).max()))
-    if best == -INF:
-        raise RuntimeError("no feasible vertex found")
-    return best

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exhaustive_oracles import matching_size_bruteforce
 from ranking_forge.graphs import (
     SizeLimitError,
     backup_counterexample_graph,
@@ -17,7 +18,6 @@ from ranking_forge.graphs import (
     graph_to_text,
     is_matching,
     make_graph,
-    matching_size_bruteforce,
     maximum_matching,
     maximum_matching_size,
 )

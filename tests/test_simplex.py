@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from exhaustive_oracles import brute_force_optimum
 from ranking_forge import simplex
 from ranking_forge.lpmodel import LinRow, LpModel, build_lp, mps_text, parse_mps
 from ranking_forge.simplex import (
@@ -15,7 +17,6 @@ from ranking_forge.simplex import (
     _Basis,
     _Core,
     _standard_form,
-    brute_force_optimum,
     parse_solution_text,
     solution_from_values,
     solve,
@@ -176,6 +177,59 @@ def test_optimal_basis_is_certified_by_fresh_reduced_costs(model):
     assert not eligible.any(), np.flatnonzero(eligible)
 
 
+def assert_pivot_state_matches_its_definition(core):
+    # The state a pivot updates cell by cell equals what it stands for.
+    sf = core.sf
+    basis = core.B.basis
+    assert np.array_equal(core.loB, sf.lo[basis])
+    assert np.array_equal(core.upB, sf.up[basis])
+    assert np.array_equal(core.refB, core.reference[basis])
+    assert np.array_equal(core.cand, ~core.in_basis & (sf.lo != sf.up))
+    assert np.array_equal(core.sgn, np.where(core.at_upper, -1.0, 1.0))
+    x_nonbasic = np.where(core.in_basis, 0.0, core.x)
+    xB = splu(sf.A[:, basis].tocsc()).solve(sf.b - sf.A @ x_nonbasic)
+    assert np.allclose(core.xB, xB, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "form, pivots, factorizations",
+    [("substituted", 40, 1), ("substituted", 100, 2), ("compact", 60, 1), ("compact", 100, 2)],
+)
+def test_pivot_state_mid_run(monkeypatch, form, pivots, factorizations):
+    # Stopped before the first refactorization and after one.  On the
+    # compact form an equality row's slack leaves at its upper bound at
+    # pivots 49 and 73.
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", pivots)
+    core = _Core(_standard_form(build_lp(5, form)))
+    assert core.run() == "limit"
+    assert (core.iterations, core.B.factorizations) == (pivots, factorizations)
+    assert core.at_upper.any() == (form == "compact")
+    assert_pivot_state_matches_its_definition(core)
+
+
+def test_pivot_state_after_bound_flips():
+    # max z s.t. z - x0 + 2 x1 - x2 <= 2 and 2 x0 - 2 x1 + x2 <= 2, with
+    # z in [1, 3], x0 in [1, 2], x1 in [1, 3] and x2 in [0, 1]: the second
+    # of the four pivots is a bound flip, and the last one enters a
+    # variable from its upper bound.  build_lp(5) has neither, in either
+    # form, and all its lower bounds are 0.
+    model = hand_model(
+        ["z", "x0", "x1", "x2"],
+        [1, 1, 1, 0],
+        [3, 2, 3, 1],
+        [
+            ("r0", [(0, 1), (1, -1), (2, 2), (3, -1)], "L", 2),
+            ("r1", [(1, 2), (2, -2), (3, 1)], "L", 2),
+        ],
+        objective_var=0,
+    )
+    core = _Core(_standard_form(model))
+    assert core.run() == "optimal"
+    assert (core.iterations, core.bound_flips) == (4, 1)
+    assert_pivot_state_matches_its_definition(core)
+    assert solve(model).alpha == 2.5
+
+
 def test_devex_iteration_count():
     # Half the 2 372 iterations that Dantzig pricing needed on this model.
     assert solve(build_lp(6)).iterations <= 1186
@@ -231,6 +285,51 @@ def test_optimum_is_independent_of_the_eta_arithmetic():
         solution = solve(build_lp(k))
         assert solution.status == "optimal"
         assert solution.alpha == pytest.approx(alpha, abs=1e-9), k
+
+
+#: Per form, for k = 1, 2, ...: a SHA-256 over every variable's name and
+#: value.hex(), and the solve's refactorizations, degenerate pivots,
+#: bound flips and Bland fallback.  Like SOLVER_PATH (test_lpmodel.py)
+#: they follow last-bit rounding, so they hold for one numpy build; a
+#: change to the pivot loop that keeps every float's bits keeps them.
+VERTEX_DIGESTS = {
+    "compact": [
+        ("6c3902560ef82fa4bf4aef13d2302c81ec634209070a01398a763781c1fc01bd", 2, 6, 0, False),
+        ("a2da863ea6ac30933080187026fbe971251a5baf9f44b2a34a97bdc248544e8d", 2, 26, 0, False),
+        ("4724395d6a6c59bafca93007e7daba4a11f96aed781a4dd75ae1919396e10cd5", 3, 71, 0, False),
+        ("b2c0ce65109e62c5e4fba1580f2ce0d22f2afce380803cbffcd0e6fcc2c72c44", 5, 172, 0, False),
+        ("e738069dc6639e601f890d35363a7558b140f5085952e5a0102d47ece29fd66f", 9, 381, 0, False),
+    ],
+    "naive": [
+        ("26873e22a4d0b6a8cf4c7db91eaf14a6c55e6d7da38977ecccc011c20453a4a8", 2, 6, 0, False),
+        ("1675183e57efa87c502308c3be1835e8f8ad1be9883f0a62111764bf5d740a3f", 2, 31, 0, False),
+        ("c36162c3e38cb3660d85251e9f9a6bc81dc4d028390b518d64f9a6c5a8eb31c9", 4, 113, 0, False),
+    ],
+    "substituted": [
+        ("3eb1f0fcef49c91efaec87732b46bb064e4510e94228f4be6ad09d66be9149cf", 2, 5, 0, False),
+        ("52e6d7f1ac8b3c5bdf9ecbc97277d108990666de639378b07bc0daa82e0f63d8", 2, 15, 0, False),
+        ("68dbe05a03dd8483733e9b8b1bb52c390099ff1a62e4e8cb3149323093f0d3b9", 3, 46, 0, False),
+        ("2e480abce1881c7eb69ca77a5921d608b37901d1c3fba21fa1f90d51d83a5b89", 4, 87, 0, False),
+        ("db66ce2d0ab426ec1b88564ea51a1746911280df41fa0378bae4c72fa312e64a", 8, 265, 0, False),
+        ("6c8bbedaefdf38efa4be8f3b0ae6c10243e98883915bedba5888c2f52567c522", 12, 382, 0, False),
+    ],
+}
+
+
+def vertex_digest(values):
+    h = hashlib.sha256()
+    for name, value in sorted(values.items()):
+        h.update(f"{name}={value.hex()}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("form", sorted(VERTEX_DIGESTS))
+def test_optimal_vertex_is_pinned(form):
+    keys = ("refactorizations", "degenerate_pivots", "bound_flips", "bland_fallback")
+    for k, expected in enumerate(VERTEX_DIGESTS[form], start=1):
+        solution = solve(build_lp(k, form))
+        got = (vertex_digest(solution.values), *(solution.stats[key] for key in keys))
+        assert got == expected, (form, k)
 
 
 def test_solution_stats(monkeypatch):
@@ -366,6 +465,18 @@ def test_parse_solution_text_rejects_a_value_that_is_not_a_finite_number(raw):
 def test_parse_solution_text_names_the_line_of_a_value_that_is_not_a_number(raw):
     with pytest.raises(ValueError, match=f"'alpha={raw}' is not a finite number"):
         parse_solution_text(f"f_1_1=0.25\nalpha={raw}\n")
+
+
+def test_parse_solution_text_rejects_a_repeated_name():
+    # A second value would silently replace the first.
+    with pytest.raises(ValueError, match="variable alpha is given again in 'alpha = 0.7'"):
+        parse_solution_text("alpha=0.5\nf_1_1=0.25\nalpha = 0.7\n")
+
+
+@pytest.mark.parametrize("line", ["=0.5", " = 0.5"])
+def test_parse_solution_text_rejects_an_empty_name(line):
+    with pytest.raises(ValueError, match=f"no variable name in '{line.strip()}'"):
+        parse_solution_text(f"alpha=0.5\n{line}\n")
 
 
 def test_external_solution_round_trip():
