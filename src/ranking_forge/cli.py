@@ -14,7 +14,7 @@ from typing import Optional
 from . import experiments
 from .gains import PriceTable
 from .graphs import FAMILIES, SizeLimitError, generate_family
-from .lpmodel import build_lp, evaluate_price_table, export_mps, write_compact_mps
+from .lpmodel import FORMS, build_lp, evaluate_price_table, export_mps, write_compact_mps
 from .ranks import EnumerationLimitError, check_bucket_count
 
 EXIT_OK = 0
@@ -36,8 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-lp", help="build and solve the LP for k buckets")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--export", metavar="PATH", help="also write an MPS file")
-    p.add_argument("--form", choices=("substituted", "naive", "compact"),
-                   default="substituted")
+    p.add_argument("--form", choices=FORMS, default="substituted")
 
     p = sub.add_parser("validate-f", help="evaluate a price table file")
     p.add_argument("--file", required=True)
@@ -210,6 +209,9 @@ def _cmd_verify_lemmas(args) -> int:
         name, jobs = "RANKING_FORGE_JOBS", os.environ.get("RANKING_FORGE_JOBS") or "1"
     if not str(jobs).isdecimal() or int(jobs) < 1:
         print(f"invalid input: {name}={jobs} is not a positive integer", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_n < 1:
+        print(f"invalid input: --max-n={args.max_n} is not a positive integer", file=sys.stderr)
         return EXIT_USAGE
     if _invalid_bucket_count(args.k) or _unwritable("--report", args.report):
         return EXIT_USAGE

@@ -78,13 +78,18 @@ class RatioEstimate:
     seed: int
 
 
-#: Vertex slots per Monte Carlo block: a block holds max(1, 2**16 // n) trials.
+#: Vertex slots per block of orders that ``matching_sizes`` takes at once.
 MC_BLOCK_SLOTS = 2**16
 #: Most vertices ``exact_expected_ratio`` enumerates the n! orders of.
 EXACT_RATIO_MAX_N = 8
 #: Largest bucket count whose sort key, bucket * 2**53 + tie * 2**53, fits
 #: a ``uint64``.
 MC_MAX_BUCKETS = 2**11
+
+
+def _block_rows(n: int) -> int:
+    """Orders per block on an ``n``-vertex graph, so memory stays bounded."""
+    return max(1, MC_BLOCK_SLOTS // n)
 
 
 def _ratio_denominator(g: Graph) -> int:
@@ -111,7 +116,7 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
         raise ValueError(f"bucket count k must be >= 1 and <= {MC_MAX_BUCKETS}, got {k}")
     m_star = _ratio_denominator(g)
     n = g.n
-    block = max(1, MC_BLOCK_SLOTS // n)
+    block = _block_rows(n)
     rng = np.random.default_rng(seed)
     sizes = np.empty(trials)
     for start in range(0, trials, block):
@@ -134,15 +139,15 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
 def exact_expected_ratio(g: Graph) -> Fraction:
     """E|matching| / |maximum matching| by enumerating all vertex orders.
 
-    The orders go through ``matching_sizes`` in blocks of
-    ``MC_BLOCK_SLOTS // n`` rows, so memory stays bounded.  Past
-    ``EXACT_RATIO_MAX_N`` vertices it raises ``SizeLimitError`` at once.
+    The orders go through ``matching_sizes`` in blocks, as in
+    ``monte_carlo_ratio``.  Past ``EXACT_RATIO_MAX_N`` vertices it raises
+    ``SizeLimitError`` at once.
     """
     if g.n > EXACT_RATIO_MAX_N:
         raise SizeLimitError(f"{g.n} vertices, above the exact limit {EXACT_RATIO_MAX_N}")
     m_star = _ratio_denominator(g)
     perms = permutations(range(g.n))
-    block = max(1, MC_BLOCK_SLOTS // g.n)
+    block = _block_rows(g.n)
     total = 0
     while rows := list(islice(perms, block)):
         total += int(matching_sizes(g, rows).sum())

@@ -12,6 +12,7 @@ over the insertion bucket of ``u_star``.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import Iterable, Optional
 
 from .engine import matching_for_order
@@ -301,37 +302,35 @@ def audit_h_bounds(
     # The matching, the coloring and ``u``'s roles depend on an order alone,
     # so each is computed once per order, and an h row once per profile.  A
     # realization is then the price lookups for its (buyer, item) pairs.
-    by_order: dict[tuple[int, ...], tuple[int, tuple[tuple[int, int], ...]]] = {}
-    roles_by_order: dict[tuple[int, ...], tuple] = {}
-    h_rows: dict[tuple[ClassLabel, Profile], tuple[float, ...]] = {}
+    roles_of = cache(lambda order: _roles(g, order, u))
+
+    @cache
+    def h_row_of(label: ClassLabel, profile: Profile) -> tuple[float, ...]:
+        return tuple(
+            h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
+            for x in range(1, k + 1)
+        )
+
+    @cache
+    def run_of(order: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The matching's size and its (buyer, item) pairs, ``u`` a buyer."""
+        matching = matching_for_order(g, order)
+        chi = two_coloring(g, matching, g.m_star, 0)
+        if chi[u] != BUYER:
+            chi = flip_coloring(chi)
+        return len(matching), tuple(_buyer_item(a, b, chi) for a, b in matching)
+
     for vec in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
         order = order_of(vec)
         bucket = {v: x for v, (x, _) in vec.items()}
         # The profile is the buckets of u, its match and its backup; an
         # absent match or backup (None) has no bucket.
-        roles = roles_by_order.get(order)
-        if roles is None:
-            roles = roles_by_order[order] = _roles(g, order, u)
-        match, backup, label = roles
+        match, backup, label = roles_of(order)
         profile = Profile(bucket[u], bucket.get(match), bucket.get(backup))
-        h_row = h_rows.get((label, profile))
-        if h_row is None:
-            h_row = h_rows[label, profile] = tuple(
-                h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
-                for x in range(1, k + 1)
-            )
+        h_row = h_row_of(label, profile)
         for slot in insertion_slots(vec):
             j = slot_index(vec, slot)
-            key = order[:j] + (u_star,) + order[j:]
-            known = by_order.get(key)
-            if known is None:
-                matching = matching_for_order(g, key)
-                chi = two_coloring(g, matching, g.m_star, 0)
-                if chi[u] != BUYER:
-                    chi = flip_coloring(chi)
-                pairs = tuple(_buyer_item(a, b, chi) for a, b in matching)
-                known = by_order[key] = len(matching), pairs
-            size, pairs = known
+            size, pairs = run_of(order[:j] + (u_star,) + order[j:])
             bucket[u_star] = slot[0]
             gains = _shares(pairs, bucket, rows)
             total_u = gains.get(u, 0.0) + gains.get(u_star, 0.0)

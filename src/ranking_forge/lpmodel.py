@@ -34,6 +34,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, NamedTuple, Optional
 
 from .gains import H_value, PriceTable, h_forms
@@ -41,6 +42,9 @@ from .oracles import ClassLabel
 from .ranks import check_bucket_count
 
 Coef = tuple[int, Fraction]
+
+#: The model forms ``build_lp`` makes; see the module docstring.
+FORMS = ("substituted", "naive", "compact")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +77,8 @@ def build_lp(k: int, form: str = "substituted") -> LpModel:
     approximation ratio.  See the module docstring for the three forms.
     """
     check_bucket_count(k)
-    if form not in ("substituted", "naive", "compact"):
-        raise ValueError(f"unknown form {form!r}")
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}; choose one of {FORMS}")
     return _build(k, form)
 
 
@@ -153,18 +157,6 @@ def _windows(k: int) -> Iterator[tuple]:
                 ]
 
 
-class _Interned(dict):
-    """``key`` -> ``make(*key)``, made once per distinct key."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(*key)
-        return value
-
-
 def _build(k: int, form: str) -> LpModel:
     """Build any of the three forms in memory.
 
@@ -182,9 +174,9 @@ def _build(k: int, form: str) -> LpModel:
     naive, compact = form == "naive", form == "compact"
     K1 = k + 1
     buckets, padded = range(1, k + 1), range(1, K1 + 1)
-    frac = _Interned(Fraction)  # (numerator, denominator) -> value
-    entry = _Interned(lambda j, num, den: (j, frac[num, den]))  # -> (j, value)
-    zero = frac[0, 1]
+    frac = cache(Fraction)  # (numerator, denominator) -> value
+    entry = cache(lambda j, num, den: (j, frac(num, den)))  # -> (j, value)
+    zero = frac(0, 1)
     names = [f"f_{i}_{j}" for i in padded for j in padded]
     f_idx = {(i, j): (i - 1) * K1 + j - 1 for i in padded for j in padded}
     names += [f"alpha_{i}" for i in buckets]
@@ -196,7 +188,7 @@ def _build(k: int, form: str) -> LpModel:
     rows = [
         LinRow(
             f"monB_{i}_{j}",
-            (entry[f_idx[i, j], -1, 1], entry[f_idx[i + 1, j], 1, 1]),
+            (entry(f_idx[i, j], -1, 1), entry(f_idx[i + 1, j], 1, 1)),
             "L", zero,
         )
         for i in buckets
@@ -205,7 +197,7 @@ def _build(k: int, form: str) -> LpModel:
     rows += [
         LinRow(
             f"monI_{i}_{j}",
-            (entry[f_idx[i, j], 1, 1], entry[f_idx[i, j + 1], -1, 1]),
+            (entry(f_idx[i, j], 1, 1), entry(f_idx[i, j + 1], -1, 1)),
             "L", zero,
         )
         for i in padded
@@ -218,7 +210,7 @@ def _build(k: int, form: str) -> LpModel:
         for a in buckets:
             for b in buckets:
                 col = fp_0 + a * k + b
-                e = [entry[f_idx[a, b], -1, 1], entry[col - 1, -1, 1], entry[col, 1, 1]]
+                e = [entry(f_idx[a, b], -1, 1), entry(col - 1, -1, 1), entry(col, 1, 1)]
                 if b == 1:
                     del e[1]
                 rows.append(LinRow(f"fp_{a}_{b}", tuple(e), "E", zero))
@@ -244,13 +236,13 @@ def _build(k: int, form: str) -> LpModel:
         name = "_".join(parts)
         names.append(name)
         for arm, (const, terms) in enumerate(arms, start=1):
-            e = sorted([entry[f_idx[ij], -coef, 1] for coef, ij in terms])
-            e.append(entry[idx, 1, 1])
+            e = sorted([entry(f_idx[ij], -coef, 1) for coef, ij in terms])
+            e.append(entry(idx, 1, 1))
             if case[0] is ClassLabel.UNMATCHED:
                 rname = f"hb0_{case[1]}_{case[4]}"
             else:
                 rname = f"{name}_{arm}"
-            rows.append(LinRow(rname, tuple(e), "L", frac[const, 1]))
+            rows.append(LinRow(rname, tuple(e), "L", frac(const, 1)))
 
     if not compact:
         # Averaging rows: each profile of a window is taken over every
@@ -272,11 +264,11 @@ def _build(k: int, form: str) -> LpModel:
                         idx = f_idx[ij]
                         counts[idx] = counts.get(idx, 0) + coef
             n = len(profiles) * k
-            e = [entry[j, -v, n] for j, v in counts.items() if v]
-            e.append(entry[alpha_0 + i, 1, 1])
+            e = [entry(j, -v, n) for j, v in counts.items() if v]
+            e.append(entry(alpha_0 + i, 1, 1))
             e.sort()
             name = _FAMILIES[label].row.format(i=i, c=c, d=d)
-            rows.append(LinRow(name, tuple(e), "L", frac[const, n]))
+            rows.append(LinRow(name, tuple(e), "L", frac(const, n)))
     else:
         # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Any
         # other window has a nonnegative column V (Vs_i_c, Vb_i_c_d) and a
@@ -290,36 +282,36 @@ def _build(k: int, form: str) -> LpModel:
         h = aux_0
         for label, i, c, d, profiles in _windows(k):
             if label is ClassLabel.UNMATCHED:
-                e = (entry[alpha_0 + i, 1, 1], entry[fp_0 + i * k + k, -1, k])
+                e = (entry(alpha_0 + i, 1, 1), entry(fp_0 + i * k + k, -1, k))
                 rows.append(LinRow(f"abot_{i}", e, "L", zero))
                 continue
             backup = label is ClassLabel.MATCHED_WITH_BACKUP
             name = f"vb_{i}_{c}_{d}" if backup else f"vs_{i}_{c}"
             col = len(names)
             names.append("V" + name[1:])
-            e = [entry[f_idx[i, c], k - i, 1]] if i < k else []
+            e = [entry(f_idx[i, c], k - i, 1)] if i < k else []
             if backup and c > i:
-                e.append(entry[f_idx[i, profiles[0][1]], i, 1])
-            e.append(entry[alpha_0 + i, k, 1])
+                e.append(entry(f_idx[i, profiles[0][1]], i, 1))
+            e.append(entry(alpha_0 + i, k, 1))
             if c > i:
-                e.append(entry[fp_0 + i * k + c - 1, -1, 1])
+                e.append(entry(fp_0 + i * k + c - 1, -1, 1))
             else:
-                e += [entry[j, -1, 1] for j in range(h, h + i)]
+                e += [entry(j, -1, 1) for j in range(h, h + i)]
                 h += i
-            e.append(entry[col, 1, 1])
+            e.append(entry(col, 1, 1))
             if len(profiles) > 1:
                 # V' is the next column in the single family; in the backup
                 # family it is k - c columns on, past the windows c..d' with
                 # d' > d and c+1..d' with d' < d.
-                e.append(entry[col + (k - c if backup else 1), -1, 1])
-            rhs = frac[k, 1] if backup and c > i else frac[k - i, 1]
+                e.append(entry(col + (k - c if backup else 1), -1, 1))
+            rhs = frac(k, 1) if backup and c > i else frac(k - i, 1)
             rows.append(LinRow(name, tuple(e), "L", rhs))
     # The arm rows cap the variables; the direct forms bound them by 2 too.
-    upper = [frac[1, 1]] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
-    upper += [None if compact else frac[2, 1]] * (len(names) - aux_0)
+    upper = [frac(1, 1)] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
+    upper += [None if compact else frac(2, 1)] * (len(names) - aux_0)
 
-    e = [entry[alpha_0 + i, -1, k] for i in buckets]
-    e.append(entry[alpha, 1, 1])
+    e = [entry(alpha_0 + i, -1, k) for i in buckets]
+    e.append(entry(alpha, 1, 1))
     rows.append(LinRow("aavg", tuple(e), "E", zero))
     return LpModel(k, form, names, [zero] * len(names), upper, rows, alpha)
 
@@ -356,10 +348,10 @@ def evaluate_price_table(table: PriceTable) -> EvalReport:
     """
     table.require_monotonic()
     k = table.k
-    H = _Interned(lambda label, i, xv, xb: H_value(label, table, i, xv, xb))
+    H = cache(lambda label, i, xv, xb: H_value(label, table, i, xv, xb))
     worst: dict[int, tuple] = {}
     for label, i, c, d, profiles in _windows(k):
-        bound = sum([H[label, i, xv, xb] for xv, xb in profiles]) / len(profiles)
+        bound = sum([H(label, i, xv, xb) for xv, xb in profiles]) / len(profiles)
         # Of tied windows the report names the first in the order no match,
         # single by c, backup by d and then c, as it always has.  The walk
         # takes the backup family by c and then d, and crossing (c, d) pairs
@@ -391,18 +383,6 @@ def _fmt(x: float) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
-
-
-def _paired(head: str, entries: list[str]) -> str:
-    """``head`` followed by two ``"row value"`` entries per line; an odd last
-    entry gets a line of its own, and no entries give no lines."""
-    if not entries:
-        return ""
-    it = iter(entries)
-    lines = list(map(" ".join, zip(it, it)))
-    if len(entries) % 2:
-        lines.append(entries[-1])
-    return head + ("\n" + head).join(lines) + "\n"
 
 
 def mps_text(model: LpModel) -> str:
@@ -459,13 +439,14 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
         for j, coef in row.coeffs:
             cols[j].append(prefix + fmt(coef))
     yield "COLUMNS\n"
+    # An odd last entry leaves its line open; the exporter closes it.
     yield "".join([
-        _paired(f"    {name} ", col) for name, col in zip(model.var_names, cols)
+        _lines(f"    {name} ", col) + "\n" * (len(col) % 2)
+        for name, col in zip(model.var_names, cols)
     ])
     yield "RHS\n"
-    yield _paired(
-        "    RHS ", [f"{r.name} {fmt(r.rhs)}" for r in model.rows if r.rhs != 0]
-    )
+    rhs = [f"{r.name} {fmt(r.rhs)}" for r in model.rows if r.rhs != 0]
+    yield _lines("    RHS ", rhs) + "\n" * (len(rhs) % 2)
     yield "BOUNDS\n"
     out = []
     for j, name in enumerate(model.var_names):
@@ -478,15 +459,12 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
     yield "ENDATA\n"
 
 
-class _Values(dict):
-    """Value text -> ``Fraction``; each distinct text is converted once."""
-
-    def __missing__(self, text: str) -> Fraction:
-        try:
-            value = self[text] = Fraction(float(text))
-        except (ValueError, OverflowError):
-            raise ValueError(f"value {text!r} is not a finite number") from None
-        return value
+def _number(text: str) -> Fraction:
+    """The value a COLUMNS, RHS or BOUNDS field gives."""
+    try:
+        return Fraction(float(text))
+    except (ValueError, OverflowError):
+        raise ValueError(f"value {text!r} is not a finite number") from None
 
 
 class _DeclaredRows(dict):
@@ -504,10 +482,12 @@ def parse_mps(source) -> LpModel:
     unknown section, row sense or bound type, a data line before any section,
     a second objective row, a row declared twice, a COLUMNS or RHS entry on a
     row ROWS does not declare, a COLUMNS or RHS line with an unpaired field, a
-    bound without a value or on a column COLUMNS does not name, a value that
-    is not a finite number, an objective other than one entry of 1, any
-    RANGES entry, or a NAME other than ``ranking_lp_k{k}_{form}`` with
-    k >= 1.
+    column whose lines are not adjacent, a second COLUMNS entry for one (row,
+    column) pair, a second RHS value for a row, a second bound of one type on
+    a column, a bound without a value or on a column COLUMNS does not name, a
+    value that is not a finite number, an objective other than one entry of
+    1, any RANGES entry, a NAME other than ``ranking_lp_k{k}_{form}`` with
+    k >= 1, or no ``OBJSENSE MAX`` (MPS minimizes by default).
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
         with open(source) as fh:
@@ -515,11 +495,12 @@ def parse_mps(source) -> LpModel:
     else:
         text = source
     name_line = ""
+    maximize = False
     section = None
     row_sense: dict[str, str] = {}
     objective_row = None
     entries = _DeclaredRows()
-    value = _Values()
+    value = cache(_number)  # one Fraction per distinct text
     col_index: dict[str, int] = {}
     col_order: list[str] = []
     rhs: dict[str, Fraction] = {}
@@ -535,12 +516,17 @@ def parse_mps(source) -> LpModel:
                 raise ValueError(f"COLUMNS line with an unpaired field: {line!r}")
             if head[0] != cname:
                 cname = head[0]
-                j = col_index.get(cname)
-                if j is None:
-                    j = col_index[cname] = len(col_order)
-                    col_order.append(cname)
+                if cname in col_index:
+                    raise ValueError(f"column {cname!r} resumes after another column")
+                j = col_index[cname] = len(col_order)
+                col_order.append(cname)
+            # A column's lines are adjacent, so a repeated (row, column) pair
+            # is the row's last entry.
             for rname, val in zip(head[1::2], head[2::2]):
-                entries[rname].append((j, value[val]))
+                row = entries[rname]
+                if row and row[-1][0] == j:
+                    raise ValueError(f"column {cname!r} has a second entry on row {rname!r}")
+                row.append((j, value(val)))
             continue
         if line[0] not in " \t":
             keyword = head[0].upper()
@@ -557,6 +543,7 @@ def parse_mps(source) -> LpModel:
         if section == "OBJSENSE":
             if head[0].upper() not in ("MAX", "MAXIMIZE"):
                 raise ValueError("only maximization models are produced here")
+            maximize = True
         elif section == "ROWS":
             sense, rname = head[0].upper(), head[1]
             if sense == "N":
@@ -579,7 +566,9 @@ def parse_mps(source) -> LpModel:
                         f"RHS entry on row {rname!r}, "
                         "which ROWS does not declare as L or E"
                     )
-                rhs[rname] = value[val]
+                if rname in rhs:
+                    raise ValueError(f"second RHS value for row {rname!r}: {line!r}")
+                rhs[rname] = value(val)
         elif section == "BOUNDS":
             kind = head[0].upper()
             if kind not in ("UP", "LO"):
@@ -590,7 +579,10 @@ def parse_mps(source) -> LpModel:
                 raise ValueError(
                     f"bound on column {head[2]!r}, which COLUMNS does not name"
                 )
-            (upper if kind == "UP" else lower)[head[2]] = value[head[3]]
+            bounds = upper if kind == "UP" else lower
+            if head[2] in bounds:
+                raise ValueError(f"second {kind} bound on column {head[2]!r}")
+            bounds[head[2]] = value(head[3])
         elif section == "RANGES":
             raise ValueError(f"RANGES entries are not supported: {line!r}")
         else:
@@ -609,6 +601,8 @@ def parse_mps(source) -> LpModel:
         for rname, sense in row_sense.items()
     ]
     k, form = _parse_model_name(name_line)
+    if not maximize:
+        raise ValueError("no OBJSENSE MAX section: MPS minimizes by default")
     return LpModel(
         k,
         form,
@@ -646,12 +640,14 @@ _MARK, _HEAD, _FIELD = "\0", "\1", "\2"
 
 
 def _lines(head: str, entries: list[str], opened: bool = False) -> str:
-    """``entries`` two per line after ``head``, as ``_paired`` writes them.
-    ``opened``: the text goes on from a line that holds one entry.  An odd
-    last entry leaves its line open."""
-    return "".join([
-        f" {e}\n" if n % 2 else head + e for n, e in enumerate(entries, opened)
-    ])
+    """``entries`` two per line after ``head``: every MPS text pairs its
+    COLUMNS and RHS entries this way.  ``opened``: the text goes on from a
+    line that holds one entry.  An odd last entry leaves its line open."""
+    if opened and entries:
+        return f" {entries[0]}\n" + _lines(head, entries[1:])
+    it = iter(entries)
+    text = "".join([f"{head}{a} {b}\n" for a, b in zip(it, it)])
+    return text + head + entries[-1] if len(entries) % 2 else text
 
 
 def _layouts(suffixes: list[str]) -> tuple[str, str]:
@@ -787,7 +783,7 @@ def _compact_pieces(k: int) -> Iterator[str]:
                 e.append(f"vs_{a}_{bb + 1} -1")
             if bb + 1 > a:
                 e += [f"vb_{a}_{bb + 1}_{d} -1" for d in nums[bb + 1 : k + 1]]
-            yield _paired(f"    Fp_{a}_{bb} ", e)
+            yield _lines(f"    Fp_{a}_{bb} ", e) + "\n" * (len(e) % 2)
 
     # hs columns: two arm rows plus one vs row, all named for the group
     # "{i}_{xv}".

@@ -124,19 +124,10 @@ class _Basis:
         np.add.at(z, R, t)
         return z
 
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        # W v over v's support: the solver's c_B has one nonzero, and
-        # reading all of W costs more at large m.
-        R = self.R[: self.count]
-        nz = np.flatnonzero(v)
-        s = self._eta_solve(v[R] - self.W[: self.count, nz] @ v[nz], 1)
-        y = v.copy()
-        np.add.at(y, R, s)
-        return self.lu.solve(y, trans="T")
-
-    def btran_unit(self, r: int) -> np.ndarray:
-        """``btran(e_r)``: for a unit vector, ``v[R] - W v`` is
-        ``[R == r] - W[:, r]``, bit for bit."""
+    def btran(self, r: int) -> np.ndarray:
+        """Row r of B^-1, B^-T e_r: the solver asks for no other btran.  For
+        the unit vector e_r the eta file's right-hand side ``v[R] - W v`` is
+        ``[R == r] - W[:, r]``."""
         R = self.R[: self.count]
         s = self._eta_solve((R == r) - self.W[: self.count, r], 1)
         y = np.zeros(self.m)
@@ -215,8 +206,10 @@ class _Core:
     row by row, so a pivot updates them at the pivot row instead of
     gathering them from full-length arrays.  The full ``x`` holds the
     nonbasic values; its basic entries are stale until ``solve`` writes
-    ``xB`` back.  ``cand`` (nonbasic and not fixed) and ``sgn`` (-1 at the
-    upper bound, +1 otherwise) are kept cell by cell, so pricing tests
+    ``xB`` back.  ``B.basis`` is the only record of which columns are basic,
+    and ``sgn`` (-1 at the upper bound, +1 otherwise) the only record of a
+    nonbasic column's bound side.  ``cand`` (nonbasic and not fixed) and
+    ``sgn`` are kept cell by cell, so pricing tests
     ``cand & (d * sgn > tol)``: negation is exact, so ``-d > tol`` holds
     exactly when ``d < -tol``.
     """
@@ -226,14 +219,12 @@ class _Core:
         m = sf.A.shape[0]
         total = sf.A.shape[1]
         self.m = m
-        self.at_upper = np.zeros(total, dtype=bool)
         self.sgn = np.ones(total)
-        self.in_basis = np.zeros(total, dtype=bool)
         basis = np.arange(sf.n_struct, sf.n_struct + m)
-        self.in_basis[basis] = True
         # Nonbasic fixed variables (lo == up) can never improve anything.
         self.movable = sf.lo != sf.up
-        self.cand = ~self.in_basis & self.movable
+        self.cand = self.movable.copy()
+        self.cand[basis] = False
         self.x = np.where(np.isfinite(sf.lo), sf.lo, 0.0)
         self.loB = sf.lo[basis]
         self.upB = sf.up[basis]
@@ -246,20 +237,24 @@ class _Core:
         # Devex reference weights start at 1, with the nonbasic variables
         # of the start as the reference framework.
         self.weights = np.ones(total)
-        self.reference = np.where(self.in_basis, 0.0, 1.0)
+        self.reference = np.ones(total)
+        self.reference[basis] = 0.0
         self.refB = self.reference[basis]
         self.degenerate_run = 0
         self.bland = False
 
     def recompute_basics(self) -> None:
-        rhs = self.sf.b - self.sf.A @ np.where(self.in_basis, 0.0, self.x)
-        self.xB = self.B.ftran(rhs)
+        x = self.x.copy()
+        x[self.B.basis] = 0.0
+        self.xB = self.B.ftran(self.sf.b - self.sf.A @ x)
 
     def price(self) -> None:
-        """Reduced costs from scratch: d = c - A^T B^-T c_B."""
+        """Reduced costs from scratch: d = c - A^T B^-T c_B.  c is the unit
+        vector at the objective column, so c_B is the unit vector at that
+        column's basis row, or 0 while the column is nonbasic."""
         c = self.sf.c
-        y = self.B.btran(c[self.B.basis])
-        self.d = c - self.AT @ y
+        row = np.flatnonzero(c[self.B.basis])
+        self.d = c - self.AT @ self.B.btran(int(row[0])) if row.size else c.copy()
         self.fresh = True
 
     def run(self) -> str:
@@ -300,7 +295,7 @@ class _Core:
         col = np.zeros(self.m)
         col[sf.A.indices[lo_e:hi_e]] = sf.A.data[lo_e:hi_e]
         w = self.B.ftran(col)
-        from_upper = self.at_upper[e]
+        from_upper = self.sgn[e] < 0
         step_dir = -w if from_upper else w
         xB = self.xB
         feas = FEASIBILITY_TOL
@@ -334,7 +329,6 @@ class _Core:
                 raise SimplexStall("unbounded direction; model must be bounded")
             xB -= step_dir * span
             self.x[e] = sf.lo[e] if from_upper else sf.up[e]
-            self.at_upper[e] = not from_upper
             self.sgn[e] = -self.sgn[e]
             self.bound_flips += 1
             self.degenerate_run = 0 if span > feas else self.degenerate_run + 1
@@ -349,17 +343,13 @@ class _Core:
         # takes its row.
         hit_upper = bool(step_dir[leave_row] < 0)
         self.x[leaving] = self.upB[leave_row] if hit_upper else self.loB[leave_row]
-        self.at_upper[leaving] = hit_upper
         self.sgn[leaving] = -1.0 if hit_upper else 1.0
-        self.in_basis[leaving] = False
         self.cand[leaving] = self.movable[leaving]
         xB[leave_row] = (sf.up[e] - t) if from_upper else (sf.lo[e] + t)
         self.loB[leave_row] = sf.lo[e]
         self.upB[leave_row] = sf.up[e]
         self.refB[leave_row] = self.reference[e]
-        self.in_basis[e] = True
         self.cand[e] = False
-        self.at_upper[e] = False
         self.sgn[e] = 1.0
         self.B.replace(leave_row, e, w)
         if t > feas:
@@ -378,7 +368,7 @@ class _Core:
         Both come from the pivot row alpha_r = (e_r^T B^-1) A of the basis
         before the exchange; ``w`` is the entering column B^-1 a_e.
         """
-        ratio = self.AT @ self.B.btran_unit(r) / w[r]
+        ratio = self.AT @ self.B.btran(r) / w[r]
         de = self.d[e]
         self.d -= de * ratio
         self.d[e] = 0.0

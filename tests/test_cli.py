@@ -187,6 +187,15 @@ def test_verify_lemmas_rejects_jobs_below_one(capsys):
         assert f"invalid input: --jobs={jobs} is not" in capsys.readouterr().err
 
 
+def test_verify_lemmas_rejects_max_n_below_one(monkeypatch, capsys):
+    monkeypatch.setattr(cli.experiments, "lemma_sweep", None)
+    for max_n in ("0", "-3"):
+        assert run_cli(["verify-lemmas", "--max-n", max_n, "--skip-random-eight"]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: --max-n={max_n} is not a positive integer\n"
+        )
+
+
 def test_verify_lemmas_rejects_k_below_one(monkeypatch, capsys):
     # Refused before the sweep starts, so no worker ever sees the value.
     monkeypatch.setattr(cli.experiments, "lemma_sweep", None)
@@ -272,6 +281,13 @@ def test_reproduce_rejects_k_max_below_one(capsys):
 
 def test_reproduce_resource_limit():
     assert run_cli(["reproduce", "--table1", "--k-max", "99"]) == 3
+
+
+def test_solve_lp_form_choices_are_the_model_forms():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    (form,) = [a for a in commands.choices["solve-lp"]._actions if a.dest == "form"]
+    assert form.choices is lpmodel.FORMS
 
 
 def test_usage_errors():

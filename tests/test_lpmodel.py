@@ -15,6 +15,7 @@ from ranking_forge.gains import (
     h_forms,
 )
 from ranking_forge.lpmodel import (
+    FORMS,
     build_lp,
     compact_mps_chunks,
     evaluate_price_table,
@@ -452,6 +453,12 @@ def test_compact_export_solved_by_independent_solver():
     assert -res.fun == pytest.approx(0.53046, abs=1e-4)
 
 
+def test_unknown_form_names_every_form():
+    with pytest.raises(ValueError, match="'dense'") as info:
+        build_lp(1, "dense")
+    assert all(repr(form) in str(info.value) for form in FORMS)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError, match="row sense"):
         parse_mps("NAME ranking_lp_k1_handmade\nROWS\n Q bad\nENDATA\n")
@@ -485,6 +492,16 @@ def test_parse_rejects_garbage():
         (" UP BND f_1_1 1\n", " UP BND f_1_1 1e400\n", "'1e400'"),
         (" UP BND f_1_1 1\n", " UP BND f_1_1 nan\n", "'nan'"),
         ("RHS hs_1_1_1_2 1", "RHS hs_1_1_1_2 one", "'one'"),
+        ("OBJSENSE\n    MAX\n", "", "no OBJSENSE MAX"),
+        ("f_1_1 monB_1_1 -1 monI_1_1 1", "f_1_1 monB_1_1 -1 monB_1_1 -1",
+         "second entry on row 'monB_1_1'"),
+        ("    alpha obj 1", "    f_1_1 aavg 1\n    alpha obj 1", "'f_1_1' resumes"),
+        ("RHS hs_1_1_1_2 1 hs_2_1_1_2 1", "RHS hs_1_1_1_2 1 hs_1_1_1_2 1",
+         "second RHS value for row 'hs_1_1_1_2'"),
+        (" UP BND f_1_1 1\n", " UP BND f_1_1 1\n UP BND f_1_1 0.5\n",
+         "second UP bound on column 'f_1_1'"),
+        (" UP BND f_1_1 1\n", " LO BND f_1_1 0\n LO BND f_1_1 0\n UP BND f_1_1 1\n",
+         "second LO bound on column 'f_1_1'"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
          "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
@@ -493,7 +510,9 @@ def test_parse_rejects_garbage():
          "second-objective-row", "data-line-before-any-section",
          "unreadable-name", "name-with-k-below-one", "column-value-inf",
          "column-value-1e400", "column-value-nan", "bound-inf", "bound-1e400",
-         "bound-nan", "unreadable-rhs-value"],
+         "bound-nan", "unreadable-rhs-value", "no-objsense-max",
+         "repeated-column-entry", "column-lines-not-adjacent", "second-rhs-value",
+         "second-up-bound", "second-lo-bound"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))

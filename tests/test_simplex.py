@@ -169,11 +169,9 @@ def test_optimal_basis_is_certified_by_fresh_reduced_costs(model):
     y = splu(sf.A[:, basis].tocsc()).solve(sf.c[basis], trans="T")
     d = sf.c - sf.A.T @ y
     tol = OPTIMALITY_TOL
-    eligible = (
-        ~core.in_basis
-        & (sf.lo != sf.up)
-        & np.where(core.at_upper, d < -tol, d > tol)
-    )
+    nonbasic = np.ones(len(sf.c), dtype=bool)
+    nonbasic[basis] = False
+    eligible = nonbasic & (sf.lo != sf.up) & np.where(core.sgn < 0, d < -tol, d > tol)
     assert not eligible.any(), np.flatnonzero(eligible)
 
 
@@ -184,9 +182,17 @@ def assert_pivot_state_matches_its_definition(core):
     assert np.array_equal(core.loB, sf.lo[basis])
     assert np.array_equal(core.upB, sf.up[basis])
     assert np.array_equal(core.refB, core.reference[basis])
-    assert np.array_equal(core.cand, ~core.in_basis & (sf.lo != sf.up))
-    assert np.array_equal(core.sgn, np.where(core.at_upper, -1.0, 1.0))
-    x_nonbasic = np.where(core.in_basis, 0.0, core.x)
+    nonbasic = np.ones(len(sf.c), dtype=bool)
+    nonbasic[basis] = False
+    movable = sf.lo != sf.up
+    assert np.array_equal(core.cand, nonbasic & movable)
+    # sgn is +1 on a basic column and -1 exactly where a movable nonbasic
+    # one sits at its upper bound.  A fixed column's sign never matters: on
+    # the compact form an equality row's slack leaves at its upper bound.
+    expected = np.where(nonbasic & (core.x == sf.up), -1.0, 1.0)
+    checked = ~nonbasic | movable
+    assert np.array_equal(core.sgn[checked], expected[checked])
+    x_nonbasic = np.where(nonbasic, core.x, 0.0)
     xB = splu(sf.A[:, basis].tocsc()).solve(sf.b - sf.A @ x_nonbasic)
     assert np.allclose(core.xB, xB, rtol=0, atol=1e-9)
 
@@ -203,7 +209,7 @@ def test_pivot_state_mid_run(monkeypatch, form, pivots, factorizations):
     core = _Core(_standard_form(build_lp(5, form)))
     assert core.run() == "limit"
     assert (core.iterations, core.B.factorizations) == (pivots, factorizations)
-    assert core.at_upper.any() == (form == "compact")
+    assert (core.sgn < 0).any() == (form == "compact")
     assert_pivot_state_matches_its_definition(core)
 
 
@@ -252,7 +258,8 @@ def test_eta_file_solves_match_a_fresh_factorization():
         lu = splu(A[:, basis.basis].tocsc())
         v = rng.standard_normal(m)
         assert np.allclose(basis.ftran(v), lu.solve(v), rtol=0, atol=1e-10)
-        assert np.allclose(basis.btran(v), lu.solve(v, trans="T"), rtol=0, atol=1e-10)
+        for r, e_r in enumerate(np.eye(m)):
+            assert np.allclose(basis.btran(r), lu.solve(e_r, trans="T"), rtol=0, atol=1e-10)
     assert basis.count == len(rows) and basis.factorizations == 1
 
 
@@ -260,9 +267,10 @@ def test_singular_eta_file_stalls():
     # Column 1 replacing basic row 0 repeats a basic column: w[0] = 0.
     basis = _Basis(sp.csc_matrix(np.eye(3)), np.arange(3))
     basis.replace(0, 1, np.array([0.0, 1.0, 0.0]))
-    for solve_with in (basis.ftran, basis.btran):
-        with pytest.raises(SimplexStall, match="singular eta file"):
-            solve_with(np.ones(3))
+    with pytest.raises(SimplexStall, match="singular eta file"):
+        basis.ftran(np.ones(3))
+    with pytest.raises(SimplexStall, match="singular eta file"):
+        basis.btran(0)
 
 
 #: The optimum for k = 1..8 as the eta-at-a-time product form solved it.
