@@ -7,6 +7,7 @@ itself was fine), 2 usage error, 3 resource limit hit.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -178,6 +179,14 @@ def _cmd_solve_lp(args) -> int:
 
 
 def _cmd_validate_f(args) -> int:
+    # Refuse a check that cannot fail (a nan) or cannot pass (a negative --tol).
+    if args.expect is not None and not math.isfinite(args.expect):
+        print(f"invalid input: --expect={args.expect} is not a finite number", file=sys.stderr)
+        return EXIT_USAGE
+    if not 0 <= args.tol < math.inf:
+        print(f"invalid input: --tol={args.tol} is not a finite non-negative number",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         with open(args.file) as fh:
             table = PriceTable.from_json(fh.read())
@@ -212,6 +221,9 @@ def _cmd_verify_lemmas(args) -> int:
         return EXIT_USAGE
     if args.max_n < 1:
         print(f"invalid input: --max-n={args.max_n} is not a positive integer", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"invalid input: --seed={args.seed} is not a non-negative integer", file=sys.stderr)
         return EXIT_USAGE
     if _invalid_bucket_count(args.k) or _unwritable("--report", args.report):
         return EXIT_USAGE

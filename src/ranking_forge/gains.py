@@ -77,13 +77,14 @@ class PriceTable:
 
     def monotonicity_violations(self) -> list[dict]:
         bad = []
+        rows = self._rows
         for i in range(1, self.k + 1):
             for j in range(1, self.k + 2):
-                if self.value(i, j) < self.value(i + 1, j) - 1e-12:
+                if rows[i - 1][j - 1] < rows[i][j - 1] - 1e-12:
                     bad.append({"kind": "buyer-decreasing", "at": (i, j)})
         for i in range(1, self.k + 2):
             for j in range(1, self.k + 1):
-                if self.value(i, j) > self.value(i, j + 1) + 1e-12:
+                if rows[i - 1][j - 1] > rows[i - 1][j] + 1e-12:
                     bad.append({"kind": "item-increasing", "at": (i, j)})
         return bad
 
@@ -123,54 +124,41 @@ def h_forms(
     x_b: Optional[int],
     x_ustar: int,
 ) -> tuple[AffForm, ...]:
-    """Symbolic lower-bound forms for gain(u) + gain(u_star)."""
+    """Symbolic lower-bound forms for gain(u) + gain(u_star).
+
+    The bound is one of two arms, or their minimum.  In the seat arm
+    (``_1`` rows of the LP) u_star takes a seat: the earlier of u and its
+    match sells to it (u itself when unmatched), and u falls back to its
+    backup in C_b, to nothing otherwise.  In the keep arm (``_2``) u keeps
+    its match, and sells to u_star too when u_star comes before the match.
+    C_bot has the seat arm only.  A matched u has the keep arm only when
+    u_star comes after u; otherwise the seat arm only when u comes before its
+    match, and both when it does not.
+    """
     if label is ClassLabel.UNMATCHED:
         if x_v is not None or x_b is not None:
             raise ValueError("unmatched profile cannot carry match or backup")
-        return ((0, ((1, (x_u, x_ustar)),)),)
-    if x_v is None:
+    elif x_v is None:
         raise ValueError(f"{label.value} profile requires a match bucket")
-    if label is ClassLabel.MATCHED_NO_BACKUP:
+    elif label is ClassLabel.MATCHED_NO_BACKUP:
         if x_b is not None:
             raise ValueError("C_s profile cannot carry a backup bucket")
-        if x_u < x_v:
-            if x_ustar <= x_u:
-                return ((0, ((1, (x_u, x_ustar)),)),)
-            if x_ustar < x_v:
-                return ((1, ((-1, (x_u, x_v)), (1, (x_u, x_ustar)))),)
-            return ((1, ((-1, (x_u, x_v)),)),)
-        if x_ustar < x_v:
-            return (
-                (0, ((1, (x_v, x_ustar)),)),
-                (1, ((-1, (x_u, x_v)), (1, (x_u, x_ustar)))),
-            )
-        if x_ustar <= x_u:
-            return (
-                (0, ((1, (x_v, x_ustar)),)),
-                (1, ((-1, (x_u, x_v)),)),
-            )
-        return ((1, ((-1, (x_u, x_v)),)),)
-    if label is ClassLabel.MATCHED_WITH_BACKUP:
+    elif label is ClassLabel.MATCHED_WITH_BACKUP:
         if x_b is None:
             raise ValueError("C_b profile requires a backup bucket")
-        if x_u < x_v:
-            if x_ustar <= x_u:
-                return ((1, ((-1, (x_u, x_b)), (1, (x_u, x_ustar)))),)
-            if x_ustar < x_v:
-                return ((1, ((-1, (x_u, x_v)), (1, (x_u, x_ustar)))),)
-            return ((1, ((-1, (x_u, x_v)),)),)
-        if x_ustar < x_v:
-            return (
-                (1, ((-1, (x_u, x_b)), (1, (x_v, x_ustar)))),
-                (1, ((-1, (x_u, x_v)), (1, (x_u, x_ustar)))),
-            )
-        if x_ustar <= x_u:
-            return (
-                (1, ((-1, (x_u, x_b)), (1, (x_v, x_ustar)))),
-                (1, ((-1, (x_u, x_v)),)),
-            )
-        return ((1, ((-1, (x_u, x_v)),)),)
-    raise ValueError(f"unknown class label {label!r}")
+    else:
+        raise ValueError(f"unknown class label {label!r}")
+    if x_v is None or x_ustar <= x_u:
+        # The seat arm; ``early``: u has no match or comes before it.
+        early = x_v is None or x_u < x_v
+        sold = (1, (x_u if early else x_v, x_ustar))
+        seat = (0, (sold,)) if x_b is None else (1, ((-1, (x_u, x_b)), sold))
+        if early:
+            return (seat,)
+    # The keep arm.
+    lost = (-1, (x_u, x_v))
+    keep = (1, (lost, (1, (x_u, x_ustar)))) if x_ustar < x_v else (1, (lost,))
+    return (seat, keep) if x_ustar <= x_u else (keep,)
 
 
 def _check_bucket(name: str, value: Optional[int], top: int) -> None:
@@ -194,8 +182,9 @@ def h_value(
     ):
         _check_bucket(name, val, top)
     forms = h_forms(label, x_u, x_v, x_b, x_ustar)
+    rows = table.rows()  # every index of the forms is checked above
     return min(
-        const + sum(coef * table.value(i, j) for coef, (i, j) in terms)
+        const + sum(coef * rows[i - 1][j - 1] for coef, (i, j) in terms)
         for const, terms in forms
     )
 

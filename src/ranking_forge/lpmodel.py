@@ -275,10 +275,11 @@ def _build(k: int, form: str) -> LpModel:
         # row V <= V' + S - k alpha_i (vs_i_c, vb_i_c_d), where S sums h over
         # the k cases of its first profile and V' belongs to the window
         # without that profile, so V keeps the whole window.  S holds the
-        # variables of the cases with x_ustar <= i, which come in row order
-        # from h, i per row with c <= i; the rest is affine: k - i copies of
-        # 1 - f_i_c and, for c > i, the prefix Fp_i_(c-1), plus i copies of
-        # 1 - f_i_xb in the backup family.
+        # variables of the cases with x_ustar <= i (each the min of a seat
+        # arm, rows _1, and a keep arm, _2), which come in row order from h,
+        # i per row with c <= i; the rest is affine: k - i keep arms
+        # 1 - f_i_c and, for c > i, the prefix Fp_i_(c-1) of the sales to
+        # u_star, plus i seat arms' fallbacks 1 - f_i_xb in the backup family.
         h = aux_0
         for label, i, c, d, profiles in _windows(k):
             if label is ClassLabel.UNMATCHED:
@@ -480,10 +481,11 @@ def parse_mps(source) -> LpModel:
     ``source`` is MPS text, or a path: an ``os.PathLike`` or a string without
     a newline.  Raises ``ValueError`` on input the layout cannot mean: an
     unknown section, row sense or bound type, a data line before any section,
-    a second objective row, a row declared twice, a COLUMNS or RHS entry on a
-    row ROWS does not declare, a COLUMNS or RHS line with an unpaired field, a
-    column whose lines are not adjacent, a second COLUMNS entry for one (row,
-    column) pair, a second RHS value for a row, a second bound of one type on
+    a ROWS line other than a sense and a name, a second objective row, a row
+    declared twice, a COLUMNS or RHS entry on a row ROWS does not declare, a
+    COLUMNS or RHS line with an unpaired field or no entry, a column whose
+    lines are not adjacent, a second COLUMNS entry for one (row, column)
+    pair, a second RHS value for a row, a second bound of one type on
     a column, a bound without a value or on a column COLUMNS does not name, a
     value that is not a finite number, an objective other than one entry of
     1, any RANGES entry, a NAME other than ``ranking_lp_k{k}_{form}`` with
@@ -512,8 +514,8 @@ def parse_mps(source) -> LpModel:
         if not head or line[0] == "*":
             continue
         if section == "COLUMNS" and line[0] in " \t":
-            if len(head) % 2 == 0:
-                raise ValueError(f"COLUMNS line with an unpaired field: {line!r}")
+            if len(head) % 2 == 0 or len(head) == 1:
+                raise ValueError(f"COLUMNS line with an unpaired field or no entry: {line!r}")
             if head[0] != cname:
                 cname = head[0]
                 if cname in col_index:
@@ -545,6 +547,8 @@ def parse_mps(source) -> LpModel:
                 raise ValueError("only maximization models are produced here")
             maximize = True
         elif section == "ROWS":
+            if len(head) != 2:
+                raise ValueError(f"ROWS line that is not a sense and a name: {line!r}")
             sense, rname = head[0].upper(), head[1]
             if sense == "N":
                 if objective_row is not None:
@@ -558,8 +562,8 @@ def parse_mps(source) -> LpModel:
                 raise ValueError(f"row {rname!r} declared twice in ROWS")
             entries[rname] = []
         elif section == "RHS":
-            if len(head) % 2 == 0:
-                raise ValueError(f"RHS line with an unpaired field: {line!r}")
+            if len(head) % 2 == 0 or len(head) == 1:
+                raise ValueError(f"RHS line with an unpaired field or no entry: {line!r}")
             for rname, val in zip(head[1::2], head[2::2]):
                 if rname not in row_sense:
                     raise ValueError(
@@ -827,7 +831,7 @@ def _compact_pieces(k: int) -> Iterator[str]:
     # --- RHS.  Nonzero right-hand sides, paired two per line, in row order.
     yield "RHS\n"
     rhs = _Paired("    RHS ")
-    # arm 2 of the no-backup family; arm 1 (the price branch) has rhs 0.
+    # The keep arm (_2) of the no-backup family; its seat arm (_1) has rhs 0.
     for i in buckets:
         rhs.blocks([f"hs_{i}_{xv}_" for xv in range(1, i + 1)], rhs.cut(arms[i][1]))
         yield rhs.take()
@@ -875,8 +879,8 @@ def _f_column(k: int, a: int, bb: int, nums: list[str], arms, xb_runs) -> str:
         return col.take(last=True)
     if bb <= k:
         e.append(f"fp_{a}_{bb} -1")
-    # Buckets i > a hold f_a_bb only in the price branch (first arm) of their
-    # (i, a, bb) and (i, a, xb, bb) rows, once i >= bb.
+    # Buckets i > a hold f_a_bb only in the seat arm (_1) of their (i, a, bb)
+    # and (i, a, xb, bb) rows, once i >= bb: u's match sells to u_star.
     later = nums[max(a + 1, bb) : k + 1]
     us = nums[1 : a + 1]
     # hs arms ascend by (i, xv, xus, arm).  In bucket i = a the second arms

@@ -76,12 +76,6 @@ class ClaimReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"claim": c.claim, "status": c.status, **c.details} for c in self.checks],
-            default=str,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Runs: every checker reaches a run through these, and a position through the

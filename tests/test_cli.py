@@ -124,6 +124,24 @@ def test_validate_f_pass_and_mismatch(tmp_path, capsys):
     assert run_cli(["validate-f", "--file", str(path), "--expect", "0.9"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--expect", "nan"], "--expect=nan is not a finite number"),
+    (["--expect", "inf"], "--expect=inf is not a finite number"),
+    (["--expect", "0.9", "--tol", "nan"], "--tol=nan is not a finite non-negative number"),
+    (["--expect", "0.9", "--tol", "inf"], "--tol=inf is not a finite non-negative number"),
+    (["--expect", "0.503", "--tol", "-1"], "--tol=-1.0 is not a finite non-negative number"),
+], ids=["expect-nan", "expect-inf", "tol-nan", "tol-inf", "tol-negative"])
+def test_validate_f_rejects_a_check_that_cannot_decide(tmp_path, capsys, flags, message):
+    # A nan passes every table and a negative tolerance fails every table.
+    path = tmp_path / "k3.json"
+    path.write_text(REFERENCE_TABLE_K3.to_json())
+    assert run_cli(["validate-f", "--file", str(path), *flags]) == 2
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+    # Refused before the file is read.
+    assert run_cli(["validate-f", "--file", str(tmp_path / "missing.json"), *flags]) == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 def test_validate_f_rejects_non_monotone(tmp_path):
     bad = PriceTable(2, [[0.4, 0.3], [0.5, 0.6]])
     path = tmp_path / "bad.json"
@@ -193,6 +211,16 @@ def test_verify_lemmas_rejects_max_n_below_one(monkeypatch, capsys):
         assert run_cli(["verify-lemmas", "--max-n", max_n, "--skip-random-eight"]) == 2
         assert capsys.readouterr().err == (
             f"invalid input: --max-n={max_n} is not a positive integer\n"
+        )
+
+
+def test_verify_lemmas_rejects_a_negative_seed(monkeypatch, capsys):
+    # A usage error, not a violation (exit 1) or numpy's traceback.
+    monkeypatch.setattr(cli.experiments, "lemma_sweep", None)
+    for seed in ("-1", "-10000"):
+        assert run_cli(["verify-lemmas", "--seed", seed, "--skip-random-eight"]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: --seed={seed} is not a non-negative integer\n"
         )
 
 

@@ -87,6 +87,20 @@ def test_direct_form_text_is_pinned(form, k):
     assert hashlib.sha256(text.encode()).hexdigest() == DIRECT_FORM_SHA256[form, k]
 
 
+# SHA-256 over ``repr(h_forms(*case))`` for every case of k = 1..12, forms,
+# term order and arm order alike.  The direct-form pins stop at k = 7, and the
+# compact pins never ask h_forms about a single-arm case.
+H_FORMS_SHA256 = "01b49ebd6d95c0b776d149cec4696afe77255a9fe587672838fe077aa660e3d7"
+
+
+def test_h_forms_are_pinned():
+    digest = hashlib.sha256()
+    for k in range(1, 13):
+        for case in lpmodel._h_cases(k):
+            digest.update(repr(h_forms(*case)).encode())
+    assert digest.hexdigest() == H_FORMS_SHA256
+
+
 def test_substituted_min_cases_match_compact(monkeypatch):
     # The compact writer and builder hard-code the min-case set; the
     # substituted builder takes it from the cases whose h_forms has two arms.
@@ -502,6 +516,9 @@ def test_parse_rejects_garbage():
          "second UP bound on column 'f_1_1'"),
         (" UP BND f_1_1 1\n", " LO BND f_1_1 0\n LO BND f_1_1 0\n UP BND f_1_1 1\n",
          "second LO bound on column 'f_1_1'"),
+        (" E aavg\n", " E aavg\n L\n", "ROWS line that is not a sense and a name"),
+        ("COLUMNS\n", "COLUMNS\n    lonely\n", "no entry: '    lonely'"),
+        ("RHS\n", "RHS\n    RHS\n", "RHS line with an unpaired field or no entry: '    RHS'"),
     ],
     ids=["column-entry-on-undeclared-row", "rhs-on-undeclared-row",
          "unpaired-column-field", "unpaired-rhs-field", "bound-without-value",
@@ -512,7 +529,8 @@ def test_parse_rejects_garbage():
          "column-value-1e400", "column-value-nan", "bound-inf", "bound-1e400",
          "bound-nan", "unreadable-rhs-value", "no-objsense-max",
          "repeated-column-entry", "column-lines-not-adjacent", "second-rhs-value",
-         "second-up-bound", "second-lo-bound"],
+         "second-up-bound", "second-lo-bound", "rows-line-without-a-name",
+         "columns-line-without-an-entry", "rhs-line-without-an-entry"],
 )
 def test_parse_rejects_malformed_input(old, new, match):
     text = mps_text(build_lp(2))
