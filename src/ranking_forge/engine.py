@@ -14,9 +14,10 @@ cores: the greedy-probing replay (``_replay``) for one order, which backs
 ``matching_sizes``, a batched implementation of the vertex-iterative view
 over numpy arrays for many orders at once, which returns sizes only and is
 checked row by row against the vertex-iterative view; on graphs with at
-most 64 vertices it packs each run's taken set into one ``uint64`` word,
-and larger graphs gather neighbor segments from the CSR view.  The sweep's
-mutation arm is the vertex-iterative loop with its neighbor scan reversed.
+most 64 vertices it packs each run's free set into one word (``uint32`` up
+to 32 vertices, ``uint64`` above), and larger graphs gather neighbor
+segments from the CSR view.  The sweep's mutation arm is the
+vertex-iterative loop with its neighbor scan reversed.
 Removing a vertex set S is realized by marking it unavailable from the start
 (``frozen``), which keeps the probe timeline aligned with the full run --
 the device the structural checks rely on.  Orders whose domain is a strict
@@ -342,7 +343,7 @@ def matching_for_order(
     return _replay(g, order, frozenset(frozen)).matchings[-1]
 
 
-#: Largest vertex count whose taken set fits one ``uint64`` word per run.
+#: Largest vertex count whose free set fits one ``uint64`` word per run.
 WORD_BITS = 64
 
 
@@ -353,9 +354,10 @@ def matching_sizes(g: Graph, orders) -> np.ndarray:
     ``g``'s vertices in processing order.  Step ``t`` advances all B runs
     at once: each row whose ``t``-th vertex is still free takes its
     earliest-positioned free neighbor.  Graphs with at most ``WORD_BITS``
-    vertices keep each run's taken set as one ``uint64`` over positions
-    (working memory O(B * n)); larger graphs gather neighbor segments from
-    the CSR view (O(B * n + |E|)).
+    vertices keep each run's free set as one word over positions, a
+    ``uint32`` up to 32 vertices and a ``uint64`` above (working memory
+    O(B * n)); larger graphs gather neighbor segments from the CSR view
+    (O(B * n + |E|)).
     """
     orders = np.asarray(orders, dtype=np.intp)
     n = g.n
@@ -369,35 +371,45 @@ def matching_sizes(g: Graph, orders) -> np.ndarray:
 
 
 def _word_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:
-    # Bit p of a run's word stands for the vertex at position p.  Cell
-    # v * B + r of ``bits`` is 1 << (v's position in row r), and cell
-    # v * B + r of ``words`` ORs those of v's neighbors.
+    # Bit p of a run's word stands for the vertex at position p, in the
+    # narrowest unsigned word that holds n bits.  Row t of ``cells`` holds
+    # v * B + r for the vertex v at position t of each row r; cell v * B + r
+    # of ``bits`` is 1 << (v's position in row r), and cell v * B + r of
+    # ``words`` ORs those of v's neighbors.
     b, n = orders.shape
-    bits = np.zeros(n * b, dtype=np.uint64)
-    cells = orders.T * b + np.arange(b)
-    bits[cells] = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))[:, None]
+    word = np.uint32 if n <= 32 else np.uint64
+    cells = orders.T.copy()
+    cells *= b
+    cells += np.arange(b)
+    position = np.left_shift(word(1), np.arange(n, dtype=word))
+    bits = np.zeros(n * b, dtype=word)
+    for t in range(n):
+        bits[cells[t]] = position[t]
     if np.count_nonzero(bits) != bits.size:
         raise ValueError("an order row repeats a vertex")
     indptr, indices = g.csr
     bits = bits.reshape(n, b)
-    words = np.zeros((n, b), dtype=np.uint64)
+    words = np.zeros((n, b), dtype=word)
     for v in range(n):
         lo, hi = indptr[v], indptr[v + 1]
         if hi > lo:
             np.bitwise_or.reduce(bits[indices[lo:hi]], axis=0, out=words[v])
-    words = words.ravel()
-    one = np.uint64(1)
-    taken = np.zeros(b, dtype=np.uint64)
-    sizes = np.zeros(b, dtype=np.uint64)
+    # Row t of ``later`` holds the neighbors of the vertex at position t that
+    # come after it.  A free vertex has no free earlier neighbor (that
+    # neighbor would have taken it), so these are its only candidates, and a
+    # vertex that takes a partner never needs its own bit cleared.
+    later = words.ravel()[cells]
+    later &= ~(position * word(2) - word(1))[:, None]
+    one = word(1)
+    free = np.full(b, ~word(0))
     for t in range(n):
-        free = ~taken
-        # Free neighbors of the vertex at position t, none if it is taken.
-        c = words[cells[t]] & free
-        c *= (free >> np.uint64(t)) & one
-        hit = np.minimum(c, one)
-        taken |= (c & (~c + one)) | (hit << np.uint64(t))
-        sizes += hit
-    return sizes.astype(np.int64)
+        c = later[t]
+        c &= free
+        c *= (free >> word(t)) & one  # none if this vertex is taken
+        c &= -c  # its earliest free later neighbor
+        free ^= c
+    # Row t now holds the partner taken at step t, or 0.
+    return np.count_nonzero(later, axis=0)
 
 
 def _csr_sizes(g: Graph, orders: np.ndarray) -> np.ndarray:

@@ -92,6 +92,16 @@ def _block_rows(n: int) -> int:
     return max(1, MC_BLOCK_SLOTS // n)
 
 
+def _sort_keys(rng: np.random.Generator, k: int, rows: int, n: int) -> np.ndarray:
+    """One block's ``(rows, n)`` sort keys, bucket * 2**53 + tie-break: a
+    uniform bucket in 0..k-1, then the top 53 bits of a raw draw.  For the
+    PCG64 generator that ``default_rng`` makes, those bits are the integer
+    that ``rng.random`` scales by 2**-53 at the same stream position."""
+    key = rng.integers(0, k, (rows, n), dtype=np.uint64) << np.uint64(53)
+    key |= rng.bit_generator.random_raw((rows, n)) >> np.uint64(11)
+    return key
+
+
 def _ratio_denominator(g: Graph) -> int:
     """|maximum matching| of ``g``; raises on a graph with no edges."""
     m_star = maximum_matching_size(g)
@@ -121,12 +131,7 @@ def monte_carlo_ratio(g: Graph, trials: int, k: int, seed: int) -> RatioEstimate
     sizes = np.empty(trials)
     for start in range(0, trials, block):
         rows = min(block, trials - start)
-        buckets = rng.integers(0, k, (rows, n))
-        ties = rng.random((rows, n))
-        # ``random`` draws multiples of 2**-53, so the key is exact.
-        key = buckets.view(np.uint64) << np.uint64(53)
-        key |= (ties * 2.0**53).astype(np.uint64)
-        orders = np.argsort(key, axis=-1)
+        orders = np.argsort(_sort_keys(rng, k, rows, n), axis=-1)
         sizes[start:start + rows] = matching_sizes(g, orders)
     ratios = sizes / m_star
     mean = float(ratios.mean())

@@ -19,6 +19,9 @@ from .engine import matching_for_order
 from .graphs import Edge, Graph, edge
 from .oracles import (
     BUYER,
+    MATCHED_NO_BACKUP,
+    MATCHED_WITH_BACKUP,
+    UNMATCHED,
     ClassLabel,
     Profile,
     _roles,
@@ -135,15 +138,15 @@ def h_forms(
     u_star comes after u; otherwise the seat arm only when u comes before its
     match, and both when it does not.
     """
-    if label is ClassLabel.UNMATCHED:
+    if label is UNMATCHED:
         if x_v is not None or x_b is not None:
             raise ValueError("unmatched profile cannot carry match or backup")
     elif x_v is None:
         raise ValueError(f"{label.value} profile requires a match bucket")
-    elif label is ClassLabel.MATCHED_NO_BACKUP:
+    elif label is MATCHED_NO_BACKUP:
         if x_b is not None:
             raise ValueError("C_s profile cannot carry a backup bucket")
-    elif label is ClassLabel.MATCHED_WITH_BACKUP:
+    elif label is MATCHED_WITH_BACKUP:
         if x_b is None:
             raise ValueError("C_b profile requires a backup bucket")
     else:

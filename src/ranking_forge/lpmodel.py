@@ -38,7 +38,7 @@ from functools import cache
 from typing import Iterator, NamedTuple, Optional
 
 from .gains import H_value, PriceTable, h_forms
-from .oracles import ClassLabel
+from .oracles import MATCHED_NO_BACKUP, MATCHED_WITH_BACKUP, UNMATCHED, ClassLabel
 from .ranks import check_bucket_count
 
 Coef = tuple[int, Fraction]
@@ -95,9 +95,9 @@ class _Family(NamedTuple):
 
 #: Every case and window family, in row order, which is also tie order.
 _FAMILIES = {
-    ClassLabel.UNMATCHED: _Family("hbot", "abot_{i}", "no_match"),
-    ClassLabel.MATCHED_NO_BACKUP: _Family("hs", "as_{i}_{c}", "single"),
-    ClassLabel.MATCHED_WITH_BACKUP: _Family("hb", "ab_{i}_{c}_{d}", "backup"),
+    UNMATCHED: _Family("hbot", "abot_{i}", "no_match"),
+    MATCHED_NO_BACKUP: _Family("hs", "as_{i}_{c}", "single"),
+    MATCHED_WITH_BACKUP: _Family("hb", "ab_{i}_{c}_{d}", "backup"),
 }
 
 
@@ -107,16 +107,16 @@ def _h_cases(k: int) -> Iterator[HCase]:
     buckets = range(1, k + 1)
     for i in buckets:
         for xus in buckets:
-            yield ClassLabel.UNMATCHED, i, None, None, xus
+            yield UNMATCHED, i, None, None, xus
     for i in buckets:
         for xv in buckets:
             for xus in buckets:
-                yield ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus
+                yield MATCHED_NO_BACKUP, i, xv, None, xus
     for i in buckets:
         for xv in buckets:
             for xb in range(xv + 1, k + 2):
                 for xus in buckets:
-                    yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
+                    yield MATCHED_WITH_BACKUP, i, xv, xb, xus
 
 
 def _two_arm_cases(k: int) -> Iterator[HCase]:
@@ -127,12 +127,12 @@ def _two_arm_cases(k: int) -> Iterator[HCase]:
     for i in buckets:
         for xv in range(1, i + 1):
             for xus in range(1, i + 1):
-                yield ClassLabel.MATCHED_NO_BACKUP, i, xv, None, xus
+                yield MATCHED_NO_BACKUP, i, xv, None, xus
     for i in buckets:
         for xv in range(1, i + 1):
             for xb in range(xv + 1, k + 2):
                 for xus in range(1, i + 1):
-                    yield ClassLabel.MATCHED_WITH_BACKUP, i, xv, xb, xus
+                    yield MATCHED_WITH_BACKUP, i, xv, xb, xus
 
 
 def _windows(k: int) -> Iterator[tuple]:
@@ -143,16 +143,16 @@ def _windows(k: int) -> Iterator[tuple]:
     Every form's averaging rows and the price-table evaluator walk this."""
     buckets = range(1, k + 1)
     for i in buckets:
-        yield ClassLabel.UNMATCHED, i, None, None, [(None, None)]
+        yield UNMATCHED, i, None, None, [(None, None)]
     for i in buckets:
         for c in buckets:
-            yield ClassLabel.MATCHED_NO_BACKUP, i, c, None, [
+            yield MATCHED_NO_BACKUP, i, c, None, [
                 (xv, None) for xv in range(c, k + 1)
             ]
     for i in buckets:
         for c in buckets:
             for d in range(c, k + 1):
-                yield ClassLabel.MATCHED_WITH_BACKUP, i, c, d, [
+                yield MATCHED_WITH_BACKUP, i, c, d, [
                     (xv, d + 1) for xv in range(c, d + 1)
                 ]
 
@@ -238,7 +238,7 @@ def _build(k: int, form: str) -> LpModel:
         for arm, (const, terms) in enumerate(arms, start=1):
             e = sorted([entry(f_idx[ij], -coef, 1) for coef, ij in terms])
             e.append(entry(idx, 1, 1))
-            if case[0] is ClassLabel.UNMATCHED:
+            if case[0] is UNMATCHED:
                 rname = f"hb0_{case[1]}_{case[4]}"
             else:
                 rname = f"{name}_{arm}"
@@ -282,11 +282,11 @@ def _build(k: int, form: str) -> LpModel:
         # u_star, plus i seat arms' fallbacks 1 - f_i_xb in the backup family.
         h = aux_0
         for label, i, c, d, profiles in _windows(k):
-            if label is ClassLabel.UNMATCHED:
+            if label is UNMATCHED:
                 e = (entry(alpha_0 + i, 1, 1), entry(fp_0 + i * k + k, -1, k))
                 rows.append(LinRow(f"abot_{i}", e, "L", zero))
                 continue
-            backup = label is ClassLabel.MATCHED_WITH_BACKUP
+            backup = label is MATCHED_WITH_BACKUP
             name = f"vb_{i}_{c}_{d}" if backup else f"vs_{i}_{c}"
             col = len(names)
             names.append("V" + name[1:])
@@ -398,12 +398,13 @@ def export_mps(model: LpModel, destination) -> dict:
 
 def _write_mps(k: int, pieces: Iterator[str], destination) -> dict:
     """Write the text ``pieces`` of a model for ``k`` buckets to
-    ``destination`` through a 4 MiB buffer.  Returns ``k``, the bytes and
-    lines written and the elapsed seconds.  A write that fails leaves no
-    partial file: the destination is removed and the error re-raised."""
+    ``destination`` through a 4 MiB buffer, in ASCII.  Returns ``k``, the
+    bytes and lines written and the elapsed seconds.  A write that fails,
+    a piece that is not ASCII included, leaves no partial file: the
+    destination is removed and the error re-raised."""
     start = time.perf_counter()
     nbytes = nlines = 0
-    fh = open(destination, "w", buffering=4 * 1024 * 1024)
+    fh = open(destination, "w", buffering=4 * 1024 * 1024, encoding="ascii")
     try:
         with fh:
             for piece in pieces:
@@ -489,13 +490,19 @@ def parse_mps(source) -> LpModel:
     a column, a bound without a value or on a column COLUMNS does not name, a
     value that is not a finite number, an objective other than one entry of
     1, any RANGES entry, a NAME other than ``ranking_lp_k{k}_{form}`` with
-    k >= 1, or no ``OBJSENSE MAX`` (MPS minimizes by default).
+    k >= 1, no ``OBJSENSE MAX`` (MPS minimizes by default), or a line that
+    is not ASCII (MPS names are ASCII, so a character is a byte).
     """
     if isinstance(source, os.PathLike) or "\n" not in source:
-        with open(source) as fh:
+        # A byte above 127 reads as a lone surrogate, caught below.
+        with open(source, encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     else:
         text = source
+    if not text.isascii():
+        for number, line in enumerate(text.split("\n"), start=1):
+            if not line.isascii():
+                raise ValueError(f"line {number} is not ASCII: {line!r}")
     name_line = ""
     maximize = False
     section = None

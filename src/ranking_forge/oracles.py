@@ -34,6 +34,13 @@ class ClassLabel(str, Enum):
     MATCHED_WITH_BACKUP = "C_b"
 
 
+#: The labels bound to module names once: reading a member through its enum
+#: class costs an attribute lookup on every use.
+UNMATCHED = ClassLabel.UNMATCHED
+MATCHED_NO_BACKUP = ClassLabel.MATCHED_NO_BACKUP
+MATCHED_WITH_BACKUP = ClassLabel.MATCHED_WITH_BACKUP
+
+
 class Profile(NamedTuple):
     """Bucket triple (x_u, x_v, x_b); ``None`` marks an absent entry."""
 
@@ -131,11 +138,11 @@ def _roles(g: Graph, order, u: int) -> tuple[Optional[int], Optional[int], Class
     under ``order``: the one place the label rule is written."""
     v = _partner(g, order, u)
     if v is None:
-        return None, None, ClassLabel.UNMATCHED
+        return None, None, UNMATCHED
     b = _backup(g, order, u, v)
     if b is None:
-        return v, None, ClassLabel.MATCHED_NO_BACKUP
-    return v, b, ClassLabel.MATCHED_WITH_BACKUP
+        return v, None, MATCHED_NO_BACKUP
+    return v, b, MATCHED_WITH_BACKUP
 
 
 def compute_profile(
@@ -475,7 +482,7 @@ def enumerate_equivalence_class(
     members = {slot: cand for slot, cand, partner in walk if partner == v}
     member_slots = sorted(members)
     s0 = member_slots[0]
-    if label is ClassLabel.MATCHED_NO_BACKUP:
+    if label is MATCHED_NO_BACKUP:
         expected = [s for s in slots if s >= s0]
     else:
         b_red_slot = remove_vertex(vec, v).rank(b)

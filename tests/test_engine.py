@@ -356,10 +356,11 @@ def test_trace_json(p4):
 
 @st.composite
 def graphs_and_orders(draw):
-    # Graphs on up to 10 vertices, often with isolated vertices, or on 60..70
+    # Graphs on up to 10 vertices, often with isolated vertices, on 28..36
+    # vertices, either side of the 32-bit word's limit, or on 60..70
     # vertices, either side of the word-packed kernel's 64-vertex limit;
     # 1..6 orders each.
-    n = draw(st.one_of(st.integers(1, 10), st.integers(60, 70)))
+    n = draw(st.one_of(st.integers(1, 10), st.integers(28, 36), st.integers(60, 70)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if n <= 10:
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -418,11 +419,12 @@ def test_matching_sizes_rejects_bad_orders():
         assert matching_sizes(g, np.empty((0, n), dtype=int)).tolist() == []
 
 
-@pytest.mark.parametrize("n", [63, 64, 65])
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
 def test_matching_sizes_at_the_word_boundary(n):
-    # A planted graph with three or four isolated vertices after it, and a
-    # path that uses position 63 at n = 64, under identity, reversed and
-    # random orders.
+    # Either side of the 32-bit and the 64-bit word: a planted graph with
+    # three or four isolated vertices after it, and a path that uses
+    # position 31 at n = 32 and position 63 at n = 64, under identity,
+    # reversed and random orders.
     rng = np.random.default_rng(n)
     planted = generate_family(
         "random_with_perfect_matching", n=(n - 3) // 2 * 2, density=0.1, seed=n

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ranking_forge import experiments, simplex
@@ -146,6 +147,19 @@ def test_monte_carlo_estimates_are_pinned():
     assert digest.hexdigest() == (
         "e81fa134fbfd0f06bb44f975091952a9594bda8022ad302261a43a539c0c58eb"
     )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 1000, 2048])
+def test_sort_keys_are_the_scaled_draws(k):
+    # The tie-break is the integer that ``random`` scales by 2**-53, drawn at
+    # the same stream position: two consecutive blocks of an odd number of
+    # draws each, so a half-used 32-bit buffer carries across blocks.
+    for seed in range(50):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rows in (7, 3):
+            expected = reference.integers(0, k, (rows, 5)).view(np.uint64) << np.uint64(53)
+            expected |= (reference.random((rows, 5)) * 2.0**53).astype(np.uint64)
+            assert np.array_equal(experiments._sort_keys(rng, k, rows, 5), expected)
 
 
 def test_monte_carlo_bucket_ceiling():

@@ -306,6 +306,28 @@ def test_export_and_streaming_writer_agree(tmp_path):
         assert by_export["bytes"] == len(exported.read_bytes())
 
 
+def test_parse_rejects_text_that_is_not_ascii(tmp_path):
+    # MPS names are ASCII.  A renamed row is refused at its first line, from
+    # a string and from a UTF-8 file alike.
+    text = mps_text(build_lp(1)).replace("aavg", "a\u00e4vg")
+    with pytest.raises(ValueError, match="line 17 is not ASCII: ' E a\u00e4vg'"):
+        parse_mps(text)
+    path = tmp_path / "renamed.mps"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="line 17 is not ASCII"):
+        parse_mps(path)
+
+
+def test_writer_refuses_text_that_is_not_ascii(tmp_path):
+    # The writer's byte count is its character count, so a piece that is not
+    # ASCII fails the write, and no partial file is left.
+    text = mps_text(build_lp(1)).replace("aavg", "a\u00e4vg")
+    path = tmp_path / "renamed.mps"
+    with pytest.raises(UnicodeEncodeError):
+        lpmodel._write_mps(1, iter(text.splitlines(keepends=True)), path)
+    assert not path.exists()
+
+
 def test_solved_table_is_monotone_and_coherent():
     s = solve(build_lp(3))
     s.f_table.require_monotonic()
