@@ -37,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-lp", help="build and solve the LP for k buckets")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--export", metavar="PATH", help="also write an MPS file")
-    p.add_argument("--form", choices=FORMS, default="substituted")
+    p.add_argument("--form", choices=FORMS,
+                   help="model form (default: substituted; beyond the in-process "
+                        "budget only compact, which an export streams)")
 
     p = sub.add_parser("validate-f", help="evaluate a price table file")
     p.add_argument("--file", required=True)
@@ -143,6 +145,13 @@ def _cmd_solve_lp(args) -> int:
     if k > IN_PROCESS_K_LIMIT:
         # Beyond the budget nothing is built: an export streams the compact
         # form, whose size stays near the number of min-cases.
+        if args.form not in (None, "compact"):
+            print(
+                f"resource limit: the {args.form} form at k={k} is beyond the "
+                f"in-process budget {IN_PROCESS_K_LIMIT}; only --form compact streams",
+                file=sys.stderr,
+            )
+            return EXIT_RESOURCE
         if not args.export:
             print(
                 f"resource limit: k={k} beyond in-process budget "
@@ -156,7 +165,7 @@ def _cmd_solve_lp(args) -> int:
         print(f"exported {args.export} (compact, {stats['lines']} lines)")
         print(f"k={k} beyond in-process budget; solve externally")
         return EXIT_OK
-    model = build_lp(k, form=args.form)
+    model = build_lp(k, form=args.form or "substituted")
     if args.export:
         if _export(export_mps, model, args.export) is None:
             return EXIT_RESOURCE

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from .gains import H_value, PriceTable, h_forms
@@ -88,16 +89,15 @@ HCase = tuple[ClassLabel, int, Optional[int], Optional[int], int]
 
 
 class _Family(NamedTuple):
-    prefix: str  # of a pointwise-bound variable
     row: str  # a window's row name in the direct forms
     report: str  # the family as ``EvalReport.binding`` names it
 
 
 #: Every case and window family, in row order, which is also tie order.
 _FAMILIES = {
-    UNMATCHED: _Family("hbot", "abot_{i}", "no_match"),
-    MATCHED_NO_BACKUP: _Family("hs", "as_{i}_{c}", "single"),
-    MATCHED_WITH_BACKUP: _Family("hb", "ab_{i}_{c}_{d}", "backup"),
+    UNMATCHED: _Family("abot_{i}", "no_match"),
+    MATCHED_NO_BACKUP: _Family("as_{i}_{c}", "single"),
+    MATCHED_WITH_BACKUP: _Family("ab_{i}_{c}_{d}", "backup"),
 }
 
 
@@ -232,16 +232,18 @@ def _build(k: int, form: str) -> LpModel:
         idx = len(names)
         if not compact:
             aux[case] = idx
-        parts = [_FAMILIES[case[0]].prefix] + [str(x) for x in case[1:] if x is not None]
-        name = "_".join(parts)
+        label, i, xv, xb, xus = case
+        if label is MATCHED_WITH_BACKUP:
+            name = f"hb_{i}_{xv}_{xb}_{xus}"
+        elif label is MATCHED_NO_BACKUP:
+            name = f"hs_{i}_{xv}_{xus}"
+        else:
+            name = f"hbot_{i}_{xus}"
         names.append(name)
         for arm, (const, terms) in enumerate(arms, start=1):
             e = sorted([entry(f_idx[ij], -coef, 1) for coef, ij in terms])
             e.append(entry(idx, 1, 1))
-            if case[0] is UNMATCHED:
-                rname = f"hb0_{case[1]}_{case[4]}"
-            else:
-                rname = f"{name}_{arm}"
+            rname = f"hb0_{i}_{xus}" if label is UNMATCHED else f"{name}_{arm}"
             rows.append(LinRow(rname, tuple(e), "L", frac(const, 1)))
 
     if not compact:
@@ -645,8 +647,8 @@ def _parse_model_name(name: str) -> tuple[int, str]:
 # anything, so very large bucket counts stay within memory and time budgets.
 
 #: Where a template is cut for a block's group prefix, where a line's head
-#: goes in a paired template (see ``_Paired``), and where a field that one
-#: template leaves to each column goes.
+#: goes in a paired template (see ``_Paired``), and where bucket a's blocks
+#: leave each f column's bb (see ``_f_columns``).
 _MARK, _HEAD, _FIELD = "\0", "\1", "\2"
 
 
@@ -679,24 +681,16 @@ class _Paired:
     def __init__(self, head: str):
         self.head, self.parts, self.n = head, [], 0
 
-    def cut(self, layouts: tuple[str, str], field: str = "") -> tuple[list[str], list[str]]:
-        """Both layouts of a template under this head, with ``field`` for
-        ``_FIELD``, cut at the prefix."""
-        return tuple(
-            t.replace(_HEAD, self.head).replace(_FIELD, field).split(_MARK) for t in layouts
-        )
+    def cut(self, layouts: tuple[str, str]) -> tuple[list[str], list[str]]:
+        """Both layouts of a template under this head, cut at the prefix."""
+        return tuple(t.replace(_HEAD, self.head).split(_MARK) for t in layouts)
 
     def add(self, entries: list[str]) -> None:
         self.parts.append(_lines(self.head, entries, self.n % 2))
         self.n += len(entries)
 
-    def blocks(self, prefixes: list[str], template, start: int = 0) -> None:
-        """The template's entries from the ``start``-th on after each prefix
-        in turn."""
-        if start:
-            template = [
-                [template[p][0]] + template[(p + start) % 2][start + 1 :] for p in (0, 1)
-            ]
+    def blocks(self, prefixes: list[str], template) -> None:
+        """The template's entries after each prefix in turn."""
         n, count = self.n, len(template[0]) - 1
         self.parts += [
             prefix.join(template[(n + m * count) % 2]) for m, prefix in enumerate(prefixes)
@@ -727,7 +721,9 @@ def _compact_pieces(k: int) -> Iterator[str]:
     entries share a group prefix such as ``hb_{i}_{xv}_{xb}_`` and differ
     only after it, the same way in every block of bucket i.  So each bucket
     gets one template per kind of block, its text cut where the prefix goes,
-    and a block is written as ``prefix.join(pieces)``."""
+    and a block is written as ``prefix.join(pieces)``.  An f column of
+    bucket a is a range of each of the bucket's blocks, with bb filled in
+    (``_f_columns``)."""
     K1, M = k + 1, _MARK
     # nums[x] == str(x): an f-string splices a str faster than it formats an
     # int.
@@ -760,17 +756,8 @@ def _compact_pieces(k: int) -> Iterator[str]:
 
     # --- COLUMNS section, column-major in canonical variable order.
     yield "COLUMNS\n"
-    # Bucket a's first-arm and second-arm entries, one per x_ustar.
-    arms = [
-        (_layouts([f"{u}_1 1" for u in us[a]]), _layouts([f"{u}_2 1" for u in us[a]]))
-        for a in range(K1)
-    ]
-    xb_runs = [
-        _layouts([f"{xb}_{_FIELD}_{arm} -1" for xb in nums[2 : K1 + 1]]) for arm in "12"
-    ]
     for a in padded:
-        for bb in padded:
-            yield _f_column(k, a, bb, nums, arms, xb_runs)
+        yield from _f_columns(k, a, nums)
 
     # alpha_i columns, then alpha.
     vb_alpha = _layouts([f"{c}_{d} {k}" for c, d in cd])
@@ -840,7 +827,8 @@ def _compact_pieces(k: int) -> Iterator[str]:
     rhs = _Paired("    RHS ")
     # The keep arm (_2) of the no-backup family; its seat arm (_1) has rhs 0.
     for i in buckets:
-        rhs.blocks([f"hs_{i}_{xv}_" for xv in range(1, i + 1)], rhs.cut(arms[i][1]))
+        keep = rhs.cut(_layouts([f"{u}_2 1" for u in us[i]]))
+        rhs.blocks([f"hs_{i}_{xv}_" for xv in range(1, i + 1)], keep)
         yield rhs.take()
     for i in buckets:
         both = rhs.cut(_layouts([f"{u}_{arm} 1" for u in us[i] for arm in "12"]))
@@ -864,71 +852,115 @@ def _compact_pieces(k: int) -> Iterator[str]:
     yield " UP BND alpha 1\nENDATA\n"
 
 
-def _f_column(k: int, a: int, bb: int, nums: list[str], arms, xb_runs) -> str:
-    """Column ``f_a_bb`` in global row order: monB, monI, fp, hs arms, hb
-    arms, abot, vs, vb, aavg.  ``nums[x]`` is ``str(x)``; ``arms[a]`` holds
-    the templates of bucket a's first-arm and second-arm entries, and
-    ``xb_runs`` those of the first-arm and second-arm entries ``{xb}_{bb}``
-    for xb = 2..k+1."""
-    K1 = k + 1
-    col = _Paired(f"    f_{a}_{bb} ")
-    e = []
-    if a >= 2:
-        e.append(f"monB_{a - 1}_{bb} 1")
+class _Seg:
+    """A block of entries two per line after ``head``, cut into the units a
+    column takes a range of: unit m is ``prefixes[m]`` followed by each of
+    ``suffixes`` from the ``skips[m]``-th on.  ``text[p][m]`` is unit m as
+    it falls when the block's first entry starts a line (p = 0) or goes on
+    from an open one (p = 1); ``start[m]`` counts the entries before unit m."""
+
+    def __init__(self, head: str, prefixes: list[str], suffixes: list[str], skips=None):
+        skips = skips or [0] * len(prefixes)
+        cut = [t.replace(_HEAD, head).split(_MARK) for t in _layouts(suffixes)]
+        self.start = list(accumulate([len(suffixes) - s for s in skips], initial=0))
+        self.text = [
+            [
+                # q: the layout of the unit's first entry, the template's
+                # s-th, which falls that way in layout q + s.
+                prefix.join([cut[q][0]] + cut[(q + s) % 2][s + 1 :])
+                for prefix, s, q in zip(prefixes, skips, [(p + n) % 2 for n in self.start])
+            ]
+            for p in (0, 1)
+        ]
+
+    def take(self, n: int, s: int, t: int) -> tuple[list[str], int]:
+        """Units s..t-1 as they fall after ``n`` entries, and their entry
+        count."""
+        start = self.start
+        return self.text[(n - start[s]) % 2][s:t], start[t] - start[s]
+
+
+def _f_columns(k: int, a: int, nums: list[str]) -> Iterator[str]:
+    """Columns ``f_a_1`` .. ``f_a_(k+1)``, each in global row order: monB,
+    monI, fp, hs arms, hb arms, vs, vb.  ``nums[x]`` is ``str(x)``.  A
+    column takes a range of units of each of bucket a's blocks, which are
+    built once with ``_FIELD`` for bb; its few other entries are literal."""
+    K1, F = k + 1, _FIELD
+    head = f"    f_{nums[a]}_{F} "
     if a <= k:
-        e.append(f"monB_{a}_{bb} -1")
-    if bb >= 2:
-        e.append(f"monI_{a}_{bb - 1} -1")
-    if bb <= k:
-        e.append(f"monI_{a}_{bb} 1")
-    if a > k:
-        col.add(e)
-        return col.take(last=True)
-    if bb <= k:
-        e.append(f"fp_{a}_{bb} -1")
-    # Buckets i > a hold f_a_bb only in the seat arm (_1) of their (i, a, bb)
-    # and (i, a, xb, bb) rows, once i >= bb: u's match sells to u_star.
-    later = nums[max(a + 1, bb) : k + 1]
-    us = nums[1 : a + 1]
-    # hs arms ascend by (i, xv, xus, arm).  In bucket i = a the second arms
-    # of (a, bb, xus) and (a, xv, bb) hold f_a_bb; when bb <= a, so does the
-    # first arm of (a, a, bb), which sorts just before the block's last entry.
-    if bb <= a:
-        block = [f"hs_{a}_{bb}_{u}_2 1" for u in us]
-        block += [f"hs_{a}_{xv}_{bb}_2 -1" for xv in nums[bb + 1 : a + 1]]
-        block.insert(-1, f"hs_{a}_{a}_{bb}_1 -1")
-        e += block
-    e += [f"hs_{i}_{a}_{bb}_1 -1" for i in later]
-    col.add(e)
-    # hb arms ascend by (i, xv, xb, xus, arm); bucket i = a first.
-    first, second = (col.cut(t) for t in arms[a])
-    grid, run = (col.cut(t, nums[bb]) for t in xb_runs)
-    col.blocks([f"hb_{a}_{xv}_{bb}_" for xv in range(1, min(a, bb - 1) + 1)], first)
-    if bb <= a:
-        if bb < a:
-            col.blocks([f"hb_{a}_{bb}_{xb}_" for xb in range(bb + 1, K1 + 1)], second)
-            for xv in range(bb + 1, a):
-                col.blocks([f"hb_{a}_{xv}_"], run, xv - 1)  # xb = xv + 1..K1
-        # xv = a: the first arm of (a, a, xb, bb) sorts just before its second.
-        if bb == a:
-            tail = [f"{u}_2 1" for u in us[:-1]] + [f"{bb}_1 -1", f"{bb}_2 1"]
-        else:
-            tail = [f"{bb}_1 -1", f"{bb}_2 -1"]
-        col.blocks(
-            [f"hb_{a}_{a}_{xb}_" for xb in range(a + 1, K1 + 1)], col.cut(_layouts(tail))
+        us, later, xbs = nums[1 : a + 1], nums[a + 1 : K1], nums[a + 1 : K1 + 1]
+        # Buckets i > a hold f_a_bb only in the seat arm (_1) of their
+        # (i, a, bb) and (i, a, xb, bb) rows, once i >= bb: u's match sells
+        # to u_star.  One unit per i.
+        hs_later = _Seg(head, [f"hs_{i}_" for i in later], [f"{a}_{F}_1 -1"])
+        grid = _Seg(head, [f"hb_{i}_" for i in later], [f"{a}_{xb}_{F}_1 -1" for xb in xbs])
+        # Bucket a's hb arms ascend by (xv, xb, xus, arm): the first arms of
+        # (a, xv, bb) per xv, the second arms of (a, bb, xb) per xb, the
+        # second arms of (a, xv, xb, bb) per xv, and at xv = a the first arm
+        # of (a, a, xb, bb) just before its second, after the second arms of
+        # (a, a, xb, xus < a) when bb = a.
+        first = _Seg(head, [f"hb_{a}_{xv}_" for xv in us], [f"{F}_{u}_1 1" for u in us])
+        second = _Seg(
+            head, [f"hb_{a}_{F}_{xb}_" for xb in nums[2 : K1 + 1]], [f"{u}_2 1" for u in us]
         )
-    col.blocks([f"hb_{i}_{a}_" for i in later], grid, a - 1)  # xb = a + 1..K1
-    # vs / vb rows (coefficient k - a vanishes for the last bucket).  vb rows
-    # ascend by (c, d): the backup-column family sits at c < bb, the
-    # match-column family at c = bb.
-    e = []
-    if bb <= k and k - a > 0:
-        e.append(f"vs_{a}_{bb} {k - a}")
-    e += [f"vb_{a}_{c}_{bb - 1} {a}" for c in nums[a + 1 : bb]]
-    if bb <= k and k - a > 0:
-        e += [f"vb_{a}_{bb}_{d} {k - a}" for d in nums[bb : k + 1]]
-    col.add(e)
-    return col.take(last=True)
+        run = _Seg(
+            head, [f"hb_{a}_{xv}_" for xv in nums[2:a]],
+            [f"{xb}_{F}_2 -1" for xb in nums[3 : K1 + 1]], list(range(a - 2)),
+        )
+        tail = _Seg(head, [f"hb_{a}_{a}_"], [f"{xb}_{F}_{arm} -1" for xb in xbs for arm in "12"])
+        tail_a = _Seg(head, [f"hb_{a}_{a}_"], [
+            e for xb in xbs
+            for e in [f"{xb}_{u}_2 1" for u in us[:-1]] + [f"{xb}_{F}_1 -1", f"{xb}_{F}_2 1"]
+        ])
+        # vb rows ascend by (c, d): the match-column family sits at c = bb.
+        vb = _Seg(head, [f"vb_{a}_{F}_{d} " for d in nums[1:K1]], [nums[k - a]])
+    for bb in range(1, K1 + 1):
+        b = nums[bb]
+        e = [f"monB_{a - 1}_{b} 1"] if a >= 2 else []
+        if a <= k:
+            e.append(f"monB_{a}_{b} -1")
+        if bb >= 2:
+            e.append(f"monI_{a}_{nums[bb - 1]} -1")
+        if bb <= k:
+            e.append(f"monI_{a}_{b} 1")
+        if a > k:
+            yield _lines(head, e).replace(_FIELD, b) + "\n" * (len(e) % 2)
+            continue
+        if bb <= k:
+            e.append(f"fp_{a}_{b} -1")
+        # In bucket i = a the second arms of (a, bb, xus) and (a, xv, bb)
+        # hold f_a_bb; when bb <= a, so does the first arm of (a, a, bb),
+        # which sorts just before the block's last entry.
+        if bb <= a:
+            e += [f"hs_{a}_{b}_{u}_2 1" for u in us]
+            e += [f"hs_{a}_{xv}_{b}_2 -1" for xv in nums[bb + 1 : a + 1]]
+            e.insert(-1, f"hs_{a}_{a}_{b}_1 -1")
+        cut = max(0, bb - a - 1)  # later buckets from max(a + 1, bb) on
+        blocks = [(hs_later, cut, k - a), (first, 0, min(a, bb - 1))]
+        if bb < a:
+            blocks += [(second, bb - 1, k), (run, bb - 1, a - 2), (tail, 0, 1)]
+        elif bb == a:
+            blocks.append((tail_a, 0, 1))
+        blocks.append((grid, cut, k - a))
+        parts, n = [_lines(head, e)], len(e)
+        for block, s, t in blocks:
+            text, m = block.take(n, s, t)
+            parts += text
+            n += m
+        # vs / vb rows (coefficient k - a vanishes for the last bucket): the
+        # backup-column family of vb sits at c < bb, before vb's block.
+        match = bb <= k and a < k
+        e = [f"vs_{a}_{b} {k - a}"] if match else []
+        e += [f"vb_{a}_{c}_{nums[bb - 1]} {a}" for c in nums[a + 1 : bb]]
+        parts.append(_lines(head, e, n % 2))
+        n += len(e)
+        if match:
+            text, m = vb.take(n, bb - 1, k)
+            parts += text
+            n += m
+        if n % 2:
+            parts.append("\n")
+        yield "".join(parts).replace(_FIELD, b)
 
 
 def write_compact_mps(k: int, destination) -> dict:

@@ -94,6 +94,31 @@ def test_solve_lp_export_just_beyond_budget_streams_compact(
     assert "solve externally" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("form", [None, "compact", "substituted", "naive"])
+def test_solve_lp_form_beyond_budget(tmp_path, capsys, monkeypatch, form):
+    # Beyond the in-process budget only the compact form streams; asking for
+    # another form is refused, not quietly swapped for the compact one.
+    monkeypatch.setattr(cli, "build_lp", None)
+    k = cli.IN_PROCESS_K_LIMIT + 1
+    path = tmp_path / "out.mps"
+    args = ["solve-lp", "--k", str(k), "--export", str(path)]
+    code = run_cli(args + (["--form", form] if form else []))
+    captured = capsys.readouterr()
+    if form in (None, "compact"):
+        assert code == 0
+        with open(path) as fh:
+            assert fh.readline() == f"NAME ranking_lp_k{k}_compact\n"
+        assert "solve externally" in captured.out
+    else:
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"resource limit: the {form} form at k={k} is beyond the in-process "
+            f"budget {cli.IN_PROCESS_K_LIMIT}; only --form compact streams\n"
+        )
+        assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "k, pieces",
     [(cli.IN_PROCESS_K_LIMIT + 1, "_compact_pieces"), (2, "_mps_chunks")],

@@ -147,8 +147,11 @@ COMPACT_STREAM_SHA256 = {
     7: "49ba8903809afb319b88baf838d3c7a9c1478e69516d2017026bad3864d7cddc",
     10: "06a99f3044e6b2a9b9c27b69c6f13446506b2b4e48e47093ea03cc11d966adf9",
     14: "60e43f3a1b685d13d8d22126621e0f49c4e083dcd0035b5fe903c5197c50291b",
+    17: "936bb0f644cb22c08429eaab3bb61476c550a6ba31f6b1c59489efcfb1b1e58a",
     20: "5cf5fe3cc8e0ecbe58209e3e8462c0e415c473a55c44f838086baa8c923ae82e",
+    21: "e26a1110bc72ef21d3039d047274b09b4c252e44bb6de2c93976b5c50709f6cb",
     28: "3cad2fc92dfcaa0073f13911da9368cb92150802736ed97dd8139070babb990a",
+    33: "416f39329fa6cf3e7c5ad7b174ad78871dd270d0336ced751507a9669ea7ced7",
 }
 
 
