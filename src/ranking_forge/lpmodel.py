@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional
+from typing import Generator, Iterator, NamedTuple, Optional
 
 from .gains import H_value, PriceTable, h_forms
 from .oracles import MATCHED_NO_BACKUP, MATCHED_WITH_BACKUP, UNMATCHED, ClassLabel
@@ -378,7 +378,12 @@ def evaluate_price_table(table: PriceTable) -> EvalReport:
 #: pattern the parser reads the NAME back with.
 _MODEL_NAME = "ranking_lp_k{k}_{form}"
 _HEADER = "NAME " + _MODEL_NAME + "\nOBJSENSE\n    MAX\nROWS\n N obj\n"
+_HEADER_LINES = _HEADER.count("\n")
 _MODEL_NAME_RE = re.compile(_MODEL_NAME.format(k=r"(\d+)", form="([A-Za-z0-9]+)"))
+
+#: Text pieces in order; the generator returns the number of lines they
+#: hold, counted from its entries rather than from the text.
+_Pieces = Generator[str, None, int]
 
 
 def _fmt(x: float) -> str:
@@ -389,30 +394,41 @@ def _fmt(x: float) -> str:
 
 
 def mps_text(model: LpModel) -> str:
+    """The model as free-format MPS text: NAME, ``OBJSENSE MAX``, ROWS
+    (the objective row, then every row in model order), COLUMNS (column by
+    column in variable order, each column's entries in row order, two per
+    line), RHS (the nonzero right-hand sides in row order, two per line),
+    BOUNDS (per column, LO if nonzero and then UP if set) and ENDATA.  For a
+    compact model the text equals ``"".join(compact_mps_chunks(k))``, and
+    ``parse_mps`` reads it back to a model with the same text."""
     return "".join(_mps_chunks(model))
 
 
 def export_mps(model: LpModel, destination) -> dict:
-    """Write the model as free-format MPS (objective sense, ROWS, COLUMNS,
-    RHS, BOUNDS).  Returns the statistics ``write_compact_mps`` returns."""
+    """Write ``mps_text(model)`` to ``destination``.  Returns the
+    statistics ``write_compact_mps`` returns."""
     return _write_mps(model.k, _mps_chunks(model), destination)
 
 
-def _write_mps(k: int, pieces: Iterator[str], destination) -> dict:
+def _write_mps(k: int, pieces: _Pieces, destination) -> dict:
     """Write the text ``pieces`` of a model for ``k`` buckets to
     ``destination`` through a 4 MiB buffer, in ASCII.  Returns ``k``, the
-    bytes and lines written and the elapsed seconds.  A write that fails,
-    a piece that is not ASCII included, leaves no partial file: the
-    destination is removed and the error re-raised."""
+    bytes written, the lines ``pieces`` returns and the elapsed seconds.  A
+    write that fails, a piece that is not ASCII included, leaves no partial
+    file: the destination is removed and the error re-raised."""
     start = time.perf_counter()
-    nbytes = nlines = 0
+    nbytes = 0
     fh = open(destination, "w", buffering=4 * 1024 * 1024, encoding="ascii")
     try:
         with fh:
-            for piece in pieces:
+            while True:
+                try:
+                    piece = next(pieces)
+                except StopIteration as end:
+                    nlines = end.value
+                    break
                 fh.write(piece)
                 nbytes += len(piece)
-                nlines += piece.count("\n")
     except BaseException:
         if os.path.isfile(destination):
             os.remove(destination)
@@ -421,7 +437,7 @@ def _write_mps(k: int, pieces: Iterator[str], destination) -> dict:
     return {"k": k, "bytes": nbytes, "lines": nlines, "elapsed": elapsed}
 
 
-def _mps_chunks(model: LpModel) -> Iterator[str]:
+def _mps_chunks(model: LpModel) -> _Pieces:
     yield _HEADER.format(k=model.k, form=model.form)
     yield "".join([f" {r.sense} {r.name}\n" for r in model.rows])
     # Column-major transpose; entries within a column keep row order.  Text
@@ -429,19 +445,15 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
     # distinct value, so each distinct value is formatted once.  The model
     # keeps every object alive meanwhile, so no id is reused.
     text: dict[int, str] = {}
-
-    def fmt(x: Fraction) -> str:
-        s = text.get(id(x))
-        if s is None:
-            s = text[id(x)] = _fmt(x)
-        return s
-
     cols: list[list[str]] = [[] for _ in model.var_names]
     cols[model.objective_var].append("obj 1")
     for row in model.rows:
         prefix = row.name + " "
         for j, coef in row.coeffs:
-            cols[j].append(prefix + fmt(coef))
+            s = text.get(id(coef))
+            if s is None:
+                s = text[id(coef)] = _fmt(coef)
+            cols[j].append(prefix + s)
     yield "COLUMNS\n"
     # An odd last entry leaves its line open; the exporter closes it.
     yield "".join([
@@ -449,18 +461,24 @@ def _mps_chunks(model: LpModel) -> Iterator[str]:
         for name, col in zip(model.var_names, cols)
     ])
     yield "RHS\n"
-    rhs = [f"{r.name} {fmt(r.rhs)}" for r in model.rows if r.rhs != 0]
+    rhs = [f"{r.name} {text.get(id(r.rhs)) or _fmt(r.rhs)}" for r in model.rows if r.rhs]
     yield _lines("    RHS ", rhs) + "\n" * (len(rhs) % 2)
     yield "BOUNDS\n"
     out = []
     for j, name in enumerate(model.var_names):
         lo, up = model.lower[j], model.upper[j]
-        if lo != 0:
+        if lo:
             out.append(f" LO BND {name} {_fmt(float(lo))}\n")
         if up is not None:
             out.append(f" UP BND {name} {_fmt(float(up))}\n")
     yield "".join(out)
     yield "ENDATA\n"
+    # A row, a bound and each of the four section lines after ROWS is a line,
+    # and n paired entries take (n + 1) // 2.
+    return (
+        _HEADER_LINES + len(model.rows) + 4 + len(out)
+        + sum([(len(col) + 1) // 2 for col in cols]) + (len(rhs) + 1) // 2
+    )
 
 
 def _number(text: str) -> Fraction:
@@ -706,16 +724,30 @@ class _Paired:
         return text
 
 
-def compact_mps_chunks(k: int) -> Iterator[str]:
+def _one_per_line(lines: list[str]) -> _Pieces:
+    """``lines``, each holding one newline, as one piece; returns their
+    count."""
+    yield "".join(lines)
+    return len(lines)
+
+
+def _template(text: str) -> tuple[list[str], int]:
+    """A block template's text cut where the group prefix goes, and the
+    lines every block written from it holds."""
+    return text.split(_MARK), text.count("\n")
+
+
+def compact_mps_chunks(k: int) -> _Pieces:
     """The compact-form MPS for ``k`` buckets as text pieces: a section
-    part, a column or an (i, xv) block each.  ``k`` is checked at the call."""
+    part, a column or an (i, xv) block each.  The generator returns the
+    text's line count.  ``k`` is checked at the call."""
     check_bucket_count(k)
     return _compact_pieces(k)
 
 
-def _compact_pieces(k: int) -> Iterator[str]:
+def _compact_pieces(k: int) -> _Pieces:
     """The compact-form MPS in order, one section part, column or (i, xv)
-    block at a time.
+    block at a time; returns the line count.
 
     Most of the text is O(k^4) entries that come in blocks: a block's
     entries share a group prefix such as ``hb_{i}_{xv}_{xb}_`` and differ
@@ -723,7 +755,9 @@ def _compact_pieces(k: int) -> Iterator[str]:
     gets one template per kind of block, its text cut where the prefix goes,
     and a block is written as ``prefix.join(pieces)``.  An f column of
     bucket a is a range of each of the bucket's blocks, with bb filled in
-    (``_f_columns``)."""
+    (``_f_columns``).  Lines are counted as the pieces are made: one per
+    row, bound or chain column, a template's count per block, and
+    ``(n + 1) // 2`` for n paired entries."""
     K1, M = k + 1, _MARK
     # nums[x] == str(x): an f-string splices a str faster than it formats an
     # int.
@@ -733,31 +767,36 @@ def _compact_pieces(k: int) -> Iterator[str]:
     cd = [(c, d) for c in buckets for d in nums[c : k + 1]]  # bucket i's vb_i_c_d
     neg_inv_k = "-" + (_fmt(1.0 / k) if k > 1 else "1")
     yield _HEADER.format(k=k, form="compact")
+    lines = _HEADER_LINES
 
     # --- ROWS section (order fixes the row indices used everywhere below).
-    yield "".join([f" L monB_{i}_{j}\n" for i in buckets for j in padded])
-    yield "".join([f" L monI_{i}_{j}\n" for i in padded for j in buckets])
-    yield "".join([f" E fp_{i}_{j}\n" for i in buckets for j in buckets])
+    lines += yield from _one_per_line([f" L monB_{i}_{j}\n" for i in buckets for j in padded])
+    lines += yield from _one_per_line([f" L monI_{i}_{j}\n" for i in padded for j in buckets])
+    lines += yield from _one_per_line([f" E fp_{i}_{j}\n" for i in buckets for j in buckets])
     # The two arm rows of every x_ustar of bucket i, after a group prefix.
-    arm_rows = ["".join([f" L {M}{u}_1\n L {M}{u}_2\n" for u in x]).split(M) for x in us]
+    arm_rows = [_template("".join([f" L {M}{u}_1\n L {M}{u}_2\n" for u in x])) for x in us]
     for i in buckets:
-        yield "".join([f"hs_{i}_{xv}_".join(arm_rows[i]) for xv in range(1, i + 1)])
+        arms, n = arm_rows[i]
+        yield "".join([f"hs_{i}_{xv}_".join(arms) for xv in range(1, i + 1)])
+        lines += i * n
     for i in buckets:
+        arms, n = arm_rows[i]
         for xv in range(1, i + 1):
-            yield "".join([
-                f"hb_{i}_{xv}_{xb}_".join(arm_rows[i]) for xb in range(xv + 1, K1 + 1)
-            ])
-    yield "".join([f" L abot_{i}\n" for i in buckets])
-    yield "".join([f" L vs_{i}_{c}\n" for i in buckets for c in buckets])
-    vb_rows = "".join([f" L vb_{M}{c}_{d}\n" for c, d in cd]).split(M)
+            yield "".join([f"hb_{i}_{xv}_{xb}_".join(arms) for xb in range(xv + 1, K1 + 1)])
+            lines += (K1 - xv) * n
+    lines += yield from _one_per_line([f" L abot_{i}\n" for i in buckets])
+    lines += yield from _one_per_line([f" L vs_{i}_{c}\n" for i in buckets for c in buckets])
+    vb_rows, n = _template("".join([f" L vb_{M}{c}_{d}\n" for c, d in cd]))
     for i in buckets:
         yield f"{i}_".join(vb_rows)
+        lines += n
     yield " E aavg\n"
 
     # --- COLUMNS section, column-major in canonical variable order.
     yield "COLUMNS\n"
+    lines += 2  # aavg and COLUMNS
     for a in padded:
-        yield from _f_columns(k, a, nums)
+        lines += yield from _f_columns(k, a, nums)
 
     # alpha_i columns, then alpha.
     vb_alpha = _layouts([f"{c}_{d} {k}" for c, d in cd])
@@ -767,7 +806,9 @@ def _compact_pieces(k: int) -> Iterator[str]:
         col.blocks([f"vb_{i}_"], col.cut(vb_alpha))
         col.add([f"aavg {neg_inv_k}"])
         yield col.take(last=True)
+        lines += (col.n + 1) // 2
     yield "    alpha obj 1 aavg 1\n"
+    lines += 1
 
     # Fp columns.
     for a in range(1, k + 1):
@@ -782,45 +823,49 @@ def _compact_pieces(k: int) -> Iterator[str]:
             if bb + 1 > a:
                 e += [f"vb_{a}_{bb + 1}_{d} -1" for d in nums[bb + 1 : k + 1]]
             yield _lines(f"    Fp_{a}_{bb} ", e) + "\n" * (len(e) % 2)
+            lines += (len(e) + 1) // 2
 
     # hs columns: two arm rows plus one vs row, all named for the group
     # "{i}_{xv}".
     for i in buckets:
-        cols = "".join([
+        cols, n = _template("".join([
             f"    hs_{M}_{u} hs_{M}_{u}_1 1 hs_{M}_{u}_2 1\n    hs_{M}_{u} vs_{M} -1\n"
             for u in us[i]
-        ]).split(M)
+        ]))
         yield "".join([f"{i}_{xv}".join(cols) for xv in range(1, i + 1)])
+        lines += i * n
 
     # hb columns: two arm rows plus one vb row, all named for the group
     # "{i}_{xv}_"; the vb row ends in xb - 1, so bucket i has a template per xb.
     for i in buckets:
         cols = [
-            "".join([
+            _template("".join([
                 f"    hb_{M}{xb}_{u} hb_{M}{xb}_{u}_1 1 hb_{M}{xb}_{u}_2 1\n"
                 f"    hb_{M}{xb}_{u} vb_{M}{nums[xb - 1]} -1\n"
                 for u in us[i]
-            ]).split(M)
+            ]))
             for xb in range(2, K1 + 1)
         ]
         for xv in range(1, i + 1):
-            group = f"{i}_{xv}_"
-            yield "".join([group.join(pieces) for pieces in cols[xv - 1 :]])
+            group, block = f"{i}_{xv}_", cols[xv - 1 :]
+            yield "".join([group.join(pieces) for pieces, _ in block])
+            lines += sum([n for _, n in block])
 
     # Vs / Vb chain columns.
-    yield "".join([
+    lines += yield from _one_per_line([
         f"    Vs_{i}_{c} vs_{i}_{c - 1} -1 vs_{i}_{c} 1\n" if c >= 2
         else f"    Vs_{i}_1 vs_{i}_1 1\n"
         for i in range(1, k + 1)
         for c in range(1, k + 1)
     ])
-    chain = "".join([
+    chain, n = _template("".join([
         f"    Vb_{M}{c}_{d} vb_{M}{c - 1}_{d} -1 vb_{M}{c}_{d} 1\n" if c >= 2
         else f"    Vb_{M}1_{d} vb_{M}1_{d} 1\n"
         for c, d in cd
-    ]).split(M)
+    ]))
     for i in buckets:
         yield f"{i}_".join(chain)
+        lines += n
 
     # --- RHS.  Nonzero right-hand sides, paired two per line, in row order.
     yield "RHS\n"
@@ -842,14 +887,18 @@ def _compact_pieces(k: int) -> Iterator[str]:
         rhs.add([f"vb_{i}_{c}_{d} {k - i if c <= i else k}" for c, d in cd])
         yield rhs.take()
     yield rhs.take(last=True)
+    lines += 1 + (rhs.n + 1) // 2  # RHS and its entries
 
     # --- BOUNDS: price entries and the objective chain live in [0, 1]; the
     # auxiliary bound variables need no explicit upper bound (their arm rows
     # already cap them), which keeps the section small.
     yield "BOUNDS\n"
-    yield "".join([f" UP BND f_{a}_{bb} 1\n" for a in padded for bb in padded])
-    yield "".join([f" UP BND alpha_{i} 1\n" for i in buckets])
+    lines += yield from _one_per_line([
+        f" UP BND f_{a}_{bb} 1\n" for a in padded for bb in padded
+    ])
+    lines += yield from _one_per_line([f" UP BND alpha_{i} 1\n" for i in buckets])
     yield " UP BND alpha 1\nENDATA\n"
+    return lines + 3  # BOUNDS, alpha's bound and ENDATA
 
 
 class _Seg:
@@ -880,12 +929,14 @@ class _Seg:
         return self.text[(n - start[s]) % 2][s:t], start[t] - start[s]
 
 
-def _f_columns(k: int, a: int, nums: list[str]) -> Iterator[str]:
+def _f_columns(k: int, a: int, nums: list[str]) -> _Pieces:
     """Columns ``f_a_1`` .. ``f_a_(k+1)``, each in global row order: monB,
-    monI, fp, hs arms, hb arms, vs, vb.  ``nums[x]`` is ``str(x)``.  A
-    column takes a range of units of each of bucket a's blocks, which are
-    built once with ``_FIELD`` for bb; its few other entries are literal."""
+    monI, fp, hs arms, hb arms, vs, vb; returns their line count.
+    ``nums[x]`` is ``str(x)``.  A column takes a range of units of each of
+    bucket a's blocks, which are built once with ``_FIELD`` for bb; its few
+    other entries are literal."""
     K1, F = k + 1, _FIELD
+    lines = 0
     head = f"    f_{nums[a]}_{F} "
     if a <= k:
         us, later, xbs = nums[1 : a + 1], nums[a + 1 : K1], nums[a + 1 : K1 + 1]
@@ -925,6 +976,7 @@ def _f_columns(k: int, a: int, nums: list[str]) -> Iterator[str]:
             e.append(f"monI_{a}_{b} 1")
         if a > k:
             yield _lines(head, e).replace(_FIELD, b) + "\n" * (len(e) % 2)
+            lines += (len(e) + 1) // 2
             continue
         if bb <= k:
             e.append(f"fp_{a}_{b} -1")
@@ -961,6 +1013,8 @@ def _f_columns(k: int, a: int, nums: list[str]) -> Iterator[str]:
         if n % 2:
             parts.append("\n")
         yield "".join(parts).replace(_FIELD, b)
+        lines += (n + 1) // 2
+    return lines
 
 
 def write_compact_mps(k: int, destination) -> dict:

@@ -386,15 +386,24 @@ class _Core:
 def solve(model: LpModel) -> LpSolution:
     """Maximize the model's objective variable.
 
-    One devex phase from the all-slack basis.  Raises ``ValueError`` naming
-    the first row whose slack that start puts outside its bounds, before
-    any pivot.
+    One devex phase from the all-slack basis.  Raises ``ValueError``
+    before any pivot, naming the first column whose upper bound is below
+    its lower bound, or else the first row whose slack that start puts
+    outside its bounds.
     """
     # Loaded before the clock, so a process's first solve does not time it.
     import scipy.sparse.linalg  # noqa: F401
     start = time.perf_counter()
     sf = _standard_form(model)
     standardized = time.perf_counter()
+    # A slack's interval, [0, 0] or [0, inf), is never empty.
+    empty = np.flatnonzero(sf.up < sf.lo)
+    if empty.size:
+        j = int(empty[0])
+        raise ValueError(
+            f"column {model.var_names[j]!r} has an empty bound interval: "
+            f"upper bound {sf.up[j]:g} below lower bound {sf.lo[j]:g}"
+        )
     core = _Core(sf)
     xb, lo, up = core.xB, core.loB, core.upB
     violated = np.flatnonzero((xb < lo - FEASIBILITY_TOL) | (xb > up + FEASIBILITY_TOL))

@@ -297,6 +297,26 @@ def test_write_compact_matches_chunks(tmp_path):
     assert stats["lines"] == path.read_text().count("\n")
 
 
+def _assert_stats_match_file(stats, path):
+    data = path.read_bytes()
+    assert stats["lines"] == data.count(b"\n")
+    assert stats["bytes"] == len(data)
+
+
+@pytest.mark.parametrize("k", [*range(1, 9), 17, 21])
+def test_streaming_writer_statistics_match_its_file(tmp_path, k):
+    # The writer counts lines from its entries, never from the text.
+    path = tmp_path / f"compact{k}.mps"
+    _assert_stats_match_file(write_compact_mps(k, path), path)
+
+
+@pytest.mark.parametrize("form", lpmodel.FORMS)
+@pytest.mark.parametrize("k", range(1, 5))
+def test_export_statistics_match_its_file(tmp_path, form, k):
+    path = tmp_path / f"{form}{k}.mps"
+    _assert_stats_match_file(export_mps(build_lp(k, form), path), path)
+
+
 def test_export_and_streaming_writer_agree(tmp_path):
     # One file writer serves both: the same statistics and the same file.
     for k in range(1, 5):

@@ -130,6 +130,18 @@ def test_infeasible_start_of_a_feasible_model_is_rejected(monkeypatch):
         solve(pinned_model())
 
 
+def test_empty_bound_interval_is_rejected(monkeypatch):
+    # alpha in [0, -1] holds no point; the solver used to report it optimal
+    # at alpha = -1.
+    text = mps_text(build_lp(1)).replace(" UP BND alpha 1\n", " UP BND alpha -1\n")
+    monkeypatch.setattr(_Core, "run", None)
+    with pytest.raises(
+        ValueError,
+        match=r"column 'alpha' has an empty bound interval: upper bound -1 below lower bound 0",
+    ):
+        solve(parse_mps(text))
+
+
 def test_hand_model_round_trips_through_mps():
     m = budget_model()
     text = mps_text(m)
