@@ -22,8 +22,12 @@ evaluator walk one list of windows, ``_windows``.  The writer and the
 builder are two independent sources of the compact model, and the tests
 hold their MPS text equal.
 
-Coefficients are exact rationals while a model is in memory; they become
-floats at solve and export time.
+A model in memory is a handful of flat lists, in row order: each row's
+name, sense and right-hand side, and each entry's row, column and
+coefficient (coordinate form, a row's entries ascending by column), so it
+holds no object per row or per entry.  Coefficients are exact rationals
+there, one ``Fraction`` per distinct value; they become floats at solve and
+export time.
 """
 
 from __future__ import annotations
@@ -42,33 +46,33 @@ from .gains import H_value, PriceTable, h_forms
 from .oracles import MATCHED_NO_BACKUP, MATCHED_WITH_BACKUP, UNMATCHED, ClassLabel
 from .ranks import check_bucket_count
 
-Coef = tuple[int, Fraction]
-
 #: The model forms ``build_lp`` makes; see the module docstring.
 FORMS = ("substituted", "naive", "compact")
 
 
-@dataclass(frozen=True, slots=True)
-class LinRow:
-    name: str
-    coeffs: tuple[Coef, ...]
-    sense: str  # 'L' (<=) or 'E' (=)
-    rhs: Fraction
-
-
 @dataclass
 class LpModel:
+    """An LP as flat lists: per row, in row order, its name, its sense ('L'
+    for <=, 'E' for =) and its right-hand side; per entry, in coordinate
+    form and row order, its row, column and coefficient.  A row's entries
+    ascend by column."""
+
     k: int
     form: str
     var_names: list[str]
     lower: list[Fraction]
     upper: list[Optional[Fraction]]
-    rows: list[LinRow]
     objective_var: int
+    row_names: list[str]
+    senses: list[str]
+    rhs: list[Fraction]
+    entry_row: list[int]
+    entry_col: list[int]
+    entry_coef: list[Fraction]
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
 
 def build_lp(k: int, form: str = "substituted") -> LpModel:
@@ -164,45 +168,48 @@ def _build(k: int, form: str) -> LpModel:
     one variable with its arm rows per case it does not inline, and the tie
     row.  The direct forms then average the cases of each window; the
     compact form telescopes the windows through its own prefix-sum and
-    slack columns, in the streaming writer's row and column order.  Row
-    entries ascend by column.  Coefficients are counted as integers; each
-    value becomes one ``Fraction`` and each ``(column, value)`` entry one
-    tuple, shared by every row that holds it, so there are few objects to
-    allocate and for the collector to track, and ``mps_text`` formats each
-    value once.
+    slack columns, in the streaming writer's row and column order.  Each row
+    appends its entries, ascending by column, to the model's flat entry
+    lists and then closes with its name, sense and right-hand side.
+    Coefficients are counted as integers, and each distinct value becomes
+    one ``Fraction`` shared by every entry that holds it, so a model of any
+    size is a handful of lists and a few numbers for the collector to track,
+    and ``mps_text`` formats each value once.
     """
     naive, compact = form == "naive", form == "compact"
     K1 = k + 1
     buckets, padded = range(1, k + 1), range(1, K1 + 1)
-    frac = cache(Fraction)  # (numerator, denominator) -> value
-    entry = cache(lambda j, num, den: (j, frac(num, den)))  # -> (j, value)
-    zero = frac(0, 1)
+    shared = cache(lambda value: value)  # equal values -> the first one made
+    frac = cache(lambda num, den: shared(Fraction(num, den)))
+    zero, one, minus_one = frac(0, 1), frac(1, 1), frac(-1, 1)
     names = [f"f_{i}_{j}" for i in padded for j in padded]
     f_idx = {(i, j): (i - 1) * K1 + j - 1 for i in padded for j in padded}
     names += [f"alpha_{i}" for i in buckets]
     names.append("alpha")
     alpha = len(names) - 1
     alpha_0 = alpha - K1  # alpha_0 + i is alpha_i
+    row_names, senses, rhs = [], [], []
+    entry_row, entry_col, entry_coef = [], [], []
+    cols, coefs = entry_col.append, entry_coef.append
+
+    def row(name: str, sense: str, value: Fraction) -> None:
+        """Close a row: the entries appended since the last row are its."""
+        entry_row.extend([len(row_names)] * (len(entry_col) - len(entry_row)))
+        row_names.append(name)
+        senses.append(sense)
+        rhs.append(value)
 
     # Monotonicity of the price table over the padded domain.
-    rows = [
-        LinRow(
-            f"monB_{i}_{j}",
-            (entry(f_idx[i, j], -1, 1), entry(f_idx[i + 1, j], 1, 1)),
-            "L", zero,
-        )
-        for i in buckets
-        for j in padded
-    ]
-    rows += [
-        LinRow(
-            f"monI_{i}_{j}",
-            (entry(f_idx[i, j], 1, 1), entry(f_idx[i, j + 1], -1, 1)),
-            "L", zero,
-        )
-        for i in padded
-        for j in buckets
-    ]
+    for i in buckets:
+        for j in padded:
+            entry_col += f_idx[i, j], f_idx[i + 1, j]
+            entry_coef += minus_one, one
+            row(f"monB_{i}_{j}", "L", zero)
+    for i in padded:
+        for j in buckets:
+            entry_col += f_idx[i, j], f_idx[i, j + 1]
+            entry_coef += one, minus_one
+            row(f"monI_{i}_{j}", "L", zero)
     fp_0 = len(names) - k - 1  # fp_0 + a * k + b is Fp_a_b
     if compact:
         # Prefix sums of the price table: Fp_a_b = Fp_a_(b-1) + f_a_b.
@@ -210,10 +217,10 @@ def _build(k: int, form: str) -> LpModel:
         for a in buckets:
             for b in buckets:
                 col = fp_0 + a * k + b
-                e = [entry(f_idx[a, b], -1, 1), entry(col - 1, -1, 1), entry(col, 1, 1)]
-                if b == 1:
-                    del e[1]
-                rows.append(LinRow(f"fp_{a}_{b}", tuple(e), "E", zero))
+                e = (f_idx[a, b], col - 1, col) if b > 1 else (f_idx[a, b], col)
+                entry_col += e
+                entry_coef += [minus_one] * (len(e) - 1) + [one]
+                row(f"fp_{a}_{b}", "E", zero)
 
     # A case gets a variable in the naive form, and in the other two when
     # its bound is a minimum of two arms.  Each arm is an upper-bounding row:
@@ -241,10 +248,13 @@ def _build(k: int, form: str) -> LpModel:
             name = f"hbot_{i}_{xus}"
         names.append(name)
         for arm, (const, terms) in enumerate(arms, start=1):
-            e = sorted([entry(f_idx[ij], -coef, 1) for coef, ij in terms])
-            e.append(entry(idx, 1, 1))
+            for j, coef in sorted([(f_idx[ij], -coef) for coef, ij in terms]):
+                cols(j)
+                coefs(frac(coef, 1))
+            cols(idx)
+            coefs(one)
             rname = f"hb0_{i}_{xus}" if label is UNMATCHED else f"{name}_{arm}"
-            rows.append(LinRow(rname, tuple(e), "L", frac(const, 1)))
+            row(rname, "L", frac(const, 1))
 
     if not compact:
         # Averaging rows: each profile of a window is taken over every
@@ -266,11 +276,11 @@ def _build(k: int, form: str) -> LpModel:
                         idx = f_idx[ij]
                         counts[idx] = counts.get(idx, 0) + coef
             n = len(profiles) * k
-            e = [entry(j, -v, n) for j, v in counts.items() if v]
-            e.append(entry(alpha_0 + i, 1, 1))
-            e.sort()
-            name = _FAMILIES[label].row.format(i=i, c=c, d=d)
-            rows.append(LinRow(name, tuple(e), "L", frac(const, n)))
+            counts[alpha_0 + i] = -n  # alpha_i's coefficient, -(-n) / n = 1
+            row_cols = sorted([j for j, v in counts.items() if v])
+            entry_col += row_cols
+            entry_coef += [frac(-counts[j], n) for j in row_cols]
+            row(_FAMILIES[label].row.format(i=i, c=c, d=d), "L", frac(const, n))
     else:
         # Telescoped windows.  abot_i averages the prefix sum Fp_i_k.  Any
         # other window has a nonnegative column V (Vs_i_c, Vb_i_c_d) and a
@@ -285,38 +295,49 @@ def _build(k: int, form: str) -> LpModel:
         h = aux_0
         for label, i, c, d, profiles in _windows(k):
             if label is UNMATCHED:
-                e = (entry(alpha_0 + i, 1, 1), entry(fp_0 + i * k + k, -1, k))
-                rows.append(LinRow(f"abot_{i}", e, "L", zero))
+                entry_col += alpha_0 + i, fp_0 + i * k + k
+                entry_coef += one, frac(-1, k)
+                row(f"abot_{i}", "L", zero)
                 continue
             backup = label is MATCHED_WITH_BACKUP
             name = f"vb_{i}_{c}_{d}" if backup else f"vs_{i}_{c}"
             col = len(names)
             names.append("V" + name[1:])
-            e = [entry(f_idx[i, c], k - i, 1)] if i < k else []
+            if i < k:
+                cols(f_idx[i, c])
+                coefs(frac(k - i, 1))
             if backup and c > i:
-                e.append(entry(f_idx[i, profiles[0][1]], i, 1))
-            e.append(entry(alpha_0 + i, k, 1))
+                cols(f_idx[i, profiles[0][1]])
+                coefs(frac(i, 1))
+            cols(alpha_0 + i)
+            coefs(frac(k, 1))
             if c > i:
-                e.append(entry(fp_0 + i * k + c - 1, -1, 1))
+                cols(fp_0 + i * k + c - 1)
+                coefs(minus_one)
             else:
-                e += [entry(j, -1, 1) for j in range(h, h + i)]
+                entry_col += range(h, h + i)
+                entry_coef += [minus_one] * i
                 h += i
-            e.append(entry(col, 1, 1))
+            cols(col)
+            coefs(one)
             if len(profiles) > 1:
                 # V' is the next column in the single family; in the backup
                 # family it is k - c columns on, past the windows c..d' with
                 # d' > d and c+1..d' with d' < d.
-                e.append(entry(col + (k - c if backup else 1), -1, 1))
-            rhs = frac(k, 1) if backup and c > i else frac(k - i, 1)
-            rows.append(LinRow(name, tuple(e), "L", rhs))
+                cols(col + (k - c if backup else 1))
+                coefs(minus_one)
+            row(name, "L", frac(k if backup and c > i else k - i, 1))
     # The arm rows cap the variables; the direct forms bound them by 2 too.
-    upper = [frac(1, 1)] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
+    upper = [one] * (alpha + 1) + [None] * (aux_0 - alpha - 1)
     upper += [None if compact else frac(2, 1)] * (len(names) - aux_0)
 
-    e = [entry(alpha_0 + i, -1, k) for i in buckets]
-    e.append(entry(alpha, 1, 1))
-    rows.append(LinRow("aavg", tuple(e), "E", zero))
-    return LpModel(k, form, names, [zero] * len(names), upper, rows, alpha)
+    entry_col += range(alpha_0 + 1, alpha + 1)
+    entry_coef += [frac(-1, k)] * k + [one]
+    row("aavg", "E", zero)
+    return LpModel(
+        k, form, names, [zero] * len(names), upper, alpha,
+        row_names, senses, rhs, entry_row, entry_col, entry_coef,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +460,21 @@ def _write_mps(k: int, pieces: _Pieces, destination) -> dict:
 
 def _mps_chunks(model: LpModel) -> _Pieces:
     yield _HEADER.format(k=model.k, form=model.form)
-    yield "".join([f" {r.sense} {r.name}\n" for r in model.rows])
+    names = model.row_names
+    yield "".join([f" {sense} {name}\n" for sense, name in zip(model.senses, names)])
     # Column-major transpose; entries within a column keep row order.  Text
-    # is kept per coefficient object: a parsed model shares one Fraction per
-    # distinct value, so each distinct value is formatted once.  The model
-    # keeps every object alive meanwhile, so no id is reused.
+    # is kept per coefficient object: the builder and the parser share one
+    # Fraction per distinct value, so each distinct value is formatted once.
+    # The model keeps every object alive meanwhile, so no id is reused.
     text: dict[int, str] = {}
     cols: list[list[str]] = [[] for _ in model.var_names]
     cols[model.objective_var].append("obj 1")
-    for row in model.rows:
-        prefix = row.name + " "
-        for j, coef in row.coeffs:
-            s = text.get(id(coef))
-            if s is None:
-                s = text[id(coef)] = _fmt(coef)
-            cols[j].append(prefix + s)
+    prefixes = [name + " " for name in names]
+    for r, j, coef in zip(model.entry_row, model.entry_col, model.entry_coef):
+        s = text.get(id(coef))
+        if s is None:
+            s = text[id(coef)] = _fmt(coef)
+        cols[j].append(prefixes[r] + s)
     yield "COLUMNS\n"
     # An odd last entry leaves its line open; the exporter closes it.
     yield "".join([
@@ -461,7 +482,7 @@ def _mps_chunks(model: LpModel) -> _Pieces:
         for name, col in zip(model.var_names, cols)
     ])
     yield "RHS\n"
-    rhs = [f"{r.name} {text.get(id(r.rhs)) or _fmt(r.rhs)}" for r in model.rows if r.rhs]
+    rhs = [f"{name} {text.get(id(v)) or _fmt(v)}" for name, v in zip(names, model.rhs) if v]
     yield _lines("    RHS ", rhs) + "\n" * (len(rhs) % 2)
     yield "BOUNDS\n"
     out = []
@@ -476,7 +497,7 @@ def _mps_chunks(model: LpModel) -> _Pieces:
     # A row, a bound and each of the four section lines after ROWS is a line,
     # and n paired entries take (n + 1) // 2.
     return (
-        _HEADER_LINES + len(model.rows) + 4 + len(out)
+        _HEADER_LINES + len(names) + 4 + len(out)
         + sum([(len(col) + 1) // 2 for col in cols]) + (len(rhs) + 1) // 2
     )
 
@@ -490,7 +511,8 @@ def _number(text: str) -> Fraction:
 
 
 class _DeclaredRows(dict):
-    """Row name -> its COLUMNS entries; only rows declared in ROWS are keys."""
+    """Row name -> its COLUMNS entries' columns and values, two lists; only
+    rows declared in ROWS are keys."""
 
     def __missing__(self, name: str):
         raise ValueError(f"COLUMNS entry on row {name!r}, which ROWS does not declare")
@@ -552,10 +574,11 @@ def parse_mps(source) -> LpModel:
             # A column's lines are adjacent, so a repeated (row, column) pair
             # is the row's last entry.
             for rname, val in zip(head[1::2], head[2::2]):
-                row = entries[rname]
-                if row and row[-1][0] == j:
+                row_cols, row_values = entries[rname]
+                if row_cols and row_cols[-1] == j:
                     raise ValueError(f"column {cname!r} has a second entry on row {rname!r}")
-                row.append((j, value(val)))
+                row_cols.append(j)
+                row_values.append(value(val))
             continue
         if line[0] not in " \t":
             keyword = head[0].upper()
@@ -587,7 +610,7 @@ def parse_mps(source) -> LpModel:
                 raise ValueError(f"unsupported row sense {sense}")
             if rname in entries:
                 raise ValueError(f"row {rname!r} declared twice in ROWS")
-            entries[rname] = []
+            entries[rname] = [], []
         elif section == "RHS":
             if len(head) % 2 == 0 or len(head) == 1:
                 raise ValueError(f"RHS line with an unpaired field or no entry: {line!r}")
@@ -618,30 +641,38 @@ def parse_mps(source) -> LpModel:
             raise ValueError(f"RANGES entries are not supported: {line!r}")
         else:
             raise ValueError(f"data line before any section: {line!r}")
-    objective = entries.get(objective_row)
-    if not objective:
+    objective_cols, objective_values = entries.get(objective_row) or ([], [])
+    if not objective_cols:
         raise ValueError("no objective column found")
-    if len(objective) != 1 or objective[0][1] != 1:
+    if len(objective_cols) != 1 or objective_values[0] != 1:
+        found = [(col_order[j], str(c)) for j, c in zip(objective_cols, objective_values)]
         raise ValueError(
-            f"objective row {objective_row!r} must hold one entry of 1, "
-            f"found {[(col_order[j], str(c)) for j, c in objective]}"
+            f"objective row {objective_row!r} must hold one entry of 1, found {found}"
         )
-    zero = Fraction(0)
-    rows = [
-        LinRow(rname, tuple(entries[rname]), sense, rhs.get(rname, zero))
-        for rname, sense in row_sense.items()
-    ]
+    row_names = list(row_sense)
+    entry_row, entry_col, entry_coef = [], [], []
+    for r, rname in enumerate(row_names):
+        row_cols, row_values = entries[rname]
+        entry_row += [r] * len(row_cols)
+        entry_col += row_cols
+        entry_coef += row_values
     k, form = _parse_model_name(name_line)
     if not maximize:
         raise ValueError("no OBJSENSE MAX section: MPS minimizes by default")
+    zero = Fraction(0)
     return LpModel(
         k,
         form,
         col_order,
         [lower.get(n, zero) for n in col_order],
         [upper.get(n) for n in col_order],
-        rows,
-        objective[0][0],
+        objective_cols[0],
+        row_names,
+        list(row_sense.values()),
+        [rhs.get(n, zero) for n in row_names],
+        entry_row,
+        entry_col,
+        entry_coef,
     )
 
 

@@ -159,37 +159,24 @@ def _standard_form(model: LpModel) -> _StandardForm:
     # Imported here so that importing the package loads no scipy.
     import scipy.sparse as sp
 
-    n = len(model.var_names)
-    m = len(model.rows)
-    data, rows_idx, cols_idx = [], [], []
-    b = np.zeros(m)
-    slack_lo = np.zeros(m)
-    slack_up = np.full(m, INF)
+    n, m = len(model.var_names), model.row_count
+    unknown = set(model.senses) - {"L", "E"}
+    if unknown:
+        raise ValueError(f"unsupported row sense {unknown.pop()!r}")
     # The builder and the parser share one Fraction per distinct value, so
     # each coefficient object converts once; the model keeps them all alive,
     # so their ids stay distinct.
-    floats: dict[int, float] = {}
-    for i, row in enumerate(model.rows):
-        for j, coef in row.coeffs:
-            rows_idx.append(i)
-            cols_idx.append(j)
-            value = floats.get(id(coef))
-            if value is None:
-                value = floats[id(coef)] = float(coef)
-            data.append(value)
-        b[i] = float(row.rhs)
-        if row.sense == "E":
-            slack_up[i] = 0.0
-        elif row.sense != "L":
-            raise ValueError(f"unsupported row sense {row.sense!r}")
-        rows_idx.append(i)
-        cols_idx.append(n + i)
-        data.append(1.0)
-    A = sp.csc_matrix(
-        (np.asarray(data), (np.asarray(rows_idx), np.asarray(cols_idx))),
-        shape=(m, n + m),
-    )
-    lo = np.concatenate([np.array([float(x) for x in model.lower]), slack_lo])
+    floats = {id(coef): coef for coef in model.entry_coef}
+    floats = {key: float(coef) for key, coef in floats.items()}
+    data = [floats[id(coef)] for coef in model.entry_coef]
+    # Slack i is column n + i, with one entry of 1 in row i.
+    slacks = np.arange(m)
+    rows = np.concatenate([np.array(model.entry_row, dtype=int), slacks])
+    cols = np.concatenate([np.array(model.entry_col, dtype=int), n + slacks])
+    A = sp.csc_matrix((np.concatenate([data, np.ones(m)]), (rows, cols)), shape=(m, n + m))
+    b = np.array([float(x) for x in model.rhs])
+    slack_up = np.array([0.0 if sense == "E" else INF for sense in model.senses])
+    lo = np.concatenate([np.array([float(x) for x in model.lower]), np.zeros(m)])
     up = np.concatenate(
         [np.array([INF if x is None else float(x) for x in model.upper]), slack_up]
     )
@@ -410,7 +397,7 @@ def solve(model: LpModel) -> LpSolution:
     if violated.size:
         r = int(violated[0])
         raise ValueError(
-            f"row {model.rows[r].name!r} is violated at the all-slack start: "
+            f"row {model.row_names[r]!r} is violated at the all-slack start: "
             f"slack {xb[r]:g} outside [{lo[r]:g}, {up[r]:g}]"
         )
     status = core.run()
@@ -494,8 +481,10 @@ def verify_solution(model: LpModel, solution: LpSolution, tol: float = 1e-8) -> 
     alpha_num, alpha_den = _float_ratio("alpha", solution.alpha)
     value_den = lcm(alpha_den, *{q for _, q in ratios})
     values = [p * (value_den // q) for p, q in ratios]
-    numbers = [c for row in model.rows for _, c in row.coeffs]
-    numbers += [row.rhs for row in model.rows] + list(model.lower)
+    # The builder and the parser share one Fraction per distinct value, so
+    # each coefficient object is scaled once.
+    coefs = {id(c): c for c in model.entry_coef}
+    numbers = [*coefs.values(), *model.rhs, *model.lower]
     numbers += [u for u in model.upper if u is not None]
     dens = {x.denominator for x in numbers}
     model_den = lcm(*dens)
@@ -506,14 +495,17 @@ def verify_solution(model: LpModel, solution: LpSolution, tol: float = 1e-8) -> 
         return x.numerator * scale[x.denominator]
 
     # Each residual below is its exact value times model_den * value_den.
+    coefs = {key: scaled(c) for key, c in coefs.items()}
+    lhs = [0] * model.row_count
+    for r, j, c in zip(model.entry_row, model.entry_col, model.entry_coef):
+        lhs[r] += coefs[id(c)] * values[j]
     worst = 0
     worst_row = None
-    for row in model.rows:
-        lhs = sum(c.numerator * scale[c.denominator] * values[j] for j, c in row.coeffs)
-        excess = lhs - scaled(row.rhs) * value_den
-        viol = abs(excess) if row.sense == "E" else excess
+    for name, sense, total, rhs in zip(model.row_names, model.senses, lhs, model.rhs):
+        excess = total - scaled(rhs) * value_den
+        viol = abs(excess) if sense == "E" else excess
         if viol > worst:
-            worst, worst_row = viol, row.name
+            worst, worst_row = viol, name
     bound_viol = 0
     for value, lo, up in zip(values, model.lower, model.upper):
         bound_viol = max(bound_viol, scaled(lo) * value_den - value * model_den)

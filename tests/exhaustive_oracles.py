@@ -43,7 +43,7 @@ def brute_force_optimum(model: LpModel) -> float:
     than ``BRUTE_FORCE_MAX_SUBSETS`` such subsets.
     """
     n = len(model.var_names)
-    constraints = len(model.rows) + n + sum(u is not None for u in model.upper)
+    constraints = model.row_count + n + sum(u is not None for u in model.upper)
     subsets = comb(constraints, n)
     if subsets > BRUTE_FORCE_MAX_SUBSETS:
         raise ValueError(

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -47,9 +48,9 @@ def test_counts_match_quantifier_formulas_for_two_buckets():
     assert len(m.var_names) == 25
     # Rows: 12 monotonicity, 2 arms per min tuple, and per bucket the three
     # families contribute 1 + 2 + 3 averaging rows, plus the tie row.
-    mono = sum(1 for r in m.rows if r.name.startswith("mon"))
-    arms = sum(1 for r in m.rows if r.name.startswith(("hs_", "hb_")))
-    averaging = sum(1 for r in m.rows if r.name.startswith(("abot_", "as_", "ab_")))
+    mono = sum(1 for name in m.row_names if name.startswith("mon"))
+    arms = sum(1 for name in m.row_names if name.startswith(("hs_", "hb_")))
+    averaging = sum(1 for name in m.row_names if name.startswith(("abot_", "as_", "ab_")))
     assert mono == 2 * 2 * 3
     assert arms == 2 * (5 + 8)
     assert averaging == 2 * (1 + 2 + 3)
@@ -185,20 +186,45 @@ def test_compact_builder_matches_writer(k):
     assert mps_text(build_lp(k, "compact")) == "".join(compact_mps_chunks(k))
 
 
+def _assert_flat_lists_hold(model):
+    # A model is per-row lists and per-entry lists in coordinate form, in row
+    # order: each row has entries, and they ascend by column; each distinct
+    # value is one shared Fraction.
+    assert len(model.row_names) == len(model.senses) == len(model.rhs) == model.row_count
+    assert len(model.entry_row) == len(model.entry_col) == len(model.entry_coef)
+    assert model.entry_row == sorted(model.entry_row)
+    assert set(model.entry_row) == set(range(model.row_count))
+    entries = list(zip(model.entry_row, model.entry_col))
+    assert all(j1 < j2 for (r1, j1), (r2, j2) in zip(entries, entries[1:]) if r1 == r2)
+    assert len({id(c) for c in model.entry_coef}) == len(set(model.entry_coef))
+
+
 def test_compact_builder_matches_parsed_stream():
     for k in range(1, 9):
         built = build_lp(k, "compact")
         parsed = parse_mps("".join(compact_mps_chunks(k)))
+        _assert_flat_lists_hold(built)
+        _assert_flat_lists_hold(parsed)
         assert (built.k, built.form) == (parsed.k, parsed.form)
         assert built.var_names == parsed.var_names
         assert built.objective_var == parsed.objective_var
         assert built.lower == parsed.lower and built.upper == parsed.upper
-        assert [(r.name, r.sense, r.rhs) for r in built.rows] == [
-            (r.name, r.sense, r.rhs) for r in parsed.rows
-        ]
-        assert [[(j, float(c)) for j, c in r.coeffs] for r in built.rows] == [
-            [(j, float(c)) for j, c in r.coeffs] for r in parsed.rows
-        ]
+        assert (built.row_names, built.senses, built.rhs) == (
+            parsed.row_names, parsed.senses, parsed.rhs
+        )
+        assert (built.entry_row, built.entry_col) == (parsed.entry_row, parsed.entry_col)
+        assert [float(c) for c in built.entry_coef] == [float(c) for c in parsed.entry_coef]
+
+
+def test_compact_build_leaves_few_objects_to_the_collector():
+    # A model is a handful of lists and its distinct values, whatever its
+    # size: one object per row or entry would be thousands here.
+    gc.collect()
+    before = len(gc.get_objects())
+    model = build_lp(8, "compact")
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+    assert model.row_count == 3149
 
 
 def test_compact_build_goes_through_no_mps_text(monkeypatch):
@@ -215,12 +241,15 @@ def test_compact_build_goes_through_no_mps_text(monkeypatch):
 def test_compact_model_is_exact(k):
     # Parsing rounds -1/k through a float; the builder keeps it exact.
     model = build_lp(k, "compact")
-    by_name = {r.name: r for r in model.rows}
-    rows = [by_name["aavg"]] + [by_name[f"abot_{i}"] for i in range(1, k + 1)]
     averaged = {"aavg": "alpha_", "abot": "Fp_"}
-    for row in rows:
-        prefix = averaged[row.name.split("_")[0]]
-        coefs = [c for j, c in row.coeffs if model.var_names[j].startswith(prefix)]
+    for name in ["aavg"] + [f"abot_{i}" for i in range(1, k + 1)]:
+        r = model.row_names.index(name)
+        prefix = averaged[name.split("_")[0]]
+        coefs = [
+            c
+            for row, j, c in zip(model.entry_row, model.entry_col, model.entry_coef)
+            if row == r and model.var_names[j].startswith(prefix)
+        ]
         assert coefs and all(c == Fraction(-1, k) for c in coefs)
 
 
@@ -269,25 +298,25 @@ def test_compact_chunks_stay_bounded():
 
 
 def test_export_parse_round_trip(tmp_path):
-    for k in (1, 3):
-        m = build_lp(k)
-        path = tmp_path / f"model_{k}.mps"
-        export_mps(m, path)
-        m2 = parse_mps(path)
-        assert m2.var_names == m.var_names
-        assert [r.name for r in m2.rows] == [r.name for r in m.rows]
-        for r1, r2 in zip(m.rows, m2.rows):
-            assert r1.sense == r2.sense
-            assert float(r1.rhs) == float(r2.rhs)
-            assert [(j, float(c)) for j, c in r1.coeffs] == [
-                (j, float(c)) for j, c in r2.coeffs
+    for form in FORMS:
+        for k in range(1, 6):
+            m = build_lp(k, form)
+            path = tmp_path / f"{form}_{k}.mps"
+            export_mps(m, path)
+            m2 = parse_mps(path)
+            _assert_flat_lists_hold(m)
+            _assert_flat_lists_hold(m2)
+            assert m2.var_names == m.var_names
+            assert (m2.row_names, m2.senses) == (m.row_names, m.senses)
+            assert [float(x) for x in m2.rhs] == [float(x) for x in m.rhs]
+            assert (m2.entry_row, m2.entry_col) == (m.entry_row, m.entry_col)
+            assert [float(c) for c in m2.entry_coef] == [float(c) for c in m.entry_coef]
+            assert [float(x) for x in m.lower] == [float(x) for x in m2.lower]
+            assert [x if x is None else float(x) for x in m.upper] == [
+                x if x is None else float(x) for x in m2.upper
             ]
-        assert [float(x) for x in m.lower] == [float(x) for x in m2.lower]
-        assert [x if x is None else float(x) for x in m.upper] == [
-            x if x is None else float(x) for x in m2.upper
-        ]
-        # Re-export is byte-identical.
-        assert mps_text(m2) == path.read_text()
+            # Re-export is byte-identical.
+            assert mps_text(m2) == path.read_text()
 
 
 def test_write_compact_matches_chunks(tmp_path):
@@ -483,30 +512,19 @@ def test_compact_export_solved_by_independent_solver():
     n = len(m.var_names)
     c = np.zeros(n)
     c[m.objective_var] = -1.0
-    blocks = {"L": ([], [], [], []), "E": ([], [], [], [])}
-    for row in m.rows:
-        data, ri, ci, rhs = blocks[row.sense]
-        r = len(rhs)
-        for j, coef in row.coeffs:
-            data.append(float(coef))
-            ri.append(r)
-            ci.append(j)
-        rhs.append(float(row.rhs))
-    a_ub = sp.csr_matrix(
-        (blocks["L"][0], (blocks["L"][1], blocks["L"][2])),
-        shape=(len(blocks["L"][3]), n),
+    a = sp.csr_matrix(
+        ([float(coef) for coef in m.entry_coef], (m.entry_row, m.entry_col)),
+        shape=(m.row_count, n),
     )
-    a_eq = sp.csr_matrix(
-        (blocks["E"][0], (blocks["E"][1], blocks["E"][2])),
-        shape=(len(blocks["E"][3]), n),
-    )
+    b = np.array([float(x) for x in m.rhs])
+    eq = np.array(m.senses) == "E"
+    a_ub, b_ub, a_eq, b_eq = a[~eq], b[~eq], a[eq], b[eq]
     bounds = [
         (float(lo), None if up is None else float(up))
         for lo, up in zip(m.lower, m.upper)
     ]
     res = linprog(
-        c, A_ub=a_ub, b_ub=blocks["L"][3], A_eq=a_eq, b_eq=blocks["E"][3],
-        bounds=bounds, method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
     )
     assert res.status == 0
     assert -res.fun == pytest.approx(0.53046, abs=1e-4)

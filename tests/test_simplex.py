@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from exhaustive_oracles import brute_force_optimum
 from ranking_forge import simplex
-from ranking_forge.lpmodel import LinRow, LpModel, build_lp, mps_text, parse_mps
+from ranking_forge.lpmodel import LpModel, build_lp, mps_text, parse_mps
 from ranking_forge.simplex import (
     OPTIMALITY_TOL,
     SimplexStall,
@@ -25,17 +25,22 @@ from ranking_forge.simplex import (
 
 
 def hand_model(var_names, lower, upper, rows, objective_var, k=1):
+    entries = [
+        (r, j, Fraction(c)) for r, (_, coeffs, _, _) in enumerate(rows) for j, c in coeffs
+    ]
     return LpModel(
         k=k,
         form="handmade",
         var_names=var_names,
         lower=[Fraction(x) for x in lower],
         upper=[None if u is None else Fraction(u) for u in upper],
-        rows=[
-            LinRow(name, tuple((j, Fraction(c)) for j, c in coeffs), sense, Fraction(rhs))
-            for name, coeffs, sense, rhs in rows
-        ],
         objective_var=objective_var,
+        row_names=[name for name, _, _, _ in rows],
+        senses=[sense for _, _, sense, _ in rows],
+        rhs=[Fraction(rhs) for _, _, _, rhs in rows],
+        entry_row=[r for r, _, _ in entries],
+        entry_col=[j for _, j, _ in entries],
+        entry_coef=[c for _, _, c in entries],
     )
 
 
@@ -423,14 +428,16 @@ def _reference_verify(model, solution, tol=1e-8):
     # Every residual in Fraction arithmetic: the reference that the integer
     # residuals of verify_solution must reproduce field for field.
     values = [Fraction(solution.values[name]) for name in model.var_names]
+    lhs = [Fraction(0)] * model.row_count
+    for r, j, c in zip(model.entry_row, model.entry_col, model.entry_coef):
+        lhs[r] += Fraction(c) * values[j]
     worst = Fraction(0)
     worst_row = None
-    for row in model.rows:
-        lhs = sum(Fraction(c) * values[j] for j, c in row.coeffs)
-        rhs = Fraction(row.rhs)
-        viol = abs(lhs - rhs) if row.sense == "E" else max(Fraction(0), lhs - rhs)
+    for name, sense, total, rhs in zip(model.row_names, model.senses, lhs, model.rhs):
+        rhs = Fraction(rhs)
+        viol = abs(total - rhs) if sense == "E" else max(Fraction(0), total - rhs)
         if viol > worst:
-            worst, worst_row = viol, row.name
+            worst, worst_row = viol, name
     bound_viol = Fraction(0)
     for j in range(len(model.var_names)):
         lo, up = Fraction(model.lower[j]), model.upper[j]
@@ -519,7 +526,14 @@ def test_brute_force_oracle_with_dependent_equality_rows():
     # Each model's equality row appears twice; the oracle keeps one of the
     # pair in every candidate active set and still finds the optimum.
     for model, optimum in ((equality_model(), 1.5), (pinned_model(), 0.5)):
-        model.rows.append(dataclasses.replace(model.rows[0], name="again"))
+        # Row 0 again, named "again", as the last row; its entries come first.
+        n = model.entry_row.count(0)
+        model.entry_row += [model.row_count] * n
+        model.entry_col += model.entry_col[:n]
+        model.entry_coef += model.entry_coef[:n]
+        model.row_names.append("again")
+        model.senses.append(model.senses[0])
+        model.rhs.append(model.rhs[0])
         assert brute_force_optimum(model) == pytest.approx(optimum, abs=1e-12)
 
 
@@ -554,17 +568,12 @@ def test_scipy_linprog_cross_check():
         n = len(m.var_names)
         c = [0.0] * n
         c[m.objective_var] = -1.0  # scipy minimizes
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for row in m.rows:
-            dense = [0.0] * n
-            for j, coef in row.coeffs:
-                dense[j] = float(coef)
-            if row.sense == "L":
-                a_ub.append(dense)
-                b_ub.append(float(row.rhs))
-            else:
-                a_eq.append(dense)
-                b_eq.append(float(row.rhs))
+        dense = np.zeros((m.row_count, n))
+        for r, j, coef in zip(m.entry_row, m.entry_col, m.entry_coef):
+            dense[r, j] = float(coef)
+        b = np.array([float(x) for x in m.rhs])
+        eq = np.array(m.senses) == "E"
+        a_ub, b_ub, a_eq, b_eq = dense[~eq], b[~eq], dense[eq], b[eq]
         bounds = [
             (float(lo), None if up is None else float(up))
             for lo, up in zip(m.lower, m.upper)
