@@ -63,4 +63,4 @@ from .ranks import (
 )
 from .simplex import LpSolution, solve, verify_solution
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

@@ -39,6 +39,7 @@ import threading
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -258,7 +259,7 @@ def _vertex_iterative(g, seq, frozen, latest_first=False):
     # grabs its last free neighbor: the sweep's deliberately wrong mutation arm.
     pos = {v: i for i, v in enumerate(seq, start=1)}
     unavailable = set(frozen)
-    log: list[ProbeEvent] = []
+    log: list[tuple[Time, Edge, bool]] = []
     matching: set[Edge] = set()
     for v in seq:
         if v in unavailable:
@@ -269,9 +270,10 @@ def _vertex_iterative(g, seq, frozen, latest_first=False):
             reverse=latest_first,
         ):
             ok = u not in unavailable
-            log.append(ProbeEvent((pos[v], pos[u]), edge(u, v), ok))
+            e = edge(u, v)
+            log.append(((pos[v], pos[u]), e, ok))
             if ok:
-                matching.add(edge(u, v))
+                matching.add(e)
                 unavailable.add(u)
                 unavailable.add(v)
                 break
@@ -280,9 +282,8 @@ def _vertex_iterative(g, seq, frozen, latest_first=False):
 
 def _greedy_probing(g, seq, frozen):
     timeline = _replay(g, seq, frozen)
-    log = [
-        ProbeEvent(t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted)
-    ]
+    # Lazy: ``views_agree`` reads the matching only.
+    log = ((t, e, ok) for (t, e), ok in zip(timeline.schedule, timeline.accepted))
     return timeline.matchings[-1], log
 
 
@@ -290,26 +291,37 @@ def _restricted_arrival(g, seq, frozen):
     # Arrival i probes the pairs (i, 1), (i, 2), ..., (i, i-1) in order:
     # only neighbors that already arrived are visible.
     unavailable = set(frozen)
-    log: list[ProbeEvent] = []
+    log: list[tuple[Time, Edge, bool]] = []
     matching: set[Edge] = set()
     for i, v in enumerate(seq, start=1):
         for j, u in enumerate(seq[: i - 1], start=1):
             if not g.has_edge(u, v):
                 continue
             ok = u not in unavailable and v not in unavailable
-            log.append(ProbeEvent((i, j), edge(u, v), ok))
+            e = edge(u, v)
+            log.append(((i, j), e, ok))
             if ok:
-                matching.add(edge(u, v))
+                matching.add(e)
                 unavailable.add(u)
                 unavailable.add(v)
     return matching, log
 
 
+#: Each view returns its matching and its probe log as plain ``(time, edge,
+#: accepted)`` tuples; only ``run_ranking`` makes ``ProbeEvent``s of them.
 _VIEW_IMPLS = {
     "vertex_iterative": _vertex_iterative,
     "greedy_probing": _greedy_probing,
     "restricted_arrival": _restricted_arrival,
 }
+
+
+def _run_args(g: Graph, order: OrderLike, frozen) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The checked vertex sequence and frozen set every view runs on."""
+    seq = _checked(g, _vertices(order))
+    frozen = frozenset(frozen)
+    _check_frozen(seq, frozen)
+    return seq, frozen
 
 
 def run_ranking(
@@ -327,11 +339,8 @@ def run_ranking(
     """
     if view not in _VIEW_IMPLS:
         raise ValueError(f"unknown view {view!r}; choose one of {VIEWS}")
-    seq = _checked(g, _vertices(order))
-    frozen = frozenset(frozen)
-    _check_frozen(seq, frozen)
-    matching, log = _VIEW_IMPLS[view](g, seq, frozen)
-    return RankingTrace(frozenset(matching), tuple(log), view)
+    matching, log = _VIEW_IMPLS[view](g, *_run_args(g, order, frozen))
+    return RankingTrace(frozenset(matching), tuple(starmap(ProbeEvent, log)), view)
 
 
 def matching_for_order(
@@ -496,8 +505,10 @@ def views_agree(
     order: OrderLike,
     frozen: frozenset[int] | set[int] = frozenset(),
 ) -> AgreeReport:
-    """Run all three views and report whether their matchings coincide."""
-    matchings = {view: run_ranking(g, order, view, frozen).matching for view in VIEWS}
+    """Run all three views on the order, checked once, and report whether
+    their matchings coincide; no probe log is kept."""
+    args = _run_args(g, order, frozen)
+    matchings = {view: frozenset(_VIEW_IMPLS[view](g, *args)[0]) for view in VIEWS}
     agree = len(set(matchings.values())) == 1
     return AgreeReport(agree, matchings)
 

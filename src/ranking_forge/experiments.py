@@ -21,7 +21,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import ranks, simplex
-from .engine import _vertex_iterative, matching_for_order, matching_sizes, views_agree
+from .engine import (
+    _replay,
+    _vertex_iterative,
+    matching_for_order,
+    matching_sizes,
+    views_agree,
+)
 from .gains import REFERENCE_TABLE_K3, audit_h_bounds
 from .graphs import (
     Graph,
@@ -39,14 +45,15 @@ from .lpmodel import build_lp
 from .oracles import (
     BUYER,
     ClaimViolation,
-    alternating_path_sweep,
-    check_insertion_claims,
-    check_monotonicity,
-    check_prefix_agreement,
+    _insertion_checks,
+    _monotonicity_checks,
+    _path_sweep,
+    _prefix_checks,
+    _roles,
     enumerate_equivalence_class,
     two_coloring,
 )
-from .ranks import enumerate_rank_vectors, insertion_slots, remove_vertex
+from .ranks import enumerate_rank_vectors, insertion_slots, move_vertex, remove_vertex
 
 #: Published LP optima by bucket count (5 decimals), for regression checks.
 KNOWN_OPTIMA = {
@@ -443,23 +450,32 @@ def _sweep_one(
                 record("views-agree-corrupted", order=order)
     lap("views")
 
-    # Alternating paths at every probe boundary, for every removed vertex.
+    # Each order's run and its n runs with one vertex frozen, read once for
+    # both checks below.
+    alone = [frozenset({x}) for x in range(n)]
+    runs = []
     for order in orders:
+        full = _replay(g, order, frozenset())
+        runs.append((full, [_replay(g, full.order.seq, x) for x in alone]))
+
+    # Alternating paths at every probe boundary, for every removed vertex.
+    for full, minus in runs:
         for u_star in range(n):
             try:
-                bump("alt-path-checkpoints", alternating_path_sweep(g, order, u_star))
+                bump("alt-path-checkpoints", _path_sweep(g, u_star, full, minus[u_star]))
             except ClaimViolation as exc:
                 record(exc.claim, **exc.payload)
     lap("alternating-paths")
 
     # Prefix-agreement fact.
-    for order in orders:
+    tally = _Tally("prefix-agreement", bump, record)
+    for full, minus in runs:
         for v in range(n):
-            _tally("prefix-agreement", check_prefix_agreement(g, order, v), bump, record)
+            _prefix_checks(g, v, full, minus[v], tally)
     lap("prefix-agreement")
 
     if n <= config.max_n + 1 and config.exhaustive:
-        _sweep_insertion_claims(g, bump, record)
+        _sweep_insertion_claims(g, _Tally("insertion-claims", bump, record))
         lap("insertion-claims")
         _sweep_coloring(g, orders, bump, record)
         lap("coloring")
@@ -476,28 +492,36 @@ def _sweep_one(
     return counts, violations, len(orders), seconds, time.perf_counter() - start
 
 
-def _tally(key, report, bump, record):
-    """Count a report's checks under ``key`` and record each failure."""
-    bump(key, len(report.checks))
-    for fail in report.failures:
-        record(fail.claim, **fail.details)
+class _Tally:
+    """What the sweep keeps of a ``ClaimReport``: each check it is handed
+    counts under ``key``, and only a failure is recorded, with its details."""
+
+    def __init__(self, key, bump, record):
+        self.key, self.bump, self.record = key, bump, record
+
+    def add(self, claim, status, **details):
+        self.bump(self.key)
+        if status == "fail":
+            self.record(claim, **details)
 
 
-def _sweep_insertion_claims(g, bump, record):
+def _sweep_insertion_claims(g, tally):
     n = g.n
     for u_star in range(n):
         others = sorted(set(range(n)) - {u_star})
         for vec in enumerate_rank_vectors(others, 1):
+            roles = [(u, _roles(g, vec, u)) for u in others]
             for target in insertion_slots(vec):
-                for u in others:
-                    report = check_insertion_claims(g, vec, u, u_star, target)
-                    _tally("insertion-claims", report, bump, record)
+                run = _replay(g, move_vertex(vec, u_star, target), frozenset())
+                for u, u_roles in roles:
+                    _insertion_checks(g, vec, u, u_star, target, u_roles, run, tally)
 
 
 def _sweep_rank_vector_checks(g, k, bump, record):
     n = g.n
     seen_classes: set = set()
     observed_matched_backup = 0
+    tally = _Tally("monotonicity", bump, record)
     for vec in enumerate_rank_vectors(range(n), k):
         matching = matching_for_order(g, vec)
         for u in range(n):
@@ -508,7 +532,7 @@ def _sweep_rank_vector_checks(g, k, bump, record):
             if key in seen_classes:
                 continue
             seen_classes.add(key)
-            _tally("monotonicity", check_monotonicity(g, vec, u), bump, record)
+            _monotonicity_checks(g, vec, u, tally)
             try:
                 members, structure = enumerate_equivalence_class(g, vec, u)
                 bump("equivalence-class", len(members))

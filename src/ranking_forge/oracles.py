@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import or_
 from typing import Iterable, NamedTuple, Optional
 
 from .engine import Time, _replay, _Timeline, matching_for_order, position_map
@@ -135,9 +136,13 @@ def _backup(g: Graph, order, u: int, v: int) -> Optional[int]:
 
 def _roles(g: Graph, order, u: int) -> tuple[Optional[int], Optional[int], ClassLabel]:
     """``u``'s match, its backup (``None`` when absent) and its class label
-    under ``order``: the one place the label rule is written."""
+    under ``order``: the one place the label rule is written.  ``ValueError``
+    when ``u`` is not in the order."""
     v = _partner(g, order, u)
     if v is None:
+        # A vertex off the order is never matched: only here can u be one.
+        if u not in _replay(g, order, frozenset()).order.seq:
+            raise ValueError(f"vertex {u} is not in the order")
         return None, None, UNMATCHED
     b = _backup(g, order, u, v)
     if b is None:
@@ -168,7 +173,11 @@ class AlternatingPath:
     sources: tuple[str, ...]
 
 
-def _arrange_path(diff: set[Edge], start: int, violation) -> list[int]:
+#: The run that owns a path's even and its odd edges.
+_SOURCES = ("full", "minus")
+
+
+def _arrange_path(diff: frozenset[Edge], start: int, violation) -> list[int]:
     """The edges of ``diff`` as one path from ``start``; otherwise raises
     ``violation("alt-path-structure", ...)``."""
     if not diff:
@@ -207,11 +216,11 @@ def _arrange_path(diff: set[Edge], start: int, violation) -> list[int]:
 
 def _verify_path_properties(
     g: Graph, u_star: int, full: _Timeline, minus: _Timeline, i: int, t: Time
-) -> AlternatingPath:
+) -> list[int]:
     """Check the path properties on state ``i``, the state before time ``t``,
-    of the run and of the run with ``u_star`` removed.  Every violation
-    carries the witness that replays it: the graph's edges, ``u_star``,
-    ``t`` and the order."""
+    of the run and of the run with ``u_star`` removed, and return the path's
+    vertices from ``u_star``.  Every violation carries the witness that
+    replays it: the graph's edges, ``u_star``, ``t`` and the order."""
     seq, rank = full.order.seq, full.order.rank
     full_matching, minus_matching = full.matchings[i], minus.matchings[i]
 
@@ -221,15 +230,13 @@ def _verify_path_properties(
             "order": position_map(seq), **found,
         })
 
-    path = _arrange_path(set(full_matching ^ minus_matching), u_star, violation)
-    sources = []
+    path = _arrange_path(full_matching ^ minus_matching, u_star, violation)
     for j in range(len(path) - 1):
         e = edge(path[j], path[j + 1])
-        expected = full_matching if j % 2 == 0 else minus_matching
-        source = "full" if j % 2 == 0 else "minus"
-        if e not in expected:
-            raise violation("alt-path-alternation", path=path, edge=e, expected_in=source)
-        sources.append(source)
+        if e not in (minus_matching if j % 2 else full_matching):
+            raise violation(
+                "alt-path-alternation", path=path, edge=e, expected_in=_SOURCES[j % 2]
+            )
     for j in range(len(path) - 2):
         if not rank[path[j]] < rank[path[j + 2]]:
             raise violation(
@@ -244,7 +251,7 @@ def _verify_path_properties(
             available_full=_available(seq, full.taken[i]),
             available_minus=_available(seq, minus.taken[i]),
         )
-    return AlternatingPath(tuple(path), tuple(sources))
+    return path
 
 
 def _available(seq: tuple[int, ...], taken: int) -> list[int]:
@@ -259,7 +266,10 @@ def extract_alternating_path(
     path.  Raises :class:`ClaimViolation` if any path property fails.
     """
     full, minus = _pair(g, order, u_star)
-    return _verify_path_properties(g, u_star, full, minus, full.before(t), t)
+    path = _verify_path_properties(g, u_star, full, minus, full.before(t), t)
+    return AlternatingPath(
+        tuple(path), tuple(_SOURCES[j % 2] for j in range(len(path) - 1))
+    )
 
 
 def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
@@ -268,18 +278,21 @@ def alternating_path_sweep(g: Graph, order, u_star: int) -> int:
     Returns the number of checkpoints verified (probe times plus the final
     state); raises on the first violation.
     """
-    full, minus = _pair(g, order, u_star)
+    return _path_sweep(g, u_star, *_pair(g, order, u_star))
+
+
+def _path_sweep(g: Graph, u_star: int, full: _Timeline, minus: _Timeline) -> int:
+    """``alternating_path_sweep`` on the run and the run with ``u_star``
+    frozen."""
     n = len(full.order.seq)
     times = [t for t, _ in full.schedule]
     times.append((n + 1, n + 1))  # the final state
-    checked = None
+    # State i is state i - 1 unless either run took probe i - 1: the
+    # verdict there is the one already checked.
+    changed = (True, *map(or_, full.accepted, minus.accepted))
     for i, t in enumerate(times):
-        state = (full.matchings[i], full.taken[i], minus.matchings[i], minus.taken[i])
-        # Neither run took a probe since the last checkpoint: the states,
-        # and so the verdict, are the ones already checked.
-        if state != checked:
+        if changed[i]:
             _verify_path_properties(g, u_star, full, minus, i, t)
-            checked = state
     return len(times)
 
 
@@ -307,8 +320,25 @@ def check_insertion_claims(
     if u not in vec:
         raise ValueError(f"u {u} must be in the rank vector")
     report = ClaimReport()
-    v, b, _ = _roles(g, vec, u)
     run = _replay(g, move_vertex(vec, u_star, target), frozenset())
+    _insertion_checks(g, vec, u, u_star, target, _roles(g, vec, u), run, report)
+    return report
+
+
+def _insertion_checks(
+    g: Graph,
+    vec: RankVector,
+    u: int,
+    u_star: int,
+    target: tuple[int, int],
+    roles: tuple[Optional[int], Optional[int], ClassLabel],
+    run: _Timeline,
+    report,
+) -> None:
+    """``check_insertion_claims`` given ``u``'s roles under ``vec`` and the
+    run with ``u_star`` inserted at ``target``; every check goes to
+    ``report.add``."""
+    v, b, _ = roles
     pos = run.order.rank
     has_pair_edge = g.has_edge(u, u_star)
 
@@ -326,7 +356,7 @@ def check_insertion_claims(
             )
         else:
             report.add("no-match-fact", "skipped", reason="(u, u_star) not an edge")
-        return report
+        return
 
     # Claim family: u matched to v when u_star was absent.
     if pos[u_star] < pos[v]:
@@ -381,7 +411,6 @@ def check_insertion_claims(
     else:
         report.add("backup-rank-dominance", "skipped", reason="no backup")
         report.add("backup-floor", "skipped", reason="no backup")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +426,16 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
     position.  Slots at or past ``b`` may legitimately change the match; the
     outcome there is recorded, never asserted.
     """
-    vec = rank_vector
+    report = ClaimReport()
+    _monotonicity_checks(g, rank_vector, u, report)
+    return report
+
+
+def _monotonicity_checks(g: Graph, vec: RankVector, u: int, report) -> None:
+    """``check_monotonicity``, every check going to ``report.add``."""
     v, b, _ = _roles(g, vec, u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
-    report = ClaimReport()
     v_slot = vec.rank(v)
     base_pos = _replay(g, vec, frozenset()).order.rank
     for slot, moved, new_partner in _demotions(g, vec, u, v):
@@ -444,7 +478,6 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
                     slot=slot, observed_partner=new_partner,
                     match_changed=new_partner != v,
                 )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +602,13 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
     pos(v)``.
     """
     report = ClaimReport()
-    full, minus = _pair(g, order, v)
+    _prefix_checks(g, v, *_pair(g, order, v), report)
+    return report
+
+
+def _prefix_checks(g: Graph, v: int, full: _Timeline, minus: _Timeline, report) -> None:
+    """``check_prefix_agreement`` on the run and the run with ``v`` frozen,
+    every check going to ``report.add``."""
     seq = full.order.seq
     n = len(seq)
     p = full.order.rank[v]
@@ -610,4 +649,3 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
                     full=sorted(matching),
                     demoted=sorted(demoted_matching),
                 )
-    return report

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import permutations
@@ -20,9 +21,9 @@ from ranking_forge.engine import (
     trace_to_json,
     views_agree,
 )
-from ranking_forge.experiments import exact_expected_ratio
+from ranking_forge.experiments import connected_graphs_upto, exact_expected_ratio
 from ranking_forge.gains import REFERENCE_TABLE_K3, audit_h_bounds
-from ranking_forge.graphs import generate_family, make_graph
+from ranking_forge.graphs import backup_counterexample_graph, generate_family, make_graph
 from ranking_forge.oracles import ClassLabel, compute_profile
 from ranking_forge.ranks import RankVector, remove_vertex, sample_ranks
 
@@ -353,6 +354,40 @@ def test_trace_json(p4):
     assert payload["matching"] == [[0, 1], [2, 3]]
     assert all(set(ev) == {"time", "edge", "accepted"} for ev in payload["probe_log"])
 
+
+
+def test_probe_logs_are_pinned():
+    # Every view's trace, probe log included, for every order of every
+    # connected graph on at most 4 vertices and of the backup counterexample.
+    digest = hashlib.sha256()
+    for g in connected_graphs_upto(4) + [backup_counterexample_graph()]:
+        for order in permutations(range(g.n)):
+            for view in VIEWS:
+                text = trace_to_json(run_ranking(g, list(order), view))
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "5d5338d457278ad1313781a55a57d49294b668c47c8db38839be9f41dea84ccd"
+    )
+
+
+def test_views_agree_reports_a_view_that_diverges(monkeypatch, cex):
+    # One view loses an edge of its matching: the report disagrees and shows
+    # every view's matching.
+    real = engine._VIEW_IMPLS["restricted_arrival"]
+
+    def lossy(g, seq, frozen):
+        matching, log = real(g, seq, frozen)
+        return set(sorted(matching)[1:]), log
+
+    monkeypatch.setitem(engine._VIEW_IMPLS, "restricted_arrival", lossy)
+    order = list(range(cex.n))
+    report = views_agree(cex, order)
+    assert not report.agree
+    assert set(report.divergence) == set(VIEWS)
+    full = sorted(matching_for_order(cex, order))
+    assert report.divergence["restricted_arrival"] == full[1:]
+    assert report.divergence["vertex_iterative"] == full
+    assert report.divergence["greedy_probing"] == full
 
 @st.composite
 def graphs_and_orders(draw):

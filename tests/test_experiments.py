@@ -9,12 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ranking_forge import experiments, simplex
+from ranking_forge import experiments, oracles, simplex
 from ranking_forge.experiments import (
     KNOWN_OPTIMA,
     MC_BLOCK_SLOTS,
     MC_MAX_BUCKETS,
     SWEEP_STAGES,
+    CorpusGraph,
     SweepConfig,
     connected_graphs_upto,
     default_corpus,
@@ -32,7 +33,12 @@ from ranking_forge.graphs import (
     graph_to_json,
     maximum_matching_size,
 )
-from ranking_forge.oracles import ClaimReport, ClaimViolation
+from ranking_forge.oracles import (
+    ClaimViolation,
+    check_insertion_claims,
+    check_prefix_agreement,
+)
+from ranking_forge.ranks import enumerate_rank_vectors, insertion_slots
 
 
 def test_connected_graph_census():
@@ -309,39 +315,40 @@ def test_every_sweep_stage_failure_reaches_the_report(monkeypatch):
     failed = {}  # claim -> the corpus graph its stage failed on
 
     def fail_once(attr, claim, failure):
+        # The first call of the function the sweep runs for a stage fails.
         real = getattr(experiments, attr)
 
         def stage(g, *args):
             if claim in failed:
                 return real(g, *args)
             failed[claim] = names[id(g)]
-            return failure(claim)
+            return failure(claim, args)
 
         monkeypatch.setattr(experiments, attr, stage)
 
-    def failing_report(claim):
-        report = ClaimReport()
-        report.add(claim, "fail")
-        return report
+    def failing_check(claim, args):
+        # The checker cores hand every check to the report they are given,
+        # their last argument.
+        args[-1].add(claim, "fail")
 
-    def violation(claim):
+    def violation(claim, args):
         raise ClaimViolation(claim, {})
 
-    def path_violation(claim):
+    def path_violation(claim, args):
         raise ClaimViolation(claim, {"edges": [[0, 1]], "u_star": 0})
 
-    def coloring_error(claim):
+    def coloring_error(claim, args):
         raise RuntimeError("no proper coloring")
 
     fail_once("views_agree", "views-agree",
-              lambda claim: SimpleNamespace(agree=False, divergence=None))
-    fail_once("alternating_path_sweep", "injected-alternating-path", path_violation)
-    fail_once("check_prefix_agreement", "injected-prefix-agreement", failing_report)
-    fail_once("check_insertion_claims", "injected-insertion", failing_report)
-    fail_once("check_monotonicity", "injected-monotonicity", failing_report)
+              lambda claim, args: SimpleNamespace(agree=False, divergence=None))
+    fail_once("_path_sweep", "injected-alternating-path", path_violation)
+    fail_once("_prefix_checks", "injected-prefix-agreement", failing_check)
+    fail_once("_insertion_checks", "injected-insertion", failing_check)
+    fail_once("_monotonicity_checks", "injected-monotonicity", failing_check)
     fail_once("enumerate_equivalence_class", "injected-equivalence-class", violation)
     fail_once("two_coloring", "two-coloring", coloring_error)
-    fail_once("audit_h_bounds", "injected-audit", lambda claim: [{"claim": claim}])
+    fail_once("audit_h_bounds", "injected-audit", lambda claim, args: [{"claim": claim}])
     report = lemma_sweep(
         SweepConfig(max_n=3, k=2, with_random_eight=False, audit_max_n=2)
     )
@@ -353,3 +360,49 @@ def test_every_sweep_stage_failure_reaches_the_report(monkeypatch):
     (path,) = [v for v in report.violations if v["claim"] == "injected-alternating-path"]
     assert path["graph"] == failed["injected-alternating-path"]
     assert path["edges"] == [[0, 1]] and path["u_star"] == 0
+
+
+def test_sweep_records_a_failing_check_as_its_public_checker_reports_it(monkeypatch):
+    # Every full run loses its final matching.  The sweep hands the runs it
+    # reads to the checker cores and records only failures; each one it
+    # records must carry exactly the details that the public checker's
+    # ClaimReport holds for the same case, in the same order.
+    corpus = [
+        CorpusGraph("backup_cex", backup_counterexample_graph()),
+        CorpusGraph("path4", generate_family("path", n=4)),
+    ]
+    monkeypatch.setattr(experiments, "default_corpus", lambda **_: corpus)
+    real = oracles._replay
+
+    def corrupted(g, order, frozen):
+        timeline = real(g, order, frozen)
+        if frozen:
+            return timeline
+        return timeline._replace(matchings=timeline.matchings[:-1] + (frozenset(),))
+
+    monkeypatch.setattr(oracles, "_replay", corrupted)
+    monkeypatch.setattr(experiments, "_replay", corrupted)
+    expected = []
+    for c in corpus:
+        g = c.graph
+        reports = [
+            check_prefix_agreement(g, list(order), v)
+            for order in permutations(range(g.n)) for v in range(g.n)
+        ]
+        for u_star in range(g.n):
+            others = [w for w in range(g.n) if w != u_star]
+            for vec in enumerate_rank_vectors(others, 1):
+                for target in insertion_slots(vec):
+                    reports.extend(
+                        check_insertion_claims(g, vec, u, u_star, target) for u in others
+                    )
+        for report in reports:
+            expected.extend(
+                {"graph": c.name, "claim": f.claim, **f.details} for f in report.failures
+            )
+    report = lemma_sweep(
+        SweepConfig(max_n=4, k=1, with_random_eight=False, audit_max_n=0)
+    )
+    claims = {v["claim"] for v in expected}
+    assert {"prefix-agreement-removed", "insert-after-u"} <= claims
+    assert [v for v in report.violations if v["claim"] in claims] == expected

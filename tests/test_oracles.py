@@ -74,6 +74,22 @@ def test_backup_and_profile_agree_with_the_roles_everywhere():
                     assert compute_backup(g, vec, u) == b
 
 
+
+@pytest.mark.parametrize("checker", [
+    lambda g, vec, u: compute_backup(g, vec, u),
+    lambda g, vec, u: compute_profile(g, vec, u),
+    lambda g, vec, u: check_monotonicity(g, vec, u),
+    lambda g, vec, u: enumerate_equivalence_class(g, vec, u),
+], ids=["compute_backup", "compute_profile", "check_monotonicity",
+        "enumerate_equivalence_class"])
+def test_checkers_reject_a_vertex_absent_from_the_order(p4, checker):
+    # Vertex 3 of P4 is not in the vector: no checker may read it as
+    # unmatched.
+    vec = RankVector(1, {v: (1, v + 1) for v in range(3)})
+    for u in (3, 9):
+        with pytest.raises(ValueError, match=f"vertex {u} is not in the order"):
+            checker(p4, vec, u)
+
 def test_profile_examples(k2, cex):
     profile, label = compute_profile(k2, RankVector(3, {0: (1, 1), 1: (2, 1)}), 0)
     assert (profile, label) == ((1, 2, None), ClassLabel.MATCHED_NO_BACKUP)
