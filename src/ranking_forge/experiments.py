@@ -53,7 +53,7 @@ from .oracles import (
     enumerate_equivalence_class,
     two_coloring,
 )
-from .ranks import enumerate_rank_vectors, insertion_slots, move_vertex, remove_vertex
+from .ranks import _insertion_range, enumerate_rank_vectors, order_of, remove_vertex
 
 #: Published LP optima by bucket count (5 decimals), for regression checks.
 KNOWN_OPTIMA = {
@@ -510,11 +510,13 @@ def _sweep_insertion_claims(g, tally):
     for u_star in range(n):
         others = sorted(set(range(n)) - {u_star})
         for vec in enumerate_rank_vectors(others, 1):
+            order = order_of(vec)
             roles = [(u, _roles(g, vec, u)) for u in others]
-            for target in insertion_slots(vec):
-                run = _replay(g, move_vertex(vec, u_star, target), frozenset())
+            # k = 1: slot (1, y) puts u_star at the y-th index of the one bucket.
+            for y, j in enumerate(_insertion_range(vec, 1), 1):
+                run = _replay(g, order[:j] + (u_star,) + order[j:], frozenset())
                 for u, u_roles in roles:
-                    _insertion_checks(g, vec, u, u_star, target, u_roles, run, tally)
+                    _insertion_checks(g, vec, u, u_star, (1, y), u_roles, run, tally)
 
 
 def _sweep_rank_vector_checks(g, k, bump, record):

@@ -23,18 +23,16 @@ from .oracles import (
     MATCHED_WITH_BACKUP,
     UNMATCHED,
     ClassLabel,
-    Profile,
     _roles,
     flip_coloring,
     two_coloring,
 )
 from .ranks import (
     RankVector,
+    _insertion_range,
     check_bucket_count,
     enumerate_rank_vectors,
-    insertion_slots,
     order_of,
-    slot_index,
 )
 
 
@@ -275,8 +273,8 @@ def audit_h_bounds(
 
     Enumerates every rank vector on the graph without ``u_star`` over the
     table's k buckets (at most ``AUDIT_BUDGET`` of them) and every insertion
-    slot for it, always conditioning on ``u`` being a buyer.  Returns violation records; an
-    empty list is a pass.
+    slot for it, always conditioning on ``u`` being a buyer.  Returns
+    violation records; an empty list is a pass.
 
     ``check_table=False`` lets a deliberately non-monotone table through, to
     demonstrate that the audit actually catches bound violations.
@@ -291,64 +289,91 @@ def audit_h_bounds(
     violations: list[dict] = []
     # A realization is a vector and an insertion slot for ``u_star``; its
     # order is the vector's with ``u_star`` spliced in at the slot's index.
-    # The matching, the coloring and ``u``'s roles depend on an order alone,
-    # so each is computed once per order, and an h row once per profile.  A
+    # ``u``'s roles depend on the vector's order alone, and the matching and
+    # coloring on the order and the index, so each order's runs are computed
+    # once, for every index; an h row is computed once per profile.  A
     # realization is then the price lookups for its (buyer, item) pairs.
-    roles_of = cache(lambda order: _roles(g, order, u))
+    @cache
+    def h_row_of(
+        label: ClassLabel, x_u: int, x_v: Optional[int], x_b: Optional[int]
+    ) -> tuple[float, ...]:
+        return tuple(h_value(label, table, x_u, x_v, x_b, x) for x in range(1, k + 1))
 
     @cache
-    def h_row_of(label: ClassLabel, profile: Profile) -> tuple[float, ...]:
-        return tuple(
-            h_value(label, table, profile.x_u, profile.x_v, profile.x_b, x)
-            for x in range(1, k + 1)
-        )
-
-    @cache
-    def run_of(order: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The matching's size and its (buyer, item) pairs, ``u`` a buyer."""
-        matching = matching_for_order(g, order)
-        chi = two_coloring(g, matching, g.m_star, 0)
-        if chi[u] != BUYER:
-            chi = flip_coloring(chi)
-        return len(matching), tuple(_buyer_item(a, b, chi) for a, b in matching)
+    def runs_of(order: tuple[int, ...]) -> tuple:
+        """``u``'s roles under ``order`` and, for each index j at which
+        ``u_star`` can be spliced into it, the run's matching size, its
+        (buyer, item) pairs with ``u`` a buyer, and whether no two pairs
+        share an endpoint."""
+        runs = []
+        for j in range(len(order) + 1):
+            matching = matching_for_order(g, order[:j] + (u_star,) + order[j:])
+            chi = two_coloring(g, matching, g.m_star, 0)
+            if chi[u] != BUYER:
+                chi = flip_coloring(chi)
+            pairs = tuple(_buyer_item(a, b, chi) for a, b in matching)
+            ends = {w for pair in pairs for w in pair}
+            runs.append((len(matching), pairs, len(ends) == 2 * len(pairs)))
+        return _roles(g, order, u), runs
 
     for vec in enumerate_rank_vectors(others, k, budget=AUDIT_BUDGET):
         order = order_of(vec)
-        bucket = {v: x for v, (x, _) in vec.items()}
+        bucket = dict(zip(order, vec._buckets))
+        (match, backup, label), runs = runs_of(order)
         # The profile is the buckets of u, its match and its backup; an
         # absent match or backup (None) has no bucket.
-        match, backup, label = roles_of(order)
-        profile = Profile(bucket[u], bucket.get(match), bucket.get(backup))
-        h_row = h_row_of(label, profile)
-        for slot in insertion_slots(vec):
-            j = slot_index(vec, slot)
-            size, pairs = run_of(order[:j] + (u_star,) + order[j:])
-            bucket[u_star] = slot[0]
-            gains = _shares(pairs, bucket, rows)
-            total_u = gains.get(u, 0.0) + gains.get(u_star, 0.0)
-            hv = h_row[slot[0] - 1]
-            if hv > total_u + 1e-9:
-                violations.append(
-                    {
-                        "claim": f"h-bound-{label.value}",
-                        "vector": {str(v): list(s) for v, s in vec.items()},
-                        "slot": list(slot),
-                        "profile": list(profile),
-                        "h": hv,
-                        "realized": total_u,
-                    }
-                )
-            mass = sum(gains.values())
-            if abs(mass - size) > 1e-9:
-                violations.append(
-                    {
-                        "claim": "gain-conservation",
-                        "vector": {str(v): list(s) for v, s in vec.items()},
-                        "slot": list(slot),
-                        "total_gain": mass,
-                        "matching_size": size,
-                    }
-                )
+        profile = bucket[u], bucket.get(match), bucket.get(backup)
+        h_row = h_row_of(label, *profile)
+        # The slots in ``insertion_slots`` order: by bucket, then index.
+        for x in range(1, k + 1):
+            bucket[u_star] = x
+            hv = h_row[x - 1]
+            indices = _insertion_range(vec, x)
+            for j in indices:
+                size, pairs, distinct = runs[j]
+                if distinct:
+                    # gain(u) + gain(u_star) and the gains' sum, added in
+                    # the order ``sum(_shares(...).values())`` adds them.
+                    gain_u = gain_star = mass = 0.0
+                    for buyer, item in pairs:
+                        price = rows[bucket[buyer] - 1][bucket[item] - 1]
+                        rest = 1.0 - price
+                        mass += price
+                        mass += rest
+                        if buyer == u:
+                            gain_u = rest
+                        elif buyer == u_star:
+                            gain_star = rest
+                        if item == u_star:
+                            gain_star = price
+                    total_u = gain_u + gain_star
+                else:
+                    # Pairs that share a vertex overwrite its gain: the one
+                    # way the gains' sum can miss the matching size.
+                    gains = _shares(pairs, bucket, rows)
+                    total_u = gains.get(u, 0.0) + gains.get(u_star, 0.0)
+                    mass = sum(gains.values())
+                if hv > total_u + 1e-9:
+                    violations.append(
+                        {
+                            "claim": f"h-bound-{label.value}",
+                            "vector": {str(v): list(s) for v, s in vec.items()},
+                            "slot": [x, j - indices.start + 1],
+                            "profile": list(profile),
+                            "h": hv,
+                            "realized": total_u,
+                        }
+                    )
+                if abs(mass - size) > 1e-9:
+                    violations.append(
+                        {
+                            "claim": "gain-conservation",
+                            "vector": {str(v): list(s) for v, s in vec.items()},
+                            "slot": [x, j - indices.start + 1],
+                            "total_gain": mass,
+                            "matching_size": size,
+                        }
+                    )
     return violations
 
 

@@ -76,7 +76,7 @@ class RankVector:
         return ((v, (x, i - bisect_left(b, x) + 1)) for i, (v, x) in pairs)
 
     def bucket_size(self, x: int) -> int:
-        return bisect_right(self._buckets, x) - bisect_left(self._buckets, x)
+        return len(_insertion_range(self, x)) - 1
 
     def __contains__(self, v: int) -> bool:
         return v in self._order
@@ -168,14 +168,21 @@ def slot_index(r: RankVector, slot: Slot) -> int:
     x, y = slot
     if not 1 <= x <= r.k:
         raise ValueError(f"target bucket {x} outside 1..{r.k}")
-    first = bisect_left(r._buckets, x)
-    occupancy = bisect_right(r._buckets, x) - first
-    if not 1 <= y <= occupancy + 1:
+    indices = _insertion_range(r, x)
+    if not 1 <= y <= len(indices):
         raise ValueError(
             f"target position {y} breaks contiguity of bucket {x} "
-            f"(occupancy {occupancy})"
+            f"(occupancy {len(indices) - 1})"
         )
-    return first + y - 1
+    return indices[y - 1]
+
+
+def _insertion_range(r: RankVector, x: int) -> range:
+    """The indices of ``order_of(r)`` at which a vertex inserted into bucket
+    ``x`` can land, position 1 first: from the bucket's first index to one
+    past its last occupant.  The one rule for where a bucket sits."""
+    b = r._buckets
+    return range(bisect_left(b, x), bisect_right(b, x) + 1)
 
 
 def insertion_slots(r: RankVector, v: int | None = None) -> list[Slot]:
@@ -187,8 +194,7 @@ def insertion_slots(r: RankVector, v: int | None = None) -> list[Slot]:
     base = remove_vertex(r, v) if (v is not None and v in r) else r
     slots: list[Slot] = []
     for x in range(1, r.k + 1):
-        occ = base.bucket_size(x)
-        slots.extend((x, y) for y in range(1, occ + 2))
+        slots.extend((x, y) for y in range(1, len(_insertion_range(base, x)) + 1))
     return slots
 
 

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ranking_forge.gains import (
     share_gains,
 )
 from ranking_forge.engine import matching_for_order
+from ranking_forge.experiments import connected_graphs_upto
 from ranking_forge.graphs import backup_counterexample_graph, generate_family, make_graph
 from ranking_forge.oracles import BUYER, ITEM, ClassLabel, compute_profile, two_coloring
 from ranking_forge.ranks import (
@@ -269,6 +271,58 @@ def test_audit_matches_the_unmemoized_loop_with_crowded_buckets(monotone):
             assert audit_h_bounds(g, u, u_star, table, check_table=False) == expected
             found += len(expected)
     assert found or monotone
+
+
+def test_audit_matches_the_unmemoized_loop_on_every_small_graph(monkeypatch):
+    # Every connected graph on at most four vertices, both ends of every
+    # designated pair as u, k = 1, 2, 3, on raw tables so that violations
+    # occur; the matcher runs once per (order of the others, index of u_star).
+    calls = []
+
+    def counted(g, order, *args):
+        calls.append(tuple(order))
+        return matching_for_order(g, order, *args)
+
+    found = 0
+    for g in connected_graphs_upto(4):
+        for k in (1, 2, 3):
+            table = _random_table(k, 10 * g.n + k, monotone=False)
+            for a, b in sorted(g.m_star):
+                for u, u_star in ((a, b), (b, a)):
+                    expected = _unmemoized_audit(g, u, u_star, table, k)
+                    calls.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(gains, "matching_for_order", counted)
+                        assert audit_h_bounds(g, u, u_star, table, False) == expected
+                    found += len(expected)
+                    others = sorted(set(g.vertices) - {u_star})
+                    spliced = [
+                        p[:j] + (u_star,) + p[j:]
+                        for p in permutations(others) for j in range(len(others) + 1)
+                    ]
+                    assert sorted(calls) == sorted(spliced)
+    assert found
+
+
+def test_audit_keeps_the_conservation_check(monkeypatch):
+    # A matcher that returns two edges sharing vertex 1: that vertex's gain
+    # is overwritten, so the gains no longer sum to the matching size, and
+    # the audit must report it as the unmemoized loop does.
+    g = make_graph(3, [(0, 1), (1, 2)], m_star=[(0, 1)])
+
+    def broken(g, order, *args):
+        return frozenset({(0, 1), (1, 2)})
+
+    monkeypatch.setattr(gains, "matching_for_order", broken)
+    monkeypatch.setitem(globals(), "matching_for_order", broken)
+    found = 0
+    for u, u_star in ((0, 1), (1, 0)):
+        expected = _unmemoized_audit(g, u, u_star, REFERENCE_TABLE_K3, 3)
+        actual = audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
+        kept = [v for v in actual if v["claim"] == "gain-conservation"]
+        assert kept == [v for v in expected if v["claim"] == "gain-conservation"]
+        found += len(kept)
+    assert found
 
 
 def test_audit_builds_no_rank_vector_per_slot(monkeypatch):

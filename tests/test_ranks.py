@@ -13,6 +13,7 @@ from ranking_forge.lpmodel import build_lp, compact_mps_chunks, write_compact_mp
 from ranking_forge.ranks import (
     EnumerationLimitError,
     RankVector,
+    _insertion_range,
     _weight,
     distribution_audit,
     enumerate_rank_vectors,
@@ -22,6 +23,7 @@ from ranking_forge.ranks import (
     order_of,
     remove_vertex,
     sample_ranks,
+    slot_index,
     vector_from_json,
     vector_to_json,
 )
@@ -94,6 +96,27 @@ def test_move_round_trip_exhaustively():
             for slot in insertion_slots(vec, v):
                 back = move_vertex(move_vertex(vec, v, slot), v, home)
                 assert back == vec
+
+
+def test_insertion_ranges_walk_the_slots_by_their_one_index_rule():
+    # The walk by bucket over each bucket's insertion range meets the slots
+    # in ``insertion_slots`` order; each index is ``slot_index``'s, and
+    # splicing a new vertex there is the order ``move_vertex`` builds.
+    new = 9
+    for n in range(5):
+        for k in range(1, 4):
+            for vec in enumerate_rank_vectors(range(n), k):
+                order = order_of(vec)
+                walk = [
+                    ((x, y), j)
+                    for x in range(1, k + 1)
+                    for y, j in enumerate(_insertion_range(vec, x), 1)
+                ]
+                assert [slot for slot, _ in walk] == insertion_slots(vec)
+                for slot, j in walk:
+                    assert slot_index(vec, slot) == j
+                    spliced = order[:j] + (new,) + order[j:]
+                    assert spliced == order_of(move_vertex(vec, new, slot))
 
 
 def test_move_preserves_bystander_buckets_and_order():
