@@ -63,4 +63,4 @@ from .ranks import (
 )
 from .simplex import LpSolution, solve, verify_solution
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"

@@ -468,14 +468,19 @@ def _sweep_one(
     lap("alternating-paths")
 
     # Prefix-agreement fact.
-    tally = _Tally("prefix-agreement", bump, record)
+    tally = _Tally(record)
     for full, minus in runs:
         for v in range(n):
             _prefix_checks(g, v, full, minus[v], tally)
+    if tally.count:
+        bump("prefix-agreement", tally.count)
     lap("prefix-agreement")
 
     if n <= config.max_n + 1 and config.exhaustive:
-        _sweep_insertion_claims(g, _Tally("insertion-claims", bump, record))
+        tally = _Tally(record)
+        _sweep_insertion_claims(g, tally)
+        if tally.count:
+            bump("insertion-claims", tally.count)
         lap("insertion-claims")
         _sweep_coloring(g, orders, bump, record)
         lap("coloring")
@@ -493,16 +498,16 @@ def _sweep_one(
 
 
 class _Tally:
-    """What the sweep keeps of a ``ClaimReport``: each check it is handed
-    counts under ``key``, and only a failure is recorded, with its details."""
+    """What the sweep keeps of a ``ClaimReport``: the checker cores add the
+    number of checks they make to ``count`` and hand only a failure to
+    ``add``, which records it with its details."""
 
-    def __init__(self, key, bump, record):
-        self.key, self.bump, self.record = key, bump, record
+    def __init__(self, record):
+        self.record = record
+        self.count = 0
 
     def add(self, claim, status, **details):
-        self.bump(self.key)
-        if status == "fail":
-            self.record(claim, **details)
+        self.record(claim, **details)
 
 
 def _sweep_insertion_claims(g, tally):
@@ -522,8 +527,8 @@ def _sweep_insertion_claims(g, tally):
 def _sweep_rank_vector_checks(g, k, bump, record):
     n = g.n
     seen_classes: set = set()
-    observed_matched_backup = 0
-    tally = _Tally("monotonicity", bump, record)
+    observed_matched_backup = members_total = 0
+    tally = _Tally(record)
     for vec in enumerate_rank_vectors(range(n), k):
         matching = matching_for_order(g, vec)
         for u in range(n):
@@ -537,13 +542,19 @@ def _sweep_rank_vector_checks(g, k, bump, record):
             _monotonicity_checks(g, vec, u, tally)
             try:
                 members, structure = enumerate_equivalence_class(g, vec, u)
-                bump("equivalence-class", len(members))
+                members_total += len(members)
                 if structure.backup is not None:
                     bm = matched_partner(matching, structure.backup)
                     if bm is not None:
                         observed_matched_backup += 1
             except ClaimViolation as exc:
                 record(exc.claim, **exc.payload)
+    # Monotonicity first: the report names the claim families in the order
+    # the graphs' counts first name them.
+    if tally.count:
+        bump("monotonicity", tally.count)
+    if members_total:
+        bump("equivalence-class", members_total)
     bump("backup-is-matched-observed", observed_matched_backup)
 
 

@@ -289,15 +289,23 @@ def audit_h_bounds(
     violations: list[dict] = []
     # A realization is a vector and an insertion slot for ``u_star``; its
     # order is the vector's with ``u_star`` spliced in at the slot's index.
-    # ``u``'s roles depend on the vector's order alone, and the matching and
-    # coloring on the order and the index, so each order's runs are computed
-    # once, for every index; an h row is computed once per profile.  A
-    # realization is then the price lookups for its (buyer, item) pairs.
+    # ``u``'s roles depend on the vector's order alone, and the matching on
+    # the order and the index, so each order's runs are computed once, for
+    # every index; a coloring is computed once per matching and an h row
+    # once per profile.  A realization is then the price lookups for its
+    # (buyer, item) pairs.
     @cache
     def h_row_of(
         label: ClassLabel, x_u: int, x_v: Optional[int], x_b: Optional[int]
     ) -> tuple[float, ...]:
         return tuple(h_value(label, table, x_u, x_v, x_b, x) for x in range(1, k + 1))
+
+    @cache
+    def coloring_of(matching: frozenset[Edge]) -> dict[int, str]:
+        """The coloring of ``matching`` and ``m_star`` with ``u`` a buyer:
+        many spliced orders share one matching."""
+        chi = two_coloring(g, matching, g.m_star, 0)
+        return chi if chi[u] == BUYER else flip_coloring(chi)
 
     @cache
     def runs_of(order: tuple[int, ...]) -> tuple:
@@ -308,9 +316,7 @@ def audit_h_bounds(
         runs = []
         for j in range(len(order) + 1):
             matching = matching_for_order(g, order[:j] + (u_star,) + order[j:])
-            chi = two_coloring(g, matching, g.m_star, 0)
-            if chi[u] != BUYER:
-                chi = flip_coloring(chi)
+            chi = coloring_of(matching)
             pairs = tuple(_buyer_item(a, b, chi) for a, b in matching)
             ends = {w for pair in pairs for w in pair}
             runs.append((len(matching), pairs, len(ends) == 2 * len(pairs)))

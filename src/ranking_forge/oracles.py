@@ -85,6 +85,13 @@ class ClaimReport:
         return not self.failures
 
 
+# The checker cores below check into a ``report``.  A ``ClaimReport`` gets
+# every check, in order, with its details.  Any other report gets only the
+# failures, through ``add``, and the number of checks made, failures
+# included, added to its ``count``: a check that passes or is skipped then
+# builds no details.
+
+
 # ---------------------------------------------------------------------------
 # Runs: every checker reaches a run through these, and a position through the
 # run's ``order.rank``.
@@ -290,8 +297,12 @@ def _path_sweep(g: Graph, u_star: int, full: _Timeline, minus: _Timeline) -> int
     # State i is state i - 1 unless either run took probe i - 1: the
     # verdict there is the one already checked.
     changed = (True, *map(or_, full.accepted, minus.accepted))
+    # Equal matchings and taken sets apart by u_star's bit alone are the
+    # empty path, whose three properties hold.
+    fm, mm, ft, mt = full.matchings, minus.matchings, full.taken, minus.taken
+    bit = 1 << u_star
     for i, t in enumerate(times):
-        if changed[i]:
+        if changed[i] and (ft[i] ^ mt[i] != bit or fm[i] != mm[i]):
             _verify_path_properties(g, u_star, full, minus, i, t)
     return len(times)
 
@@ -336,8 +347,8 @@ def _insertion_checks(
     report,
 ) -> None:
     """``check_insertion_claims`` given ``u``'s roles under ``vec`` and the
-    run with ``u_star`` inserted at ``target``; every check goes to
-    ``report.add``."""
+    run with ``u_star`` inserted at ``target``, checking into ``report``."""
+    every = isinstance(report, ClaimReport)
     v, b, _ = roles
     pos = run.order.rank
     has_pair_edge = g.has_edge(u, u_star)
@@ -346,15 +357,19 @@ def _insertion_checks(
         p = matched_partner(run.matchings[-1], w)
         return None if p is None else pos[p]
 
+    if not every:
+        # One check for an unmatched u, five for a matched one.
+        report.count += 1 if v is None else 5
     if v is None:
         if has_pair_edge:
             wp = partner_pos(u_star)
             ok = wp is not None and wp <= pos[u]
-            report.add(
-                "no-match-fact", "pass" if ok else "fail",
-                u=u, u_star=u_star, target=target, match_pos=wp, u_pos=pos[u],
-            )
-        else:
+            if every or not ok:
+                report.add(
+                    "no-match-fact", "pass" if ok else "fail",
+                    u=u, u_star=u_star, target=target, match_pos=wp, u_pos=pos[u],
+                )
+        elif every:
             report.add("no-match-fact", "skipped", reason="(u, u_star) not an edge")
         return
 
@@ -363,52 +378,57 @@ def _insertion_checks(
         if has_pair_edge:
             wp = partner_pos(u_star)
             ok = wp is not None and wp <= pos[u]
-            report.add(
-                "insert-before-match", "pass" if ok else "fail",
-                u=u, v=v, u_star=u_star, match_pos=wp, u_pos=pos[u],
-            )
-        else:
+            if every or not ok:
+                report.add(
+                    "insert-before-match", "pass" if ok else "fail",
+                    u=u, v=v, u_star=u_star, match_pos=wp, u_pos=pos[u],
+                )
+        elif every:
             report.add(
                 "insert-before-match", "skipped", reason="(u, u_star) not an edge"
             )
-    else:
+    elif every:
         report.add("insert-before-match", "skipped", reason="u_star not before v")
 
     if pos[u_star] > pos[u]:
         wp = partner_pos(u)
         ok = wp is not None and wp <= pos[v]
-        report.add(
-            "insert-after-u", "pass" if ok else "fail",
-            u=u, v=v, u_star=u_star, match_pos=wp, v_pos=pos[v],
-        )
-    else:
+        if every or not ok:
+            report.add(
+                "insert-after-u", "pass" if ok else "fail",
+                u=u, v=v, u_star=u_star, match_pos=wp, v_pos=pos[v],
+            )
+    elif every:
         report.add("insert-after-u", "skipped", reason="u_star not after u")
 
     u_match_pos = partner_pos(u)
     if u_match_pos is None or u_match_pos > pos[v]:
         wp = partner_pos(u_star)
         ok = wp is not None and wp <= pos[v]
-        report.add(
-            "worse-off-compensation", "pass" if ok else "fail",
-            u=u, v=v, u_star=u_star, ustar_match_pos=wp, v_pos=pos[v],
-        )
-    else:
+        if every or not ok:
+            report.add(
+                "worse-off-compensation", "pass" if ok else "fail",
+                u=u, v=v, u_star=u_star, ustar_match_pos=wp, v_pos=pos[v],
+            )
+    elif every:
         report.add("worse-off-compensation", "skipped", reason="u not worse off")
 
     if b is not None:
         base_pos = _replay(g, vec, frozenset()).order.rank
         ok1 = base_pos[v] < base_pos[b]
-        report.add(
-            "backup-rank-dominance", "pass" if ok1 else "fail",
-            u=u, v=v, b=b, v_pos=base_pos[v], b_pos=base_pos[b],
-        )
+        if every or not ok1:
+            report.add(
+                "backup-rank-dominance", "pass" if ok1 else "fail",
+                u=u, v=v, b=b, v_pos=base_pos[v], b_pos=base_pos[b],
+            )
         wp = partner_pos(u)
         ok2 = wp is not None and wp <= pos[b]
-        report.add(
-            "backup-floor", "pass" if ok2 else "fail",
-            u=u, v=v, b=b, u_star=u_star, match_pos=wp, b_pos=pos[b],
-        )
-    else:
+        if every or not ok2:
+            report.add(
+                "backup-floor", "pass" if ok2 else "fail",
+                u=u, v=v, b=b, u_star=u_star, match_pos=wp, b_pos=pos[b],
+            )
+    elif every:
         report.add("backup-rank-dominance", "skipped", reason="no backup")
         report.add("backup-floor", "skipped", reason="no backup")
 
@@ -432,28 +452,33 @@ def check_monotonicity(g: Graph, rank_vector: RankVector, u: int) -> ClaimReport
 
 
 def _monotonicity_checks(g: Graph, vec: RankVector, u: int, report) -> None:
-    """``check_monotonicity``, every check going to ``report.add``."""
+    """``check_monotonicity``, checking into ``report``: one check per slot."""
+    every = isinstance(report, ClaimReport)
     v, b, _ = _roles(g, vec, u)
     if v is None:
         raise ValueError(f"vertex {u} is unmatched; nothing to demote")
     v_slot = vec.rank(v)
     base_pos = _replay(g, vec, frozenset()).order.rank
+    checks = 0
     for slot, moved, new_partner in _demotions(g, vec, u, v):
+        checks += 1
         if b is None:
             if slot < v_slot:
-                report.add(
-                    "demote-no-backup", "skipped",
-                    reason="slot earlier than v", slot=slot,
-                    observed_partner=new_partner,
-                )
+                if every:
+                    report.add(
+                        "demote-no-backup", "skipped",
+                        reason="slot earlier than v", slot=slot,
+                        observed_partner=new_partner,
+                    )
             elif new_partner == v:
                 # The backup is examined only while the match stays.
                 kept = _backup(g, moved, u, v) is None
-                report.add(
-                    "demote-no-backup", "pass" if kept else "fail",
-                    u=u, v=v, slot=slot, new_partner=new_partner,
-                    backup_after=None if kept else "appeared",
-                )
+                if every or not kept:
+                    report.add(
+                        "demote-no-backup", "pass" if kept else "fail",
+                        u=u, v=v, slot=slot, new_partner=new_partner,
+                        backup_after=None if kept else "appeared",
+                    )
             else:
                 report.add(
                     "demote-no-backup", "fail",
@@ -463,14 +488,14 @@ def _monotonicity_checks(g: Graph, vec: RankVector, u: int, report) -> None:
             pos = _replay(g, moved, frozenset()).order.rank
             if slot >= v_slot and pos[v] < pos[b]:
                 same_backup = new_partner == v and _backup(g, moved, u, v) == b
-                b_pos_kept = pos[b] == base_pos[b]
-                report.add(
-                    "demote-below-backup",
-                    "pass" if (same_backup and b_pos_kept) else "fail",
-                    u=u, v=v, b=b, slot=slot, new_partner=new_partner,
-                    b_pos_before=base_pos[b], b_pos_after=pos[b],
-                )
-            else:
+                ok = same_backup and pos[b] == base_pos[b]
+                if every or not ok:
+                    report.add(
+                        "demote-below-backup", "pass" if ok else "fail",
+                        u=u, v=v, b=b, slot=slot, new_partner=new_partner,
+                        b_pos_before=base_pos[b], b_pos_after=pos[b],
+                    )
+            elif every:
                 # Negative direction: moving v to or past b may change the
                 # match; record what happened.
                 report.add(
@@ -478,6 +503,8 @@ def _monotonicity_checks(g: Graph, vec: RankVector, u: int, report) -> None:
                     slot=slot, observed_partner=new_partner,
                     match_changed=new_partner != v,
                 )
+    if not every:
+        report.count += checks
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +635,8 @@ def check_prefix_agreement(g: Graph, order, v: int) -> ClaimReport:
 
 def _prefix_checks(g: Graph, v: int, full: _Timeline, minus: _Timeline, report) -> None:
     """``check_prefix_agreement`` on the run and the run with ``v`` frozen,
-    every check going to ``report.add``."""
+    checking into ``report``."""
+    every = isinstance(report, ClaimReport)
     seq = full.order.seq
     n = len(seq)
     p = full.order.rank[v]
@@ -617,19 +645,28 @@ def _prefix_checks(g: Graph, v: int, full: _Timeline, minus: _Timeline, report) 
         # v is seq[p - 1]; swap it with seq[p], the next vertex
         swapped = seq[: p - 1] + (seq[p], v) + seq[p + 1 :]
         demoted = _replay(g, swapped, frozenset())
+        demoted_schedule = demoted.schedule
     # Every run takes its vertices from the same domain, so comparing the
     # available sets apart from ``v`` is comparing the taken sets with ``v``.
     # A passing check keeps ``v`` and ``t``; only a failing one builds the
-    # witness.
+    # witness.  The state before (t, 1) is the number of probes whose first
+    # position is below t, so one forward index per schedule finds it; both
+    # orders hold the same vertices, so both schedules probe every edge.
     bit = 1 << v
+    schedule = full.schedule
+    last = len(schedule)
+    i = j = checks = 0
     for t in range(1, n + 2):
-        i = full.before((t, 1))
+        while i < last and schedule[i][0][0] < t:
+            i += 1
         matching, taken = full.matchings[i], full.taken[i]
         if taken & bit:
             break
+        checks += 1
         minus_matching = minus.matchings[i]
         if matching == minus_matching and taken | bit == minus.taken[i]:
-            report.add("prefix-agreement-removed", "pass", v=v, t=(t, 1))
+            if every:
+                report.add("prefix-agreement-removed", "pass", v=v, t=(t, 1))
         else:
             report.add(
                 "prefix-agreement-removed", "fail",
@@ -638,10 +675,13 @@ def _prefix_checks(g: Graph, v: int, full: _Timeline, minus: _Timeline, report) 
                 minus=sorted(minus_matching),
             )
         if demoted is not None and t <= p:
-            j = demoted.before((t, 1))
+            while j < last and demoted_schedule[j][0][0] < t:
+                j += 1
+            checks += 1
             demoted_matching = demoted.matchings[j]
             if matching == demoted_matching and taken | bit == demoted.taken[j] | bit:
-                report.add("prefix-agreement-demoted", "pass", v=v, t=(t, 1))
+                if every:
+                    report.add("prefix-agreement-demoted", "pass", v=v, t=(t, 1))
             else:
                 report.add(
                     "prefix-agreement-demoted", "fail",
@@ -649,3 +689,5 @@ def _prefix_checks(g: Graph, v: int, full: _Timeline, minus: _Timeline, report) 
                     full=sorted(matching),
                     demoted=sorted(demoted_matching),
                 )
+    if not every:
+        report.count += checks

@@ -25,20 +25,22 @@ from ranking_forge.experiments import (
     monte_carlo_ratio,
     reproduce_lp_table,
 )
-from ranking_forge.engine import run_ranking
+from ranking_forge.engine import matching_for_order, run_ranking
 from ranking_forge.graphs import (
     SizeLimitError,
     backup_counterexample_graph,
     generate_family,
     graph_to_json,
+    matched_partner,
     maximum_matching_size,
 )
 from ranking_forge.oracles import (
     ClaimViolation,
     check_insertion_claims,
+    check_monotonicity,
     check_prefix_agreement,
 )
-from ranking_forge.ranks import enumerate_rank_vectors, insertion_slots
+from ranking_forge.ranks import enumerate_rank_vectors, insertion_slots, remove_vertex
 
 
 def test_connected_graph_census():
@@ -249,6 +251,74 @@ def test_benchmark_sweep_claim_counts_are_pinned():
     assert all(s > 0 for s in report.graph_seconds.values())
     assert sum(report.seconds.values()) <= sum(report.graph_seconds.values())
     assert sum(report.graph_seconds.values()) <= report.wall_time
+
+
+def test_exhaustive_sweep_claim_counts_are_pinned():
+    # verify-lemmas --max-n 4 --k 3 --exhaustive --skip-random-eight: 432 204
+    # checks in all.
+    report = lemma_sweep(
+        SweepConfig(max_n=4, k=3, exhaustive=True, jobs=1, with_random_eight=False)
+    )
+    assert report.violations == []
+    assert report.claims_checked == {
+        "views-agree": 2967,
+        "alt-path-checkpoints": 102807,
+        "prefix-agreement": 63774,
+        "insertion-claims": 226812,
+        "two-coloring": 5694,
+        "h-bound-audit": 122,
+        "monotonicity": 18624,
+        "equivalence-class": 10284,
+        "backup-is-matched-observed": 1120,
+    }
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["engine", "lost-final-matching"])
+def test_sweep_counts_every_check_its_public_checker_reports(monkeypatch, corrupt):
+    # The sweep only counts the checks that pass or are skipped; per graph
+    # and family, that count must be every check the public checker's
+    # ClaimReport holds over the same cases, whatever its status.  With
+    # every full run losing its final matching, checks fail as well.
+    if corrupt:
+        real = oracles._replay
+
+        def corrupted(g, order, frozen):
+            timeline = real(g, order, frozen)
+            if frozen:
+                return timeline
+            return timeline._replace(matchings=timeline.matchings[:-1] + (frozenset(),))
+
+        monkeypatch.setattr(oracles, "_replay", corrupted)
+        monkeypatch.setattr(experiments, "_replay", corrupted)
+    config = SweepConfig(max_n=5, k=2, with_random_eight=False, audit_max_n=0)
+    statuses = Counter()
+    for g in connected_graphs_upto(4) + [backup_counterexample_graph()]:
+        counts = experiments._sweep_one((config, CorpusGraph("g", g)))[0]
+        orders = [list(order) for order in permutations(range(g.n))]
+        reports = {"prefix-agreement": [
+            check_prefix_agreement(g, order, v) for order in orders for v in range(g.n)
+        ]}
+        reports["insertion-claims"] = [
+            check_insertion_claims(g, vec, u, u_star, target)
+            for u_star in range(g.n)
+            for others in [[w for w in range(g.n) if w != u_star]]
+            for vec in enumerate_rank_vectors(others, 1)
+            for target in insertion_slots(vec)
+            for u in others
+        ]
+        # One demotion walk per class, as the sweep makes them.
+        classes = {}
+        for vec in enumerate_rank_vectors(range(g.n), config.k):
+            matching = matching_for_order(g, vec)
+            for u in range(g.n):
+                v = matched_partner(matching, u)
+                if v is not None:
+                    classes.setdefault((u, v, remove_vertex(vec, v)), (vec, u))
+        reports["monotonicity"] = [check_monotonicity(g, *c) for c in classes.values()]
+        for family, rs in reports.items():
+            assert counts.get(family, 0) == sum(len(r.checks) for r in rs), family
+            statuses.update(c.status for r in rs for c in r.checks)
+    assert statuses["pass"] and statuses["skipped"] and bool(statuses["fail"]) == corrupt
 
 
 def test_sweep_parallel_matches_serial():

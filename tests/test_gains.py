@@ -345,23 +345,31 @@ def test_audit_builds_no_rank_vector_per_slot(monkeypatch):
 
 
 def test_audit_colors_each_order_once(monkeypatch):
-    # One BFS per order: the coloring that makes u a buyer is the coin-0
-    # coloring or its complement, never a second BFS.
-    calls = {"matching": 0, "coloring": 0}
+    # One BFS per distinct matching within a call, so never more than one
+    # per order: the coloring depends only on the matching, and the one
+    # that makes u a buyer is the coin-0 coloring or its complement.
+    calls = {"coloring": 0}
+    seen = set()  # the matchings of the current call
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def matching(*args):
+        found = matching_for_order(*args)
+        seen.add(found)
+        return found
 
-    monkeypatch.setattr(gains, "matching_for_order", counted("matching", matching_for_order))
-    monkeypatch.setattr(gains, "two_coloring", counted("coloring", two_coloring))
+    def coloring(*args):
+        calls["coloring"] += 1
+        return two_coloring(*args)
+
+    monkeypatch.setattr(gains, "matching_for_order", matching)
+    monkeypatch.setattr(gains, "two_coloring", coloring)
     g = backup_counterexample_graph()
+    distinct = 0
     for a, b in sorted(g.m_star):
         for u, u_star in ((a, b), (b, a)):
+            seen.clear()
             audit_h_bounds(g, u, u_star, REFERENCE_TABLE_K3)
-    assert calls["coloring"] == calls["matching"] > 0
+            distinct += len(seen)
+    assert calls["coloring"] == distinct == 12
 
 
 def test_audit_refuses_to_sample_past_its_budget():

@@ -377,6 +377,17 @@ def test_path_witness_names_the_graph_edges(monkeypatch):
     assert "graph" not in caught.value.payload
 
 
+def test_path_sweep_checks_availability_when_the_matchings_agree():
+    # A minus run with the full run's matchings whose taken sets also carry
+    # vertex 3: the difference is the empty path, but availability breaks.
+    g = make_graph(4, [(1, 2)])
+    full = oracles._replay(g, [0, 1, 2, 3], frozenset())
+    minus = full._replace(taken=tuple(t | 1 << 0 | 1 << 3 for t in full.taken))
+    with pytest.raises(ClaimViolation) as caught:
+        oracles._path_sweep(g, 0, full, minus)
+    assert caught.value.claim == "alt-path-availability"
+
+
 def _forget_last_edge(timeline):
     # Every state of the run loses the edge the run accepted last.
     matchings, taken, last = [], [], None
